@@ -5,9 +5,11 @@ The enumeration core is a Fincke-Pohst style recursive bound on the
 successive square completion of the Gram matrix.  All bounds and membership
 tests are carried out in scaled integer arithmetic (fixed denominators are
 cleared once per lattice), so the output is exact and byte-for-byte
-deterministic.  Genus-2 counting enumerates both columns and filters by the
-inner product; the bulk inner-product histograms run through int64 matrix
-products (overflow-guarded, hence still exact).
+deterministic.  Genus-2 counts come from inner-product histograms over
+pairs of shells.  A shell is the set of vectors of one norm in one coset,
+kept as a cached int64 array of integer-scaled rows built straight from the
+walker's offsets.  The pair products run through float64 BLAS under a 2^53
+exactness guard and are counted with np.bincount, so they stay exact.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -160,12 +163,17 @@ def _scaled_data(lat: Lattice, mu: Coset):
 def _walk_target(lat: Lattice, mu: Coset, m: Fraction, collect: bool):
     """All y in mu + Z^n with Q(y) == m (exact); returns vectors or a count.
 
+    mu is a canonical coset of L'/L; m off the grid q(mu) + Z finds nothing.
+
     Budgets are maintained as B_hat = (2m - partial sums) * l0 * delta^4 in
     plain integers; the innermost level solves the residual quadratic
     exactly instead of scanning.
     """
     n, delta, l0_base, u_hat, c_hat_base, mu_base = _scaled_data(lat, mu)
-    two_m = 2 * Fraction(m)
+    m = Fraction(m)
+    if m < 0 or (m - discriminant_form(lat).q(mu)).denominator != 1:
+        return [] if collect else 0
+    two_m = 2 * m
     extra = two_m.denominator // math.gcd(l0_base, two_m.denominator)
     l0 = l0_base * extra
     c_hat = tuple(c * extra for c in c_hat_base)
@@ -272,36 +280,6 @@ def _ball_counts(lat: Lattice, mu: Coset, bound: Fraction) -> dict[Fraction, int
     return out
 
 
-def _box_scan(lat: Lattice, mu: Coset, m: Fraction) -> list[tuple[int, ...]]:
-    """Plain box scan (used for rank <= 2): bounds from the inverse Gram."""
-    from .quadlattice import _mat_inv_fraction
-
-    n = lat.rank
-    ginv = _mat_inv_fraction(lat.gram)
-    out = []
-    two_m = 2 * Fraction(m)
-    bounds = []
-    for i in range(n):
-        r2 = two_m * ginv[i][i]
-        hi = math.isqrt(math.ceil(r2)) + 1
-        bounds.append(hi)
-
-    def rec(i, coords):
-        if i == n:
-            y = tuple(Fraction(mu[j]) + coords[j] for j in range(n))
-            if lat.quadratic(y) == m:
-                out.append(tuple(coords))
-            return
-        c = float(mu[i])
-        lo = -bounds[i] - math.ceil(c) - 1
-        hi = bounds[i] + 1
-        for v in range(lo, hi + 1):
-            rec(i + 1, coords + [v])
-
-    rec(0, [])
-    return sorted(out)
-
-
 def _coset_tuple(lat: Lattice, mu) -> Coset:
     return tuple(Fraction(x) % 1 for x in mu) if mu is not None else tuple(
         Fraction(0) for _ in range(lat.rank)
@@ -310,34 +288,14 @@ def _coset_tuple(lat: Lattice, mu) -> Coset:
 
 def vectors_with_norm(lat: Lattice, mu, m) -> list[tuple[Fraction, ...]]:
     """All x in mu + L with Q(x) = m, in lexicographic coordinate order."""
-    _require_positive_definite(lat)
-    m = Fraction(m)
-    if m < 0:
-        return []
     mu_t = _coset_tuple(lat, mu)
-    df = discriminant_form(lat)
-    if (m - df.q(mu_t)).denominator != 1:
-        return []
-    if lat.rank <= 2:
-        offsets = _box_scan(lat, mu_t, m)
-    else:
-        offsets = _walk_target(lat, mu_t, m, collect=True)
+    offsets = _walk_target(lat, mu_t, m, collect=True)
     return [tuple(mu_t[i] + v[i] for i in range(lat.rank)) for v in offsets]
 
 
 def rep_number(lat: Lattice, mu, m) -> int:
     """Number of x in mu + L with Q(x) = m."""
-    _require_positive_definite(lat)
-    m = Fraction(m)
-    if m < 0:
-        return 0
-    mu_t = _coset_tuple(lat, mu)
-    df = discriminant_form(lat)
-    if (m - df.q(mu_t)).denominator != 1:
-        return 0
-    if lat.rank <= 2:
-        return len(_box_scan(lat, mu_t, m))
-    return _walk_target(lat, mu_t, m, collect=False)
+    return _walk_target(lat, _coset_tuple(lat, mu), m, collect=False)
 
 
 @lru_cache(maxsize=32)
@@ -367,37 +325,63 @@ def theta_qseries(lat: Lattice, truncation) -> VectorValuedQSeries:
     )
 
 
-_INT64_GUARD = 2 ** 62
+@lru_cache(maxsize=32)
+def _shell(lat: Lattice, mu, m):
+    """(delta, A): the rows of the read-only int64 array A are delta*x for the
+    x in mu + L with Q(x) = m, in lexicographic order; delta clears mu."""
+    mu_t = _coset_tuple(lat, mu)
+    delta = math.lcm(1, *(x.denominator for x in mu_t))
+    base = [int(x * delta) for x in mu_t]
+    rows = [
+        [delta * vi + b for vi, b in zip(v, base)]
+        for v in _walk_target(lat, mu_t, m, collect=True)
+    ]
+    a = np.array(rows, dtype=np.int64).reshape(-1, lat.rank)
+    a.flags.writeable = False
+    return delta, a
+
+
+_CHUNK = 1 << 20  # float64 products per BLAS call, and the most histogram bins
 
 
 @lru_cache(maxsize=64)
 def inner_product_histogram(lat: Lattice, mu1: Coset, m1, mu2: Coset, m2):
-    """Histogram {(x1, x2): count} of bilinear values over all pairs with
-    Q(x1) = m1, Q(x2) = m2 in the given cosets.  Exact (scaled int64)."""
-    v1 = vectors_with_norm(lat, mu1, m1)
-    v2 = vectors_with_norm(lat, mu2, m2)
-    if not v1 or not v2:
-        return {}
-    delta = math.lcm(1, *(x.denominator for vec in (v1[0], v2[0]) for x in vec))
-    a1 = np.array([[int(x * delta) for x in vec] for vec in v1], dtype=np.int64)
-    a2 = np.array([[int(x * delta) for x in vec] for vec in v2], dtype=np.int64)
+    """Read-only histogram {(x1, x2): count} of bilinear values over all pairs
+    with Q(x1) = m1, Q(x2) = m2 in the given cosets.
+
+    With the shells as integer rows A1 = delta1*x1 and A2 = delta2*x2, the
+    entries of A1 (A2 G)^T are delta1*delta2*(x1, x2).  They are formed by
+    float64 BLAS in row chunks, exactly: OverflowError is raised unless
+    max|A1| * max|A2 G| * rank < 2^53, which keeps every partial sum an exact
+    float64 integer.  Each chunk is counted by np.bincount, offset by the
+    Cauchy-Schwarz bound |(x1, x2)| <= 2 sqrt(m1 m2); a range wider than
+    _CHUNK bins also raises OverflowError, so memory stays bounded.
+    """
+    d1, a1 = _shell(lat, mu1, m1)
+    d2, a2 = _shell(lat, mu2, m2)
+    if not len(a1) or not len(a2):
+        return MappingProxyType({})
+    m1, m2 = Fraction(m1), Fraction(m2)
     g = np.array(lat.gram, dtype=np.int64)
-    bound = (
-        int(np.abs(a1).max()) * int(np.abs(g).max()) * int(np.abs(a2).max()) * lat.rank ** 2
+    a2g = a2 @ g  # G is symmetric; int64 wraps, so this is exact if it fits
+    off = math.isqrt(math.floor(4 * (d1 * d2) ** 2 * m1 * m2))
+    # first test: |(x2, e_i)|^2 <= 2 m2 G_ii (Cauchy-Schwarz) keeps A2 G in int64
+    if (
+        2 * m2 * d2 * d2 * int(g.diagonal().max()) >= 2 ** 126
+        or int(np.abs(a1).max()) * int(np.abs(a2g).max()) * lat.rank >= 2 ** 53
+        or 2 * off + 1 > _CHUNK
+    ):
+        raise OverflowError("inner products too large for an exact float64 histogram")
+    f1, f2 = a1.astype(np.float64), a2g.T.astype(np.float64)
+    bins = np.zeros(2 * off + 1, dtype=np.int64)
+    step = max(1, _CHUNK // len(a2))
+    for start in range(0, len(a1), step):
+        w = f1[start : start + step] @ f2
+        w += off
+        bins += np.bincount(w.astype(np.int64).ravel(), minlength=len(bins))
+    return MappingProxyType(
+        {Fraction(int(i) - off, d1 * d2): int(bins[i]) for i in np.flatnonzero(bins)}
     )
-    if bound >= _INT64_GUARD:
-        raise OverflowError("inner product histogram would overflow int64")
-    a2g = a2 @ g.T
-    hist: dict[Fraction, int] = {}
-    chunk = max(1, (4 << 20) // max(1, a2.shape[0]))
-    scale = delta * delta
-    for start in range(0, a1.shape[0], chunk):
-        w = a1[start : start + chunk] @ a2g.T
-        vals, counts = np.unique(w, return_counts=True)
-        for val, c in zip(vals.tolist(), counts.tolist()):
-            key = Fraction(val, scale)
-            hist[key] = hist.get(key, 0) + c
-    return hist
 
 
 def rep_number_genus2(lat: Lattice, cosets, t) -> int:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -7,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 from cycletheta.enumeration import (
     Genus2Coefficient,
     NotPositiveDefinite,
+    inner_product_histogram,
     rep_number,
     rep_number_genus2,
     theta_qseries,
     vectors_with_norm,
 )
-from cycletheta.quadlattice import named_lattice
+from cycletheta.quadlattice import named_lattice, new_lattice
 
 
 def brute_vectors(lat, mu, m):
@@ -65,13 +67,15 @@ class TestVectorsWithNorm:
         assert vectors_with_norm(lat, None, m) == brute_vectors(lat, None, m)
 
     def test_matches_box_scan_on_cosets(self):
-        lat = named_lattice("A3")
-        from cycletheta.quadlattice import discriminant_form
+        from cycletheta.quadlattice import direct_sum, discriminant_form
 
-        df = discriminant_form(lat)
-        for lam in df.cosets:
-            m = df.q_table[lam] + 1
-            assert vectors_with_norm(lat, lam, m) == brute_vectors(lat, lam, m)
+        a1 = named_lattice("A1")
+        for lat in [a1, named_lattice("A2"), direct_sum(a1, a1), named_lattice("A3")]:
+            df = discriminant_form(lat)
+            for lam in df.cosets:
+                for k in range(4):
+                    m = df.q_table[lam] + k
+                    assert vectors_with_norm(lat, lam, m) == brute_vectors(lat, lam, m)
 
     def test_zero_norm(self):
         lat = named_lattice("D4")
@@ -189,6 +193,60 @@ class TestGenus2:
                 assert (
                     rep_number_genus2(lat, None, ((t1, b), (b, t2))) == direct
                 )
+
+    def test_histogram_matches_direct_pair_count(self):
+        from cycletheta.quadlattice import discriminant_form
+
+        a2, a3, d4 = (named_lattice(n) for n in ("A2", "A3", "D4"))
+        c2, c3 = discriminant_form(a2).cosets, discriminant_form(a3).cosets
+        zero4 = discriminant_form(d4).cosets[0]
+        cases = [(a2, c2[1], c2[2]), (a2, c2[2], c2[1]), (a2, c2[1], c2[1])]
+        cases += [(a3, mu, c3[0]) for mu in c3[1:]]
+        for lat, mu1, mu2 in cases:
+            df = discriminant_form(lat)
+            for k1, k2 in [(0, 0), (0, 1), (1, 2)]:
+                m1, m2 = df.q_table[mu1] + k1, df.q_table[mu2] + k2
+                v1, v2 = brute_vectors(lat, mu1, m1), brute_vectors(lat, mu2, m2)
+                self._check_direct(lat, mu1, m1, v1, mu2, m2, v2)
+        shells = {m: brute_vectors(d4, zero4, m) for m in (1, 2)}
+        for m1, m2 in [(1, 1), (1, 2), (2, 2)]:
+            self._check_direct(d4, zero4, m1, shells[m1], zero4, m2, shells[m2])
+
+    @staticmethod
+    def _check_direct(lat, mu1, m1, v1, mu2, m2, v2):
+        direct = Counter(lat.bilinear(x, y) for x in v1 for y in v2)
+        assert sum(direct.values()) > 0
+        assert dict(inner_product_histogram(lat, mu1, m1, mu2, m2)) == dict(direct)
+
+    def test_histogram_is_read_only(self):
+        zero = (F(0), F(0))
+        hist = inner_product_histogram(named_lattice("A2"), zero, 1, zero, 1)
+        with pytest.raises(TypeError):
+            hist[F(2)] = 0
+        again = inner_product_histogram(named_lattice("A2"), zero, 1, zero, 1)
+        assert dict(again) == {-2: 6, -1: 12, 1: 12, 2: 6}
+
+    def test_histogram_exactness_guard(self):
+        # A1+A1 in a skewed basis: the norm-1 shell has coordinates up to c/2
+        # and rows of A2 G up to c, so max|A1| * max|A2 G| * rank = c^2
+        c = math.isqrt(2 ** 53) // 2 * 2
+        assert c * c < 2 ** 53 <= (c + 2) ** 2
+        zero = (F(0), F(0))
+        below = new_lattice([[2, c], [c, c * c // 2 + 2]])
+        hist = inner_product_histogram(below, zero, 1, zero, 1)
+        assert dict(hist) == {-2: 4, 0: 8, 2: 4}
+        above = new_lattice([[2, c + 2], [c + 2, (c + 2) ** 2 // 2 + 2]])
+        with pytest.raises(OverflowError):
+            inner_product_histogram(above, zero, 1, zero, 1)
+
+    def test_histogram_bins_bounded(self):
+        # A1 values (x1, x2) fill [-2m, 2m]: 2^20 + 1 bins at m = 2^18
+        zero = (F(0),)
+        a1 = named_lattice("A1")
+        m = 511 ** 2
+        assert dict(inner_product_histogram(a1, zero, m, zero, m)) == {-2 * m: 2, 2 * m: 2}
+        with pytest.raises(OverflowError):
+            inner_product_histogram(a1, zero, 2 ** 18, zero, 2 ** 18)
 
     def test_marginal_identity_small(self):
         lat = named_lattice("A2")
