@@ -380,90 +380,25 @@ def _ordp(n: int, p: int) -> int:
     return e
 
 
-def _count_mod_p(lat: Lattice, p: int, residue: int) -> int:
-    """#{x in F_p^n : Q(x) = residue mod p}, by per-variable convolution
-    after diagonalizing mod p (p odd) or brute force (p = 2, small rank)."""
-    n = lat.rank
-    if p == 2:
-        if n > 24:
-            raise UnsupportedLattice("rank too large for mod-2 brute force")
-        cnt = 0
-        g = lat.gram
-        half = [g[i][i] // 2 for i in range(n)]
-        for mask in range(2 ** n):
-            x = [(mask >> i) & 1 for i in range(n)]
-            q = sum(half[i] * x[i] for i in range(n)) + sum(
-                g[i][j] * x[i] * x[j] for i in range(n) for j in range(i + 1, n)
-            )
-            if q % 2 == residue % 2:
-                cnt += 1
-        return cnt
-    # diagonalize the bilinear form mod p by symmetric row/column operations
-    m = [[lat.gram[i][j] % p for j in range(n)] for i in range(n)]
-    diag = []
-    active = list(range(n))
-    while active:
-        i0 = next((i for i in active if m[i][i] % p), None)
-        if i0 is None:
-            pair = next(
-                ((i, j) for i in active for j in active if j != i and m[i][j] % p),
-                None,
-            )
-            if pair is None:
-                diag.extend(0 for _ in active)  # zero block: free variables
-                break
-            i, j = pair
-            for col in range(n):
-                m[i][col] = (m[i][col] + m[j][col]) % p
-            for row in range(n):
-                m[row][i] = (m[row][i] + m[row][j]) % p
-            continue
-        piv = m[i0][i0]
-        inv = pow(piv, -1, p)
-        active.remove(i0)
-        for i in active:
-            f = (m[i][i0] * inv) % p
-            if f:
-                for col in range(n):
-                    m[i][col] = (m[i][col] - f * m[i0][col]) % p
-                for row in range(n):
-                    m[row][i] = (m[row][i] - f * m[row][i0]) % p
-        diag.append(piv)
-    inv2 = pow(2, -1, p)
-    dist = [0] * p
-    dist[0] = 1
-    for piv in diag:
-        coef = (piv * inv2) % p
-        var = [0] * p
-        for x in range(p):
-            var[(coef * x * x) % p] += 1
-        new = [0] * p
-        for v1, c1 in enumerate(dist):
-            if c1:
-                for v2, c2 in enumerate(var):
-                    if c2:
-                        new[(v1 + v2) % p] += c1 * c2
-        dist = new
-    return dist[residue % p]
-
-
 def _counts_unimodular(lat: Lattice, p: int, m: int, k_max: int) -> list[int]:
     """N_k(m) for k = 1..k_max when p does not divide det(gram).
 
-    Solutions with x != 0 mod p are nonsingular (the gradient Gx is a unit
-    vector) and lift p^(n-1)-fold per level; solutions with x = 0 mod p
-    reduce to level k - 2 after dividing by p^2:
+    N_1 is read from the mod-p value distribution of the Jordan blocks
+    (_residue_counts at k = 1), computed once.  Solutions with x != 0 mod p
+    are nonsingular (the gradient Gx is a unit vector) and lift
+    p^(n-1)-fold per level; solutions with x = 0 mod p reduce to level
+    k - 2 after dividing by p^2:
 
         N_k(m) = p^((n-1)(k-1)) (N_1(m) - [p | m]) + nonprimitive part.
     """
     n = lat.rank
+    n1 = _residue_counts(_jordan_blocks(lat, p), p)
 
     @lru_cache(maxsize=None)
     def count(k: int, mm: int) -> int:
         if k == 0:
             return 1
-        n1 = _count_mod_p(lat, p, mm % p)
-        prim1 = n1 - (1 if mm % p == 0 else 0)
+        prim1 = n1[mm % p] - (1 if mm % p == 0 else 0)
         total = p ** ((n - 1) * (k - 1)) * prim1
         if k == 1:
             if mm % p == 0:
@@ -554,39 +489,40 @@ def _frac_mod(x: Fraction, modulus: int) -> int:
     return (x.numerator * pow(den, -1, modulus)) % modulus
 
 
+def _residue_counts(blocks, pk: int) -> list[int]:
+    """#{x mod pk : Q(x) = r mod pk} for r = 0..pk-1, by convolving the value
+    distributions of the Jordan blocks (exact big ints)."""
+    dist = [0] * pk
+    dist[0] = 1
+    for b in blocks:
+        var = [0] * pk
+        if len(b) == 1:
+            coef = _frac_mod(b[0][0] / 2, pk)
+            for x in range(pk):
+                var[(coef * x * x) % pk] += 1
+        else:
+            qa = _frac_mod(b[0][0] / 2, pk)
+            qb = _frac_mod(b[0][1], pk)
+            qc = _frac_mod(b[1][1] / 2, pk)
+            for x in range(pk):
+                base = (qa * x * x) % pk
+                cross = (qb * x) % pk
+                for y in range(pk):
+                    var[(base + cross * y + qc * y * y) % pk] += 1
+        new = [0] * pk
+        for v1, c1 in enumerate(dist):
+            if c1:
+                for v2, c2 in enumerate(var):
+                    if c2:
+                        new[(v1 + v2) % pk] += c1 * c2
+        dist = new
+    return dist
+
+
 def _counts_generic(lat: Lattice, p: int, m: int, k_max: int) -> list[int]:
-    """N_k(m) by block value-distribution convolution (exact big ints)."""
+    """N_k(m) read from the full value distribution mod p^k at every level."""
     blocks = _jordan_blocks(lat, p)
-    out = []
-    for k in range(1, k_max + 1):
-        pk = p ** k
-        dist = [0] * pk
-        dist[0] = 1
-        for b in blocks:
-            if len(b) == 1:
-                coef = _frac_mod(b[0][0] / 2, pk)
-                var = [0] * pk
-                for x in range(pk):
-                    var[(coef * x * x) % pk] += 1
-            else:
-                qa = _frac_mod(b[0][0] / 2, pk)
-                qb = _frac_mod(b[0][1], pk)
-                qc = _frac_mod(b[1][1] / 2, pk)
-                var = [0] * pk
-                for x in range(pk):
-                    base = (qa * x * x) % pk
-                    cross = (qb * x) % pk
-                    for y in range(pk):
-                        var[(base + cross * y + qc * y * y) % pk] += 1
-            new = [0] * pk
-            for v1, c1 in enumerate(dist):
-                if c1:
-                    for v2, c2 in enumerate(var):
-                        if c2:
-                            new[(v1 + v2) % pk] += c1 * c2
-            dist = new
-        out.append(dist[m % pk])
-    return out
+    return [_residue_counts(blocks, p ** k)[m % p ** k] for k in range(1, k_max + 1)]
 
 
 def _is_prime(p: int) -> bool:

@@ -1,20 +1,31 @@
 """Exact lattice-vector enumeration: representation numbers and coset theta
 series in genus 1 and 2.
 
-The enumeration core is a Fincke-Pohst style recursive bound on the
-successive square completion of the Gram matrix.  All bounds and membership
-tests are carried out in scaled integer arithmetic (fixed denominators are
-cleared once per lattice), so the output is exact and byte-for-byte
-deterministic.  Genus-2 counts come from inner-product histograms over
-pairs of shells.  A shell is the set of vectors of one norm in one coset,
-kept as a cached int64 array of integer-scaled rows built straight from the
-walker's offsets.  The pair products run through float64 BLAS under a 2^53
-exactness guard and are counted with np.bincount, so they stay exact.
+There is one enumeration engine, a Fincke-Pohst descent (_descend) over the
+successive square completion of the Gram matrix.  It walks the coordinates
+from level n-1 down to level 1 and hands level 0 to a leaf chosen by the
+caller:
+
+* the exact-solve leaf (_walk_target) solves the residual quadratic for the
+  last coordinate, giving the shell Q(x) = m for vectors_with_norm,
+  rep_number and the genus-2 shells;
+* the range-scan leaf (_ball_counts) scans the last coordinate's range and
+  buckets every norm below a bound, giving theta_qseries.
+
+All bounds and membership tests are carried out in scaled integer
+arithmetic (fixed denominators are cleared once per lattice and coset), so
+the output is exact and byte-for-byte deterministic.  Genus-2 counts come
+from inner-product histograms over pairs of shells.  A shell is the set of
+vectors of one norm in one coset, kept as a cached int64 array of
+integer-scaled rows built straight from the walker's offsets.  The pair
+products run through float64 BLAS under a 2^53 exactness guard and are
+counted with np.bincount, so they stay exact.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -40,19 +51,20 @@ class NotPositiveDefinite(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class VectorValuedQSeries:
     """A vector-valued q-expansion with exact rational data.
 
-    ``components`` maps each coset (canonical representative tuple) to a
-    sorted tuple of (exponent, coefficient) pairs; coefficients are recorded
-    for every exponent on the coset's grid below ``truncation``, including
-    zeros, so consumers can distinguish "zero" from "not computed".
+    ``components`` is a read-only mapping from each coset (canonical
+    representative tuple) to a sorted tuple of (exponent, coefficient)
+    pairs; coefficients are recorded for every exponent on the coset's grid
+    below ``truncation``, including zeros, so consumers can distinguish
+    "zero" from "not computed".
     """
 
     weight: Fraction
     level_denominator: int
-    components: dict[Coset, tuple[tuple[Fraction, int], ...]]
+    components: Mapping[Coset, tuple[tuple[Fraction, int], ...]]
     truncation: Fraction
 
     def component(self, coset) -> tuple[tuple[Fraction, int], ...]:
@@ -140,12 +152,17 @@ def _square_completion(lat: Lattice):
 def _scaled_data(lat: Lattice, mu: Coset):
     """Integer-scaled enumeration data for the coset mu + L.
 
-    Returns (n, delta, l0, u_hat, c_hat, mu_base) where delta clears all
-    denominators of mu and of the completion coefficients u_ij, l0 clears
-    the pivots d_i, u_hat[i][j] = u_ij * delta, c_hat[i] = d_i * l0, and
-    mu_base[i] = mu_i * delta**2.
+    Returns (n, delta, l0, u_hat, c_hat, mu_base, q_mu) where delta clears
+    all denominators of mu and of the completion coefficients u_ij, l0
+    clears the pivots d_i, u_hat[i][j] = u_ij * delta, c_hat[i] = d_i * l0,
+    mu_base[i] = mu_i * delta**2 and q_mu = Q(mu) mod 1, so that every norm
+    in mu + L lies on the grid q_mu + Z.  Raises ValueError unless mu is in
+    the dual lattice.
     """
     _require_positive_definite(lat)
+    g_mu = [sum(g * x for g, x in zip(row, mu)) for row in lat.gram]
+    if any(y.denominator != 1 for y in g_mu):
+        raise ValueError(f"{mu} is not a coset of the dual lattice")
     n = lat.rank
     ds, us = _square_completion(lat)
     delta = math.lcm(
@@ -157,120 +174,116 @@ def _scaled_data(lat: Lattice, mu: Coset):
     u_hat = tuple(tuple(int(u * delta) for u in row) for row in us)
     c_hat = tuple(int(d * l0) for d in ds)
     mu_base = tuple(int(Fraction(x) * delta * delta) for x in mu)
-    return n, delta, l0, u_hat, c_hat, mu_base
+    q_mu = sum(x * y for x, y in zip(mu, g_mu)) / 2 % 1
+    return n, delta, l0, u_hat, c_hat, mu_base, q_mu
 
 
-def _walk_target(lat: Lattice, mu: Coset, m: Fraction, collect: bool):
-    """All y in mu + Z^n with Q(y) == m (exact); returns vectors or a count.
+def _descend(data, b_init: int, leaf) -> None:
+    """The Fincke-Pohst descent over mu + Z^n shared by every walker.
 
-    mu is a canonical coset of L'/L; m off the grid q(mu) + Z finds nothing.
-
-    Budgets are maintained as B_hat = (2m - partial sums) * l0 * delta^4 in
-    plain integers; the innermost level solves the residual quadratic
-    exactly instead of scanning.
+    data is _scaled_data(lat, mu).  Levels n-1 .. 1 are walked in order,
+    each coordinate over exactly the range its residual budget allows;
+    budgets are B_hat = (2 Q-budget - partial sums) * l0 * delta^4 in plain
+    integers.  Level 0 is left to the caller: leaf(base, b_hat, v) is called
+    once per surviving level-1 branch (or once, for rank 1), where base is
+    the scaled level-0 centre offset, b_hat the remaining budget and v[1:]
+    the current lattice offsets.
     """
-    n, delta, l0_base, u_hat, c_hat_base, mu_base = _scaled_data(lat, mu)
-    m = Fraction(m)
-    if m < 0 or (m - discriminant_form(lat).q(mu)).denominator != 1:
-        return [] if collect else 0
-    two_m = 2 * m
-    extra = two_m.denominator // math.gcd(l0_base, two_m.denominator)
-    l0 = l0_base * extra
-    c_hat = tuple(c * extra for c in c_hat_base)
-    d4 = delta ** 4
-    b_init = two_m * l0 * d4
-    assert b_init.denominator == 1
-    b_init = int(b_init)
-
+    n, delta, _, u_hat, c_hat, mu_base, _ = data
     d2 = delta * delta
-    found: list[tuple[int, ...]] = []
-    count = 0
+    # mu_base[i] = mu_i * delta^2 is divisible by delta since den(mu_i) | delta
+    mu_scaled = [b // delta for b in mu_base]
     v = [0] * n
     centers = [[0] * n for _ in range(n + 1)]  # centers[level][i] = c_acc for level i
 
     def descend(level: int, b_hat: int):
-        nonlocal count
         c_acc = centers[level + 1]
         base = mu_base[level] + c_acc[level]
         ci = c_hat[level]
-        if level == 0:
-            # solve c0 * t^2 == b_hat exactly
-            if b_hat % ci:
-                return
-            q, r = divmod(b_hat, ci)
-            s = math.isqrt(q)
-            if s * s != q:
-                return
-            for t in ({s, -s} if s else {0}):
-                num = t - base
-                if num % d2 == 0:
-                    if collect:
-                        v[0] = num // d2
-                        found.append(tuple(v))
-                    else:
-                        count += 1
-            return
         s = math.isqrt(b_hat // ci)
-        lo = -((s + base) // d2)  # ceil((-s - base)/d2)
-        hi = (s - base) // d2
         mine = centers[level]
-        for vi in range(lo, hi + 1):
+        for vi in range(-((s + base) // d2), (s - base) // d2 + 1):
             t_hat = base + vi * d2
             b_next = b_hat - ci * t_hat * t_hat
             if b_next < 0:
                 continue
             v[level] = vi
-            y_scaled = vi * delta + (mu_base[level] // delta)  # y_i * delta
+            y_scaled = vi * delta + mu_scaled[level]  # y_i * delta
             for i in range(level):
                 mine[i] = c_acc[i] + u_hat[i][level] * y_scaled
-            descend(level - 1, b_next)
+            if level == 1:
+                leaf(mu_base[0] + mine[0], b_next, v)
+            else:
+                descend(level - 1, b_next)
 
-    # mu_base[i] = mu_i * delta^2 is divisible by delta since den(mu_i) | delta
-    descend(n - 1, b_init)
-    if collect:
-        return sorted(found)
-    return count
+    if n == 1:
+        leaf(mu_base[0], b_init, v)
+    else:
+        descend(n - 1, b_init)
+
+
+def _walk_target(lat: Lattice, mu: Coset, m: Fraction, collect: bool):
+    """All y in mu + Z^n with Q(y) == m (exact); returns vectors or a count.
+
+    mu is a coset of L'/L; m off the grid q(mu) + Z finds nothing.  The
+    level-0 leaf of the descent solves the residual c0 t^2 == B_hat exactly
+    instead of scanning.
+    """
+    data = _scaled_data(lat, mu)
+    _, delta, l0, _, c_hat, _, q_mu = data
+    m = Fraction(m)
+    if m < 0 or (m - q_mu).denominator != 1:
+        return [] if collect else 0
+    # 2 Q(y) l0 delta^4 is an integer for every y in mu + Z^n, and m = Q(mu) + k
+    b_init = 2 * m * l0 * delta ** 4
+    assert b_init.denominator == 1
+    c0, d2 = c_hat[0], delta * delta
+    found: list[tuple[int, ...]] = []
+    count = 0
+
+    def solve(base: int, b_hat: int, v: list[int]):
+        nonlocal count
+        q, r = divmod(b_hat, c0)
+        s = math.isqrt(q)
+        if r or s * s != q:
+            return
+        for t in ({s, -s} if s else {0}):
+            num = t - base
+            if num % d2 == 0:
+                if collect:
+                    v[0] = num // d2
+                    found.append(tuple(v))
+                else:
+                    count += 1
+
+    _descend(data, int(b_init), solve)
+    return sorted(found) if collect else count
 
 
 def _ball_counts(lat: Lattice, mu: Coset, bound: Fraction) -> dict[Fraction, int]:
-    """Counts of vectors in mu + Z^n with Q(y) < bound, bucketed by Q-value."""
-    n, delta, l0, u_hat, c_hat, mu_base = _scaled_data(lat, mu)
+    """Counts of vectors in mu + Z^n with Q(y) < bound, bucketed by Q-value.
+
+    The level-0 leaf of the descent scans its whole range and buckets the
+    scaled values 2 Q(y) l0 delta^4 directly.
+    """
+    data = _scaled_data(lat, mu)
+    _, delta, l0, _, c_hat, _, _ = data
     d4 = delta ** 4
-    two_b = 2 * Fraction(bound)
-    b_init = math.ceil(two_b * l0 * d4)
-    d2 = delta * delta
+    b_init = math.ceil(2 * Fraction(bound) * l0 * d4)
+    c0, d2 = c_hat[0], delta * delta
     buckets: dict[int, int] = {}
-    centers = [[0] * n for _ in range(n + 1)]
 
-    def descend(level: int, b_hat: int):
-        c_acc = centers[level + 1]
-        base = mu_base[level] + c_acc[level]
-        ci = c_hat[level]
-        s = math.isqrt(b_hat // ci)
+    def scan(base: int, b_hat: int, v: list[int]):
+        s = math.isqrt(b_hat // c0)
         lo = -((s + base) // d2)
-        hi = (s - base) // d2
-        if level == 0:
-            t = base + lo * d2
-            step = d2
-            used = b_init - b_hat
-            for _ in range(lo, hi + 1):
-                rem = ci * t * t
-                key = used + rem
-                buckets[key] = buckets.get(key, 0) + 1
-                t += step
-            return
-        mine = centers[level]
-        for vi in range(lo, hi + 1):
-            t_hat = base + vi * d2
-            b_next = b_hat - ci * t_hat * t_hat
-            if b_next < 0:
-                continue
-            y_scaled = vi * delta + (mu_base[level] // delta)
-            for i in range(level):
-                mine[i] = c_acc[i] + u_hat[i][level] * y_scaled
-            descend(level - 1, b_next)
+        t = base + lo * d2
+        used = b_init - b_hat
+        for _ in range(lo, (s - base) // d2 + 1):
+            key = used + c0 * t * t
+            buckets[key] = buckets.get(key, 0) + 1
+            t += d2
 
-    descend(n - 1, b_init)
+    _descend(data, b_init, scan)
     out: dict[Fraction, int] = {}
     scale = 2 * l0 * d4
     for key, c in buckets.items():
@@ -320,7 +333,7 @@ def theta_qseries(lat: Lattice, truncation) -> VectorValuedQSeries:
     return VectorValuedQSeries(
         weight=Fraction(lat.rank, 2),
         level_denominator=df.level,
-        components=components,
+        components=MappingProxyType(components),
         truncation=bound,
     )
 

@@ -125,11 +125,11 @@ def suite_cup_product(lattice_name: str = "A2", t_max: int = 4) -> VerificationR
     """r(t1) r(t2) = sum over half-integral b of the genus-2 count at
     [[t1, b], [b, t2]], exactly."""
     lat = named_lattice(lattice_name)
+    r = [rep_number(lat, None, t) for t in range(t_max + 1)]
     cases = []
     for t1 in range(0, t_max + 1):
         for t2 in range(t1, t_max + 1):
-            lhs = rep_number(lat, None, t1) * rep_number(lat, None, t2)
-            rhs = 0
+            lhs = r[t1] * r[t2]
             b2max = 4 * t1 * t2
             b_twice = 0
             terms = []

@@ -20,7 +20,7 @@ from cycletheta.eisenstein import (
     sigma,
 )
 from cycletheta.enumeration import rep_number
-from cycletheta.quadlattice import named_lattice
+from cycletheta.quadlattice import direct_sum, named_lattice
 
 
 class TestHurwitz:
@@ -259,7 +259,8 @@ class TestLocalDensity:
     @pytest.mark.parametrize(
         "name,p,k_max,m",
         [("A1", 2, 4, 1), ("A1", 2, 4, 2), ("A2", 3, 2, 1), ("A2", 3, 2, 3),
-         ("A3", 2, 2, 2), ("A2", 2, 2, 1), ("D4", 3, 2, 2)],
+         ("A3", 2, 2, 2), ("A2", 2, 2, 1), ("D4", 3, 2, 2), ("E8", 2, 1, 1),
+         ("E8", 3, 1, 1)],
     )
     def test_counts_match_brute_force(self, name, p, k_max, m):
         lat = named_lattice(name)
@@ -277,6 +278,12 @@ class TestLocalDensity:
         for name, p, m in [("A1", 3, 1), ("A2", 2, 1), ("D4", 3, 1), ("A3", 3, 2)]:
             lat = named_lattice(name)
             assert _counts_unimodular(lat, p, m, 3) == _counts_generic(lat, p, m, 3)
+
+    def test_rank_32_at_two(self):
+        # four copies of E8: an even unimodular rank-32 form, alpha_2(1) = 1 - 2^-16
+        e8 = named_lattice("E8")
+        rep = local_density(direct_sum(e8, e8, e8, e8), 2, 1)
+        assert rep.stabilized == 1 - F(1, 2 ** 16)
 
     def test_not_stabilized_error(self):
         with pytest.raises(NotStabilized):
@@ -298,6 +305,13 @@ class TestSiegelProduct:
             pred = siegel_product(e8, m)
             assert pred == rep_number(e8, None, m)
             assert pred == 240 * sigma(3, m)
+
+    def test_e8_e8_matches_eisenstein(self):
+        # theta of E8 + E8 is E8 = E4^2, with coefficients 480 sigma_7(m)
+        e8 = named_lattice("E8")
+        e16 = direct_sum(e8, e8)
+        for m in range(1, 4):
+            assert siegel_product(e16, m) == 480 * sigma(7, m)
 
     def test_refuses_non_unimodular(self):
         with pytest.raises(UnsupportedLattice):

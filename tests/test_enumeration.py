@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import time
 from collections import Counter
 from fractions import Fraction as F
 
@@ -14,7 +16,7 @@ from cycletheta.enumeration import (
     theta_qseries,
     vectors_with_norm,
 )
-from cycletheta.quadlattice import named_lattice, new_lattice
+from cycletheta.quadlattice import BUILTIN_GRAMS, named_lattice, new_lattice
 
 
 def brute_vectors(lat, mu, m):
@@ -106,6 +108,18 @@ class TestRepNumber:
         for m in range(0, 5):
             assert rep_number(lat, None, m) == len(vectors_with_norm(lat, None, m))
 
+    def test_large_gram_entry(self):
+        # the grid check reads q(mu) from the Gram matrix, so a determinant
+        # of 2^60 costs nothing beyond the two vectors found
+        lat = new_lattice([[2 ** 60]])
+        start = time.perf_counter()
+        assert rep_number(lat, None, 2 ** 59) == 2
+        assert time.perf_counter() - start < 0.1
+
+    def test_rejects_non_dual_coset(self):
+        with pytest.raises(ValueError):
+            rep_number(named_lattice("A1"), (F(1, 3),), 1)
+
     def test_coset_symmetry(self):
         from cycletheta.quadlattice import discriminant_form
 
@@ -146,6 +160,31 @@ class TestThetaQSeries:
         for pairs in th.components.values():
             for _, c in pairs:
                 assert isinstance(c, int) and c >= 0
+
+    @pytest.mark.parametrize(
+        "gram",
+        [BUILTIN_GRAMS["A2"], BUILTIN_GRAMS["A3"], BUILTIN_GRAMS["D4"],
+         [[4, 1, 0], [1, 6, 3], [0, 3, 10]]],
+    )
+    def test_matches_rep_number(self, gram):
+        # the range-scan leaf (theta) against the exact-solve leaf (shells)
+        lat = new_lattice(gram)
+        th = theta_qseries(lat, 3)
+        assert len(th.components) == abs(lat.det)
+        for coset, pairs in th.components.items():
+            assert pairs
+            for e, c in pairs:
+                assert c == rep_number(lat, coset, e), (coset, e)
+
+    def test_cached_series_is_read_only(self):
+        th = theta_qseries(named_lattice("A2"), 2)
+        zero = (F(0), F(0))
+        with pytest.raises(TypeError):
+            th.components[zero] = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            th.truncation = F(5)
+        again = theta_qseries(named_lattice("A2"), 2)
+        assert again.component(None) == ((F(0), 1), (F(1), 6))
 
     def test_text_format(self):
         th = theta_qseries(named_lattice("A1"), 2)
