@@ -74,8 +74,26 @@ def bernoulli(n: int) -> Fraction:
 
 
 def sigma(k: int, n: int) -> int:
-    """Divisor power sum."""
-    return sum(d ** k for d in range(1, n + 1) if n % d == 0)
+    """Divisor power sum sigma_k(n) = sum_{d | n} d^k, 0 for n < 1.
+
+    Multiplicative: the product over p^e || n of 1 + p^k + ... + p^(ke),
+    with n factorised by trial division up to sqrt(n).
+    """
+    if n < 1:
+        return 0
+    total, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            pk, term, acc = p ** k, 1, 1
+            while n % p == 0:
+                n //= p
+                term *= pk
+                acc += term
+            total *= acc
+        p += 1
+    if n > 1:
+        total *= 1 + n ** k
+    return total
 
 
 def mobius(n: int) -> int:

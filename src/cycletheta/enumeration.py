@@ -2,26 +2,34 @@
 series in genus 1 and 2.
 
 There is one enumeration engine, a Fincke-Pohst descent (_descend) over the
-successive square completion of the Gram matrix.  It walks the coordinates
-from level n-1 down to level 1 and hands level 0 to a leaf chosen by the
-caller:
+successive square completion of the Gram matrix.  It works level by level
+on a numpy frontier: each row is one partial vector (its remaining budget,
+the centres it induces on the lower levels and, when asked, its lattice
+offsets), and one step expands every row of a chunk over its whole range
+for the next coordinate at once.  The frontier is walked depth first in
+chunks of bounded size, so memory stays bounded.  The last level is left to
+a leaf chosen by the caller:
 
-* the exact-solve leaf (_walk_target) solves the residual quadratic for the
-  last coordinate, giving the shell Q(x) = m for vectors_with_norm,
-  rep_number and the genus-2 shells;
-* the range-scan leaf (_ball_counts) scans the last coordinate's range and
-  buckets every norm below a bound, giving theta_qseries.
+* the exact-solve leaf (_walk_target) takes the frontier with levels
+  n-1 .. 1 fixed and solves the residual quadratic for the last coordinate,
+  giving the shell Q(x) = m for vectors_with_norm, rep_number and the
+  genus-2 shells;
+* the range-scan leaf (_ball_counts) takes the frontier with level 0
+  expanded too and buckets every norm below a bound onto the grid
+  q(mu) + Z with np.bincount, giving theta_qseries.
 
 All bounds and membership tests are carried out in scaled integer
 arithmetic (fixed denominators are cleared once per lattice and coset), so
-the output is exact and byte-for-byte deterministic.  Genus-2 counts come
-from inner-product histograms over pairs of shells.  A shell is the set of
-vectors of one norm in one coset, kept as a cached int64 array of
-integer-scaled rows built straight from the walker's offsets.  The pair
-products run through float64 BLAS under a 2^53 exactness guard and are
-counted with np.bincount, so they stay exact.
+the output is exact and byte-for-byte deterministic.  The frontier is
+int64 when a bound proved once per (lattice, coset, budget) keeps every
+intermediate value below 2^62, and Python ints (dtype=object) otherwise;
+both run the same code.  Genus-2 counts come from inner-product histograms
+over pairs of shells.  A shell is the set of vectors of one norm in one
+coset, kept as a cached int64 array of integer-scaled rows built straight
+from the walker's offsets.  The pair products run through float64 BLAS
+under a 2^53 exactness guard and are counted with np.bincount, so they
+stay exact; a shell closed under x -> -x is multiplied by half its rows.
 """
-
 from __future__ import annotations
 
 import math
@@ -33,7 +41,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .quadlattice import Coset, Lattice, discriminant_form
+from .quadlattice import Coset, Lattice, _mat_inv_fraction, discriminant_form
 
 __all__ = [
     "NotPositiveDefinite",
@@ -128,9 +136,10 @@ def _require_positive_definite(lat: Lattice):
         raise NotPositiveDefinite(f"signature {lat.signature} is not ({lat.rank}, 0)")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _square_completion(lat: Lattice):
-    """Exact decomposition 2*Q(y) = sum_i d_i (y_i + sum_{j>i} u_ij y_j)^2."""
+    """Exact decomposition 2*Q(y) = sum_i d_i (y_i + sum_{j>i} u_ij y_j)^2,
+    with the diagonal of the inverse Gram matrix."""
     n = lat.rank
     m = [[Fraction(x) for x in row] for row in lat.gram]
     ds: list[Fraction] = []
@@ -145,26 +154,27 @@ def _square_completion(lat: Lattice):
         for r in range(i + 1, n):
             for s in range(i + 1, n):
                 m[r][s] -= m[r][i] * m[i][s] / d
-    return tuple(ds), tuple(tuple(row) for row in us)
+    g_inv = _mat_inv_fraction(lat.gram)
+    return tuple(ds), tuple(tuple(row) for row in us), tuple(g_inv[i][i] for i in range(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _scaled_data(lat: Lattice, mu: Coset):
     """Integer-scaled enumeration data for the coset mu + L.
 
-    Returns (n, delta, l0, u_hat, c_hat, mu_base, q_mu) where delta clears
-    all denominators of mu and of the completion coefficients u_ij, l0
-    clears the pivots d_i, u_hat[i][j] = u_ij * delta, c_hat[i] = d_i * l0,
-    mu_base[i] = mu_i * delta**2 and q_mu = Q(mu) mod 1, so that every norm
-    in mu + L lies on the grid q_mu + Z.  Raises ValueError unless mu is in
-    the dual lattice.
+    Returns (n, delta, l0, u_hat, c_hat, mu_base, q_mu, g_inv) where delta
+    clears all denominators of mu and of the completion coefficients u_ij,
+    l0 clears the pivots d_i, u_hat[i][j] = u_ij * delta, c_hat[i] = d_i *
+    l0, mu_base[i] = mu_i * delta**2, q_mu = Q(mu) mod 1, so that every
+    norm in mu + L lies on the grid q_mu + Z, and g_inv is the diagonal of
+    G^-1.  Raises ValueError unless mu is in the dual lattice.
     """
     _require_positive_definite(lat)
     g_mu = [sum(g * x for g, x in zip(row, mu)) for row in lat.gram]
     if any(y.denominator != 1 for y in g_mu):
         raise ValueError(f"{mu} is not a coset of the dual lattice")
     n = lat.rank
-    ds, us = _square_completion(lat)
+    ds, us, g_inv = _square_completion(lat)
     delta = math.lcm(
         1,
         *(u.denominator for row in us for u in row),
@@ -175,122 +185,175 @@ def _scaled_data(lat: Lattice, mu: Coset):
     c_hat = tuple(int(d * l0) for d in ds)
     mu_base = tuple(int(Fraction(x) * delta * delta) for x in mu)
     q_mu = sum(x * y for x, y in zip(mu, g_mu)) / 2 % 1
-    return n, delta, l0, u_hat, c_hat, mu_base, q_mu
+    return n, delta, l0, u_hat, c_hat, mu_base, q_mu, g_inv
 
 
-def _descend(data, b_init: int, leaf) -> None:
+_FRONTIER_ROWS = 1 << 12  # the most rows one level expansion materialises
+_isqrt_object = np.frompyfunc(math.isqrt, 1, 1)
+
+
+def _isqrt(a: np.ndarray) -> np.ndarray:
+    """Elementwise floor square root of a nonnegative integer array.
+
+    int64 input must stay below 2^62: the float64 root is then off by at
+    most one, which the exact integer tests correct, and (s + 1)^2 fits.
+    """
+    if a.dtype == object:
+        return _isqrt_object(a)
+    s = np.sqrt(a.astype(np.float64)).astype(np.int64)
+    s -= s * s > a
+    s += (s + 1) * (s + 1) <= a
+    return s
+
+
+def _descend(data, b_init: int, leaf, last: int, offsets: bool) -> None:
     """The Fincke-Pohst descent over mu + Z^n shared by every walker.
 
-    data is _scaled_data(lat, mu).  Levels n-1 .. 1 are walked in order,
-    each coordinate over exactly the range its residual budget allows;
+    data is _scaled_data(lat, mu).  The descent fixes the coordinates from
+    level n-1 down to level ``last`` (1 for the exact-solve leaf, 0 for the
+    range scan), each over exactly the range its residual budget allows;
     budgets are B_hat = (2 Q-budget - partial sums) * l0 * delta^4 in plain
-    integers.  Level 0 is left to the caller: leaf(base, b_hat, v) is called
-    once per surviving level-1 branch (or once, for rank 1), where base is
-    the scaled level-0 centre offset, b_hat the remaining budget and v[1:]
-    the current lattice offsets.
+    integers.  It works on a frontier of rows (b, cen, off): b the remaining
+    budget, cen[:, i] the scaled centre offset sum_{j>level} u_hat[i][j] y_j
+    delta accumulated for each lower level i <= level, and off the lattice
+    offsets fixed so far (None unless ``offsets``: carrying them costs about
+    as much as the rest of the expansion).  Expanding level i computes
+    s = isqrt(b // c_i) for every row, the range [lo, hi] of the offsets v
+    with |t| <= s for t = mu_base[i] + cen[:, i] + v delta^2, repeats each
+    row over its range and adds y_i delta times u_hat[:i, i] to the centres
+    below.  Every t in the range leaves c_i t^2 <= b, so no row goes over
+    budget and rows drop out only through empty ranges.  The frontier is
+    walked depth first in chunks of at most _FRONTIER_ROWS rows, so memory
+    stays bounded by a few chunks per level; leaf(b, cen, off) is called on
+    every chunk with levels n-1 .. last fixed.
+
+    Exactness: a row whose coordinates j >= i are fixed has
+    sum_{k>=i} d_k z_k^2 <= 2M with 2M = b_init / (l0 delta^4), and real
+    coordinates below i can zero the other squares, so Cauchy-Schwarz gives
+    |y_j| <= sqrt(2M (G^-1)_jj) for each fixed coordinate; Y_j = delta (isqrt(ceil(2M (G^-1)_jj)) + 1)
+    bounds |y_j delta|.  With S = isqrt(b_init) and
+    W_i = S + 3 delta^2 + sum_{j>i} |u_hat[i][j]| Y_j, every centre,
+    |base|, |s +- base|, |v delta^2| and |y delta| at level i is at most
+    W_i, every budget and c_i t^2 at most b_init, and c_i |t| at most
+    max(c_hat) S.  When max(b_init, max(c_hat) S, W_0 .. W_{n-1}) < 2^62 the
+    frontier is int64; otherwise it holds Python ints (dtype=object).  Both
+    run the same code, and only _isqrt differs between them.
     """
-    n, delta, _, u_hat, c_hat, mu_base, _ = data
+    n, delta, l0, u_hat, c_hat, mu_base, _, g_inv = data
     d2 = delta * delta
     # mu_base[i] = mu_i * delta^2 is divisible by delta since den(mu_i) | delta
     mu_scaled = [b // delta for b in mu_base]
-    v = [0] * n
-    centers = [[0] * n for _ in range(n + 1)]  # centers[level][i] = c_acc for level i
+    s_max = math.isqrt(b_init)
+    y_max = [delta * (math.isqrt(math.ceil(b_init * g / (l0 * d2 * d2))) + 1) for g in g_inv]
+    w = [
+        s_max + 3 * d2 + sum(abs(u_hat[i][j]) * y_max[j] for j in range(i + 1, n))
+        for i in range(n)
+    ]
+    exact64 = max(b_init, max(c_hat) * s_max, *w) < 2 ** 62
+    dtype = np.int64 if exact64 else object
+    u = np.array(u_hat, dtype=dtype)
 
-    def descend(level: int, b_hat: int):
-        c_acc = centers[level + 1]
-        base = mu_base[level] + c_acc[level]
+    def expand(level: int, b, cen, off):
         ci = c_hat[level]
-        s = math.isqrt(b_hat // ci)
-        mine = centers[level]
-        for vi in range(-((s + base) // d2), (s - base) // d2 + 1):
-            t_hat = base + vi * d2
-            b_next = b_hat - ci * t_hat * t_hat
-            if b_next < 0:
-                continue
-            v[level] = vi
-            y_scaled = vi * delta + mu_scaled[level]  # y_i * delta
-            for i in range(level):
-                mine[i] = c_acc[i] + u_hat[i][level] * y_scaled
-            if level == 1:
-                leaf(mu_base[0] + mine[0], b_next, v)
-            else:
-                descend(level - 1, b_next)
+        base = mu_base[level] + cen[:, level]
+        s = _isqrt(b // ci)
+        lo = -((s + base) // d2)
+        counts = ((s - base) // d2 + 1 - lo).astype(np.int64)
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
+        for start in range(0, total, _FRONTIER_ROWS):
+            pos = np.arange(start, min(start + _FRONTIER_ROWS, total))
+            row = np.searchsorted(ends, pos, side="right")
+            v = lo[row] + (pos - ends[row] + counts[row])
+            t = base[row] + v * d2
+            y = v * delta + mu_scaled[level]
+            child = None
+            if off is not None:
+                child = off[row]
+                child[:, level] = v
+            yield b[row] - ci * t * t, cen[row, :level] + y[:, None] * u[:level, level], child
 
-    if n == 1:
-        leaf(mu_base[0], b_init, v)
-    else:
-        descend(n - 1, b_init)
+    def walk(level: int, chunk):
+        if level < last:
+            leaf(*chunk)
+            return
+        for child in expand(level, *chunk):
+            walk(level - 1, child)
+
+    off = np.zeros((1, n), dtype) if offsets else None
+    walk(n - 1, (np.array([b_init], dtype=dtype), np.zeros((1, n), dtype), off))
 
 
 def _walk_target(lat: Lattice, mu: Coset, m: Fraction, collect: bool):
-    """All y in mu + Z^n with Q(y) == m (exact); returns vectors or a count.
+    """All y in mu + Z^n with Q(y) == m (exact): the offsets y - mu as the
+    rows of an integer array in lexicographic order, or their count.
 
     mu is a coset of L'/L; m off the grid q(mu) + Z finds nothing.  The
     level-0 leaf of the descent solves the residual c0 t^2 == B_hat exactly
-    instead of scanning.
+    instead of scanning: B_hat divisible by c0, the quotient a perfect
+    square s^2, and t = +-s congruent to the level-0 centre mod delta^2.
     """
     data = _scaled_data(lat, mu)
-    _, delta, l0, _, c_hat, _, q_mu = data
+    n, delta, l0, _, c_hat, mu_base, q_mu, _ = data
     m = Fraction(m)
     if m < 0 or (m - q_mu).denominator != 1:
-        return [] if collect else 0
+        return np.zeros((0, n), dtype=np.int64) if collect else 0
     # 2 Q(y) l0 delta^4 is an integer for every y in mu + Z^n, and m = Q(mu) + k
     b_init = 2 * m * l0 * delta ** 4
     assert b_init.denominator == 1
     c0, d2 = c_hat[0], delta * delta
-    found: list[tuple[int, ...]] = []
+    found: list[np.ndarray] = []
     count = 0
 
-    def solve(base: int, b_hat: int, v: list[int]):
+    def solve(b, cen, off):
         nonlocal count
-        q, r = divmod(b_hat, c0)
-        s = math.isqrt(q)
-        if r or s * s != q:
-            return
-        for t in ({s, -s} if s else {0}):
+        base = mu_base[0] + cen[:, 0]
+        q = b // c0
+        s = _isqrt(q)
+        hit = (b % c0 == 0) & (s * s == q)
+        for t, ok in ((s, hit), (-s, hit & (s != 0))):
             num = t - base
-            if num % d2 == 0:
-                if collect:
-                    v[0] = num // d2
-                    found.append(tuple(v))
-                else:
-                    count += 1
+            ok = ok & (num % d2 == 0)
+            if collect:
+                rows = off[ok]
+                rows[:, 0] = num[ok] // d2
+                found.append(rows)
+            else:
+                count += int(np.count_nonzero(ok))
 
-    _descend(data, int(b_init), solve)
-    return sorted(found) if collect else count
+    _descend(data, int(b_init), solve, 1, collect)
+    if not collect:
+        return count
+    rows = np.concatenate(found) if found else np.zeros((0, n), dtype=np.int64)
+    return rows[np.lexsort(rows.T[::-1])]
 
 
-def _ball_counts(lat: Lattice, mu: Coset, bound: Fraction) -> dict[Fraction, int]:
-    """Counts of vectors in mu + Z^n with Q(y) < bound, bucketed by Q-value.
+def _ball_counts(lat: Lattice, mu: Coset, bound: Fraction) -> list[int]:
+    """Counts of vectors y in mu + Z^n with Q(y) = q(mu) + k, for every
+    k = 0, 1, ... with q(mu) + k < bound.
 
-    The level-0 leaf of the descent scans its whole range and buckets the
-    scaled values 2 Q(y) l0 delta^4 directly.
+    The descent expands level 0 as well (the range scan), and the leaf
+    buckets the scaled values 2 Q(y) l0 delta^4 onto the grid with
+    np.bincount.
     """
     data = _scaled_data(lat, mu)
-    _, delta, l0, _, c_hat, _, _ = data
-    d4 = delta ** 4
-    b_init = math.ceil(2 * Fraction(bound) * l0 * d4)
-    c0, d2 = c_hat[0], delta * delta
-    buckets: dict[int, int] = {}
+    _, delta, l0, _, _, _, q_mu, _ = data
+    bound = Fraction(bound)
+    grid = max(0, math.ceil(bound - q_mu))
+    if not grid:
+        return []
+    counts = np.zeros(grid, dtype=np.int64)
+    scale = 2 * l0 * delta ** 4
+    b_init = math.ceil(bound * scale)
+    # every scaled value is q_mu * scale + k * scale, and q_mu * scale < b_init
+    top = b_init - int(q_mu * scale)
 
-    def scan(base: int, b_hat: int, v: list[int]):
-        s = math.isqrt(b_hat // c0)
-        lo = -((s + base) // d2)
-        t = base + lo * d2
-        used = b_init - b_hat
-        for _ in range(lo, (s - base) // d2 + 1):
-            key = used + c0 * t * t
-            buckets[key] = buckets.get(key, 0) + 1
-            t += d2
+    def scan(b, cen, off):
+        k = (top - b) // scale
+        counts[:] += np.bincount(k[k < grid].astype(np.int64), minlength=grid)
 
-    _descend(data, b_init, scan)
-    out: dict[Fraction, int] = {}
-    scale = 2 * l0 * d4
-    for key, c in buckets.items():
-        q = Fraction(key, scale)
-        if q < bound:
-            out[q] = out.get(q, 0) + c
-    return out
+    _descend(data, b_init, scan, 0, False)
+    return counts.tolist()
 
 
 def _coset_tuple(lat: Lattice, mu) -> Coset:
@@ -303,7 +366,7 @@ def vectors_with_norm(lat: Lattice, mu, m) -> list[tuple[Fraction, ...]]:
     """All x in mu + L with Q(x) = m, in lexicographic coordinate order."""
     mu_t = _coset_tuple(lat, mu)
     offsets = _walk_target(lat, mu_t, m, collect=True)
-    return [tuple(mu_t[i] + v[i] for i in range(lat.rank)) for v in offsets]
+    return [tuple(x + v for x, v in zip(mu_t, row)) for row in offsets.tolist()]
 
 
 def rep_number(lat: Lattice, mu, m) -> int:
@@ -323,13 +386,10 @@ def theta_qseries(lat: Lattice, truncation) -> VectorValuedQSeries:
     df = discriminant_form(lat)
     components: dict[Coset, tuple[tuple[Fraction, int], ...]] = {}
     for lam in df.cosets:
-        counts = _ball_counts(lat, lam, bound)
-        grid: list[Fraction] = []
         e = df.q_table[lam]
-        while e < bound:
-            grid.append(e)
-            e += 1
-        components[lam] = tuple((e, counts.get(e, 0)) for e in grid)
+        components[lam] = tuple(
+            (e + k, c) for k, c in enumerate(_ball_counts(lat, lam, bound))
+        )
     return VectorValuedQSeries(
         weight=Fraction(lat.rank, 2),
         level_denominator=df.level,
@@ -345,11 +405,7 @@ def _shell(lat: Lattice, mu, m):
     mu_t = _coset_tuple(lat, mu)
     delta = math.lcm(1, *(x.denominator for x in mu_t))
     base = [int(x * delta) for x in mu_t]
-    rows = [
-        [delta * vi + b for vi, b in zip(v, base)]
-        for v in _walk_target(lat, mu_t, m, collect=True)
-    ]
-    a = np.array(rows, dtype=np.int64).reshape(-1, lat.rank)
+    a = (_walk_target(lat, mu_t, m, collect=True) * delta + base).astype(np.int64)
     a.flags.writeable = False
     return delta, a
 
@@ -368,7 +424,10 @@ def inner_product_histogram(lat: Lattice, mu1: Coset, m1, mu2: Coset, m2):
     max|A1| * max|A2 G| * rank < 2^53, which keeps every partial sum an exact
     float64 integer.  Each chunk is counted by np.bincount, offset by the
     Cauchy-Schwarz bound |(x1, x2)| <= 2 sqrt(m1 m2); a range wider than
-    _CHUNK bins also raises OverflowError, so memory stays bounded.
+    _CHUNK bins also raises OverflowError, so memory stays bounded.  When
+    -mu2 = mu2 mod L, x2 -> -x2 maps the second shell onto itself: only the
+    rows whose first nonzero entry is positive are multiplied, the bins are
+    folded as bins[v] + bins[-v], and a zero row (m2 = 0) adds len(A1) at 0.
     """
     d1, a1 = _shell(lat, mu1, m1)
     d2, a2 = _shell(lat, mu2, m2)
@@ -385,13 +444,21 @@ def inner_product_histogram(lat: Lattice, mu1: Coset, m1, mu2: Coset, m2):
         or 2 * off + 1 > _CHUNK
     ):
         raise OverflowError("inner products too large for an exact float64 histogram")
+    symmetric = all((2 * x).denominator == 1 for x in _coset_tuple(lat, mu2))
+    if symmetric:
+        positive = a2[np.arange(len(a2)), (a2 != 0).argmax(axis=1)] > 0
+        zero_rows = len(a2) - 2 * int(np.count_nonzero(positive))
+        a2g = a2g[positive]
     f1, f2 = a1.astype(np.float64), a2g.T.astype(np.float64)
     bins = np.zeros(2 * off + 1, dtype=np.int64)
-    step = max(1, _CHUNK // len(a2))
+    step = max(1, _CHUNK // max(1, len(a2g)))
     for start in range(0, len(a1), step):
         w = f1[start : start + step] @ f2
         w += off
         bins += np.bincount(w.astype(np.int64).ravel(), minlength=len(bins))
+    if symmetric:
+        bins += bins[::-1]  # numpy buffers the overlapping reversed view
+        bins[off] += zero_rows * len(a1)
     return MappingProxyType(
         {Fraction(int(i) - off, d1 * d2): int(bins[i]) for i in np.flatnonzero(bins)}
     )

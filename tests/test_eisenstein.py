@@ -210,6 +210,22 @@ class TestKronecker:
                     ) * kronecker_symbol(d, n)
 
 
+class TestSigma:
+    def test_matches_divisor_sum(self):
+        n_max = 2000
+        divisors = [[] for _ in range(n_max + 1)]
+        for d in range(1, n_max + 1):
+            for n in range(d, n_max + 1, d):
+                divisors[n].append(d)
+        for k in range(8):
+            for n in range(1, n_max + 1):
+                assert sigma(k, n) == sum(d ** k for d in divisors[n]), (k, n)
+
+    def test_nonpositive_argument(self):
+        assert sigma(3, 0) == 0
+        assert sigma(1, -6) == 0
+
+
 def brute_density_counts(lat, p, m, k_max):
     """Direct enumeration oracle over (Z/p^k)^rank (tiny cases only)."""
     n = lat.rank

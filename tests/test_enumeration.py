@@ -4,9 +4,11 @@ import time
 from collections import Counter
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from cycletheta import enumeration
 from cycletheta.enumeration import (
     Genus2Coefficient,
     NotPositiveDefinite,
@@ -16,17 +18,25 @@ from cycletheta.enumeration import (
     theta_qseries,
     vectors_with_norm,
 )
-from cycletheta.quadlattice import BUILTIN_GRAMS, named_lattice, new_lattice
+from cycletheta.quadlattice import (
+    BUILTIN_GRAMS,
+    _mat_inv_fraction,
+    discriminant_form,
+    named_lattice,
+    new_lattice,
+)
+
+
+def _box_bounds(lat, m):
+    ginv = _mat_inv_fraction(lat.gram)
+    return [math.isqrt(math.ceil(2 * F(m) * ginv[i][i])) + 2 for i in range(lat.rank)]
 
 
 def brute_vectors(lat, mu, m):
     """Independent oracle: box scan with bounds from the inverse Gram."""
-    from cycletheta.quadlattice import _mat_inv_fraction
-
     n = lat.rank
     mu = tuple(F(x) for x in mu) if mu else tuple(F(0) for _ in range(n))
-    ginv = _mat_inv_fraction(lat.gram)
-    bounds = [math.isqrt(math.ceil(2 * F(m) * ginv[i][i])) + 2 for i in range(n)]
+    bounds = _box_bounds(lat, m)
     out = []
 
     def rec(i, coords):
@@ -115,6 +125,25 @@ class TestRepNumber:
         start = time.perf_counter()
         assert rep_number(lat, None, 2 ** 59) == 2
         assert time.perf_counter() - start < 0.1
+
+    def test_beyond_int64_takes_object_route(self, monkeypatch):
+        # delta = l0 = 2^40 puts the scaled budget 2 m l0 delta^4 far beyond
+        # 2^62, so the frontier must hold Python ints
+        dtypes = set()
+        isqrt = enumeration._isqrt
+
+        def spy(a):
+            dtypes.add(a.dtype)
+            return isqrt(a)
+
+        monkeypatch.setattr(enumeration, "_isqrt", spy)
+        lat = new_lattice([[2 ** 40, 1], [1, 2 ** 40]])
+        for m in (2 ** 39, 2 ** 40 - 1, 2 ** 40, 2 ** 40 + 1):
+            brute = brute_vectors(lat, None, m)
+            assert vectors_with_norm(lat, None, m) == brute
+            assert rep_number(lat, None, m) == len(brute)
+        assert rep_number(lat, None, 2 ** 39) == 4
+        assert dtypes == {np.dtype(object)}
 
     def test_rejects_non_dual_coset(self):
         with pytest.raises(ValueError):
@@ -250,12 +279,29 @@ class TestGenus2:
         shells = {m: brute_vectors(d4, zero4, m) for m in (1, 2)}
         for m1, m2 in [(1, 1), (1, 2), (2, 2)]:
             self._check_direct(d4, zero4, m1, shells[m1], zero4, m2, shells[m2])
+        # the nonzero cosets of D4 are their own negatives, so A2 is halved
+        mu1, mu2 = discriminant_form(d4).cosets[1:3]
+        m = discriminant_form(d4).q_table[mu1]
+        v1, v2 = brute_vectors(d4, mu1, m), brute_vectors(d4, mu2, m)
+        self._check_direct(d4, mu1, m, v1, mu2, m, v2)
+        self._check_direct(d4, mu1, m, v1, mu1, m, v1)
 
     @staticmethod
     def _check_direct(lat, mu1, m1, v1, mu2, m2, v2):
         direct = Counter(lat.bilinear(x, y) for x in v1 for y in v2)
         assert sum(direct.values()) > 0
         assert dict(inner_product_histogram(lat, mu1, m1, mu2, m2)) == dict(direct)
+
+    def test_symmetric_shell_is_halved_exactly(self):
+        # the x2 -> -x2 fold against every pair, counted in exact int64
+        e8 = named_lattice("E8")
+        zero = discriminant_form(e8).cosets[0]
+        x = np.array(vectors_with_norm(e8, None, 2), dtype=np.int64)
+        values, counts = np.unique(x @ np.array(e8.gram) @ x.T, return_counts=True)
+        direct = dict(zip(values.tolist(), counts.tolist()))
+        assert dict(inner_product_histogram(e8, zero, 2, zero, 2)) == direct
+        # m2 = 0: the zero vector alone, paired with each of the 2160
+        assert dict(inner_product_histogram(e8, zero, 2, zero, 0)) == {0: len(x)}
 
     def test_histogram_is_read_only(self):
         zero = (F(0), F(0))
@@ -344,6 +390,65 @@ class TestClassicalFormulas:
                     # compare only where both factors are complete
                     if m < 2:
                         assert c == conv, (lam1, lam2, m)
+
+
+class TestFrontierChunks:
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_results_do_not_depend_on_chunk_size(self, monkeypatch, rows):
+        lats = [named_lattice("D4"), new_lattice([[4, 1, 0], [1, 6, 3], [0, 3, 10]])]
+        e8 = named_lattice("E8")
+        thetas = [theta_qseries(lat, 4) for lat in lats]
+        counts = [rep_number(e8, None, m) for m in range(1, 5)]
+        monkeypatch.setattr(enumeration, "_FRONTIER_ROWS", rows)
+        assert [theta_qseries.__wrapped__(lat, 4) for lat in lats] == thetas
+        assert [rep_number(e8, None, m) for m in range(1, 5)] == counts
+
+
+    def test_int64_isqrt_near_squares(self):
+        # float64 rounds k^2 - 1 up to k^2 once k^2 > 2^53; the correction
+        # must still give the floor root everywhere below 2^62
+        ks = [2 ** 27, 2 ** 30 + 12345, 2 ** 31 - 1]
+        a = [k * k + d for k in ks for d in (-1, 0, 1)] + [0, 1, 2, 3, 2 ** 62 - 1]
+        got = enumeration._isqrt(np.array(a, dtype=np.int64))
+        assert got.tolist() == [math.isqrt(x) for x in a]
+
+
+@st.composite
+def skewed_even_gram(draw):
+    """A positive definite even Gram matrix of rank 2-4: a sum of A_k root
+    lattices with one diagonal entry raised, in a random unimodular basis."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    sign = st.sampled_from([-1, 0, 1])
+    h = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i in range(n - 1):
+        h[i][i + 1] = h[i + 1][i] = draw(sign)
+    i0 = draw(st.integers(min_value=0, max_value=n - 1))
+    h[i0][i0] += 2 * draw(st.integers(min_value=0, max_value=2))
+    b = [[1 if i == j else draw(sign) if j > i else 0 for j in range(n)] for i in range(n)]
+    return [
+        [sum(b[k][i] * h[k][l] * b[l][j] for k in range(n) for l in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+class TestWalkerProperty:
+    @settings(max_examples=20, deadline=None)
+    @given(skewed_even_gram(), st.integers(min_value=0, max_value=1))
+    def test_walkers_match_box_scan(self, gram, k):
+        lat = new_lattice(gram)
+        df = discriminant_form(lat)
+        norms = {lam: df.q_table[lam] + k for lam in df.cosets}
+        # keep the oracle's box scan small
+        boxes = [math.prod(2 * b + 3 for b in _box_bounds(lat, m)) for m in norms.values()]
+        assume(sum(boxes) <= 20000)
+        for lam, m in norms.items():
+            brute = brute_vectors(lat, lam, m)
+            assert vectors_with_norm(lat, lam, m) == brute
+            assert rep_number(lat, lam, m) == len(brute)
+        th = theta_qseries(lat, 3)
+        for lam, pairs in th.components.items():
+            for e, c in pairs:
+                assert c == rep_number(lat, lam, e), (lam, e)
 
 
 @st.composite
