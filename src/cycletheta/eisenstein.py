@@ -4,7 +4,8 @@ representation densities.
 Covers: Hurwitz class numbers H(d) by weighted reduced-form counting (the
 holomorphic coefficients of the weight-3/2 series; H(0) = -1/12 by the
 orbifold-volume convention), the level-one series E_k, the Cohen numbers
-H(s, N) of weight s + 1/2 via generalized Bernoulli numbers, local solution
+H(s, N) of weight s + 1/2 (s >= 1, with H(1, N) = H(N) by the class-number
+formula) via generalized Bernoulli numbers, local solution
 densities of Q(x) = m mod p^k, and the resulting product formula
 prediction of representation numbers for even unimodular lattices.
 
@@ -294,22 +295,28 @@ def eisenstein_k(k: int, truncation: int) -> ScalarQSeries:
 # Cohen numbers
 
 
-def _bernoulli_poly(n: int, x: Fraction) -> Fraction:
-    return sum(math.comb(n, k) * bernoulli(k) * x ** (n - k) for k in range(n + 1))
-
-
 @lru_cache(maxsize=None)
 def generalized_bernoulli(n: int, disc: int) -> Fraction:
     """B_{n, chi} for the quadratic character chi = (disc / .) of conductor
     |disc| (disc a fundamental discriminant or 1), via Bernoulli polynomials:
-    B_{n,chi} = f^(n-1) sum_{a=1}^{f} chi(a) B_n(a/f)."""
+
+        B_{n,chi} = f^(n-1) sum_{a=1}^{f} chi(a) B_n(a/f)
+                  = sum_k C(n, k) B_k f^(k-1) S_(n-k),
+
+    where S_j = sum_{a=1}^{f} chi(a) a^j is summed in integers, so the loop
+    over a does no rational arithmetic."""
     f = abs(disc) if disc != 1 else 1
-    acc = Fraction(0)
+    sums = [0] * (n + 1)
     for a in range(1, f + 1):
-        ch = kronecker_symbol(disc, a)
-        if ch:
-            acc += ch * _bernoulli_poly(n, Fraction(a, f))
-    return Fraction(f) ** (n - 1) * acc
+        power = kronecker_symbol(disc, a)
+        if power:
+            for j in range(n + 1):
+                sums[j] += power
+                power *= a
+    return sum(
+        math.comb(n, k) * bernoulli(k) * Fraction(f) ** (k - 1) * sums[n - k]
+        for k in range(n + 1)
+    )
 
 
 def _l_value_nonpositive(s: int, disc: int) -> Fraction:
@@ -321,16 +328,22 @@ def _l_value_nonpositive(s: int, disc: int) -> Fraction:
 
 COHEN_CONVENTION = (
     "H(s, N) = L(1-s, chi_D) * sum_{d | f} mu(d) chi_D(d) d^(s-1) "
-    "sigma_(2s-1)(f/d) for (-1)^s N = D f^2 with D fundamental; "
-    "H(s, 0) = zeta(1-2s); zero when (-1)^s N = 2, 3 mod 4"
+    "sigma_(2s-1)(f/d) for s >= 1 and (-1)^s N = D f^2 with D fundamental; "
+    "H(s, 0) = zeta(1-2s); zero when (-1)^s N = 2, 3 mod 4; "
+    "H(1, N) = H(N), the Hurwitz class number"
 )
 
 
 @lru_cache(maxsize=None)
 def cohen_number(s: int, n: int) -> Fraction:
-    """The Cohen number H(s, n) (weight s + 1/2 Eisenstein coefficients)."""
-    if s < 2:
-        raise UnsupportedWeight("need s >= 2")
+    """The Cohen number H(s, n) (weight s + 1/2 Eisenstein coefficients).
+
+    At s = 1 this is the class-number formula H(1, n) = H(n):
+    L(0, chi_D) sum_{e | f} mu(e) chi_D(e) sigma_1(f/e) for -n = D f^2, and
+    H(1, 0) = zeta(-1) = -1/12.  It shares no code with the reduced-form
+    count in hurwitz()."""
+    if s < 1:
+        raise UnsupportedWeight("need s >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:

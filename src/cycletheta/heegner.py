@@ -9,19 +9,23 @@ taken modulo Gamma_0(N).  Each class contributes the root of a z^2 + b z + c
 in the upper half plane with multiplicity 1/e, where 2e is the order of the
 stabilizer of the point in Gamma_0(N).
 
-Gamma_0(N)-equivalence is decided two ways:
+The classes are found two ways, by level:
 
-* the production path explores bounded form sets under the parabolic moves
+* N = 1: Gamma_0(1) = SL_2(Z) and Gamma_0(1)\\SL_2(Z) = P^1(Z/1) is one
+  point, so the classes are exactly the SL_2(Z)-reduced forms
+  (eisenstein.reduced_forms), a finite enumeration with no search
+  (Gross-Kohnen-Zagier, Math. Ann. 278 (1987), I.1);
+* N > 1: bounded form sets are explored under the parabolic moves
   T: (a,b,c) -> (a, b+2a, a+b+c) and L_N: (a,b,c) -> (a+bN+cN^2, b+2cN, c)
   with union-find, doubling the height bound until the class partition is
-  stable (and, at N = 1, matches the reduced-form count);
-* an exact transporter test (SL_2(Z)-reduction plus the finite automorph
-  group, intersected with Gamma_0(N)) is used to certify the partition.
+  stable, and the partition is certified by an exact transporter test
+  (SL_2(Z)-reduction plus the finite automorph group, intersected with
+  Gamma_0(N)).  BoundNotStabilized is raised when the doubling loop fails.
 
-The two must agree; BoundNotStabilized is raised when the doubling loop
-fails to certify.  orbit_cross_check re-derives the same cycle through an
-independent enumeration of trace-zero 2x2 matrices under conjugation and
-compares weighted multisets.
+orbit_cross_check re-derives the same cycle through an independent
+enumeration of trace-zero 2x2 matrices under conjugation and compares
+weighted multisets; at N = 1 it shares no enumeration with the production
+route.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from .eisenstein import reduced_forms
 
 __all__ = [
     "BoundNotStabilized",
@@ -349,34 +355,37 @@ def _certified_classes(triples, n: int):
     return [sorted(members, key=_canonical_key) for members in merged]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def gamma0_classes(n: int, r: int, d: int) -> tuple[tuple[BinaryForm, int], ...]:
     """Gamma_0(N)-classes of Q+_{N,r,d}: (canonical representative,
     stabilizer order) pairs, sorted by representative.
 
-    The height bound doubles until the class partition is stable over two
-    consecutive rounds (and matches the reduced-form count at N = 1, where
-    Gamma_0(1)-classes are classical).  Partitions are certified with the
-    exact transporter test, so a stray parabolic-orbit split cannot leak
-    into the output.
+    At N = 1 the classes are the SL_2(Z)-reduced forms of discriminant -d,
+    each with its automorph count; nothing is searched.  At N > 1 the
+    height bound doubles until the class partition is stable over two
+    consecutive rounds, and partitions are certified with the exact
+    transporter test, so a stray parabolic-orbit split cannot leak into the
+    output.  This loop stays only until the finite enumeration over
+    Gamma_0(N)\\SL_2(Z) = P^1(Z/N) lands together with a re-recorded
+    benchmark digest for the level-N queries whose classes it drops.
     """
+    if n < 1 or d <= 0:
+        raise ValueError("need N >= 1 and d > 0")
     r = r % (2 * n)
     if not _congruence_solvable(n, r, d):
         return ()
     if n == 1:
-        from .eisenstein import reduced_forms
-
-        expected = len(reduced_forms(d))
-    else:
-        expected = None
+        return tuple(
+            (BinaryForm(*t, 1, r), stabilizer_order(t, 1))
+            for t in sorted(reduced_forms(d), key=_canonical_key)
+        )
     bound = max(d, 4 * n, 8)
     prev: tuple | None = None
     for _round in range(10):
         triples = [f.triple() for f in forms_with_disc(n, r, d, bound)]
         classes = _certified_classes(triples, n)
         signature = tuple(sorted(min(_canonical_key(t) for t in cls) for cls in classes))
-        stable = prev is not None and signature == prev
-        if stable and (expected is None or len(classes) == expected):
+        if signature == prev:
             out = []
             for cls in sorted(classes, key=lambda c: _canonical_key(c[0])):
                 rep = min(cls, key=_canonical_key)
@@ -396,7 +405,7 @@ def _families(n: int, r: int) -> list[int]:
     return [r] if neg == r else [r, neg]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def heegner_cycle(n: int, r: int, d: int) -> HeegnerCycle:
     """The weighted 0-cycle attached to (N, r, d): empty unless
     -d = r^2 mod 4N, otherwise one point per class of Q+_{N,r,d} and (for

@@ -98,13 +98,17 @@ def _exact_case(descriptor: str, lhs, rhs) -> Case:
 
 
 def suite_volume_formula(d_max: int = 200) -> VerificationReport:
-    """deg Z(d) at level 1 equals the Hurwitz class number H(d), exactly."""
+    """deg Z(d) at level 1 equals the Hurwitz class number H(d), exactly.
+
+    The left side sums 1/e over the reduced forms with their Gamma_0(1)
+    stabilizers; the right side is Cohen's H(1, d) = H(d), a Dirichlet
+    L-value L(0, chi_D) times a divisor sum (the class-number formula)."""
     cases = []
     for d in range(3, d_max + 1):
         if d % 4 not in (0, 3):
             continue
         deg = heegner_cycle(1, d % 2, d).degree
-        cases.append(_exact_case(f"d={d:03d}", deg, eisenstein.hurwitz(d)))
+        cases.append(_exact_case(f"d={d:03d}", deg, eisenstein.cohen_number(1, d)))
     return VerificationReport(suite="volume", cases=tuple(cases))
 
 

@@ -124,6 +124,17 @@ class TestCohen:
         assert cohen_number(2, 0) == F(1, 120)
         assert cohen_number(3, 0) == F(-1, 252)
         assert cohen_number(4, 0) == F(1, 240)
+        assert cohen_number(1, 0) == F(-1, 12)
+
+    def test_level_one_is_hurwitz(self):
+        # H(1, d) from the class-number formula against reduced-form counting
+        for d in range(1, 3001):
+            assert cohen_number(1, d) == hurwitz(d), d
+
+    @pytest.mark.parametrize("n", [0, 3, 4])
+    def test_rejects_s_zero(self, n):
+        with pytest.raises(UnsupportedWeight):
+            cohen_number(0, n)
 
     def test_frozen_oracle_values(self):
         # computed with the generalized-Bernoulli construction and verified
@@ -137,7 +148,7 @@ class TestCohen:
         assert cohen_number(3, 4) == F(-1, 2)
 
     def test_vanishing_pattern(self):
-        for s in range(2, 6):
+        for s in range(1, 6):
             for n in range(1, 101):
                 if ((-1) ** s * n) % 4 in (2, 3):
                     assert cohen_number(s, n) == 0, (s, n)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -69,6 +70,15 @@ class TestGamma0Classes:
 
     def test_obstructed_empty(self):
         assert gamma0_classes(5, 2, 4) == ()
+
+    @pytest.mark.parametrize("n,r,d", [(0, 0, 3), (1, 1, -3), (-1, 0, 3), (1, 0, -4)])
+    def test_rejects_bad_input(self, n, r, d):
+        with pytest.raises(ValueError):
+            gamma0_classes(n, r, d)
+
+    def test_caches_are_bounded(self):
+        assert gamma0_classes.cache_info().maxsize is not None
+        assert heegner_cycle.cache_info().maxsize is not None
 
     def test_level6_d23(self):
         classes = gamma0_classes(6, 1, 23)
@@ -190,6 +200,16 @@ class TestHeegnerCycle:
         for d in [3, 4, 8, 12, 20, 23, 27, 63, 100]:
             assert heegner_cycle(1, d % 2, d).degree == hurwitz(d)
 
+    def test_level1_large_d_is_fast(self):
+        reduced_forms.cache_clear()
+        gamma0_classes.cache_clear()
+        heegner_cycle.cache_clear()
+        t0 = time.perf_counter()
+        cycle = heegner_cycle(1, 1, 2003)
+        elapsed = time.perf_counter() - t0
+        assert cycle.degree == hurwitz(2003) == 9
+        assert elapsed < 0.05
+
     def test_json_schema(self):
         payload = heegner_cycle(1, 1, 3).to_json_dict()
         assert payload["degree"] == "1/3"
@@ -213,6 +233,12 @@ class TestCrossCheck:
     )
     def test_extra_levels(self, n, r, d):
         assert orbit_cross_check(n, r, d).match
+
+    def test_level1_matches_orbit_route(self):
+        # the reduced-form route against trace-zero matrices under conjugation
+        for d in range(3, 101):
+            if d % 4 in (0, 3):
+                assert orbit_cross_check(1, d % 2, d).match, d
 
 
 class TestMatrixRouteEquivariance:
