@@ -1,13 +1,17 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are polynomials in zeta_N with Fraction coefficients, reduced
-modulo the N-th cyclotomic polynomial, so equality tests are exact
-coefficient comparisons.  Square roots of positive integers are constructed
-from quadratic Gauss sums, which lets 1/sqrt(|D|) live inside the field
-whenever N is chosen appropriately.
+A Cyc is a canonical element of Q(zeta_N): its Fraction coefficients in the
+power basis 1, zeta, ..., zeta^(deg-1), deg = phi(N), so equality is an exact
+coefficient comparison.  Since Phi_N is monic, every power zeta^k reduces to
+integer coefficients; _zeta_power reads them from one cached integer table
+(_power_table), which Cyc products and the vectorised reduction of the Weil
+representation (weilrep) share.  Square roots of positive integers are
+built from quadratic Gauss sums, which puts sqrt(|D|) inside Q(zeta_N) for
+the N of root_order_for.
 
-The fields appearing in practice are tiny (N | 24 for the built-in test
-corpus), so schoolbook polynomial arithmetic is plenty.
+Cyc arithmetic is schoolbook and per element.  It builds the generator
+phases, sqrt(|D|) and the printed entries of a Weil-representation matrix;
+matrix products run on integer arrays in weilrep, not on Cyc.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-__all__ = ["Cyc", "cyclotomic_poly", "sqrt_as_cyclotomic", "root_order_for"]
+__all__ = ["Cyc", "cyclotomic_poly", "root_exponent", "sqrt_as_cyclotomic", "root_order_for"]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients (low to high) of the n-th cyclotomic polynomial."""
     # x^n - 1 divided by the product of Phi_d for proper divisors d
@@ -49,42 +53,35 @@ def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _power_basis(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Reduction of zeta^j, j = 0..2*deg-2, to the power basis mod Phi_n."""
+@lru_cache(maxsize=64)
+def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """zeta_n^k in the power basis for k = 0..n-1 (integers: Phi_n is monic)."""
     phi = cyclotomic_poly(n)
     deg = len(phi) - 1
+    cur = [1] + [0] * (deg - 1)
     table = []
-    cur = [Fraction(0)] * deg
-    cur[0] = Fraction(1)
-    for _ in range(2 * deg - 1):
+    for _ in range(n):
         table.append(tuple(cur))
         # multiply by zeta, reduce
         top = cur[-1]
-        cur = [Fraction(0)] + cur[:-1]
+        cur = [0] + cur[:-1]
         if top:
             for i in range(deg):
                 cur[i] -= top * phi[i]
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
-def _zeta_power(n: int, k: int) -> tuple[Fraction, ...]:
+def _zeta_power(n: int, k: int) -> tuple[int, ...]:
     """zeta_n^k in the power basis (k arbitrary integer)."""
-    k %= n
-    phi = cyclotomic_poly(n)
-    deg = len(phi) - 1
-    basis = _power_basis(n)
-    if k < len(basis):
-        return basis[k]
-    cur = list(basis[-1])
-    for _ in range(k - (len(basis) - 1)):
-        top = cur[-1]
-        cur = [Fraction(0)] + cur[:-1]
-        if top:
-            for i in range(deg):
-                cur[i] -= top * phi[i]
-    return tuple(cur)
+    return _power_table(n)[k % n]
+
+
+def root_exponent(q, n: int) -> int:
+    """The k mod n with e(q) = zeta_n^k, for a rational q whose denominator divides n."""
+    q = Fraction(q)
+    if n % q.denominator != 0:
+        raise ValueError(f"e({q}) does not lie in Q(zeta_{n})")
+    return q.numerator * (n // q.denominator) % n
 
 
 class Cyc:
@@ -122,10 +119,7 @@ class Cyc:
     @staticmethod
     def e(q, n: int) -> "Cyc":
         """e(q) = exp(2*pi*i*q) for a rational q with denominator dividing n."""
-        q = Fraction(q)
-        if n % q.denominator != 0:
-            raise ValueError(f"e({q}) does not lie in Q(zeta_{n})")
-        return Cyc.root(n, (q.numerator * (n // q.denominator)) % n)
+        return Cyc.root(n, root_exponent(q, n))
 
     def _check(self, other: "Cyc"):
         if self.n != other.n:
@@ -155,22 +149,11 @@ class Cyc:
                 for j, b in enumerate(other.c):
                     if b:
                         prod[i + j] += a * b
-        basis = _power_basis(self.n)
         out = [Fraction(0)] * deg
         for k, coeff in enumerate(prod):
             if coeff:
-                for i, b in enumerate(basis[k]):
+                for i, b in enumerate(_zeta_power(self.n, k)):
                     out[i] += coeff * b
-        return Cyc(self.n, tuple(out))
-
-    def conjugate(self) -> "Cyc":
-        """Complex conjugation zeta -> zeta^(-1)."""
-        deg = len(self.c)
-        out = [Fraction(0)] * deg
-        for j, a in enumerate(self.c):
-            if a:
-                for i, b in enumerate(_zeta_power(self.n, -j)):
-                    out[i] += a * b
         return Cyc(self.n, tuple(out))
 
     @property
@@ -188,11 +171,6 @@ class Cyc:
     def to_complex(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.n)
         return sum(float(a) * z ** i for i, a in enumerate(self.c) if a)
-
-    def as_rational(self) -> Fraction | None:
-        if any(self.c[1:]):
-            return None
-        return self.c[0]
 
     def __repr__(self):
         if self.is_zero:
@@ -217,13 +195,14 @@ def _legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def sqrt_as_cyclotomic(d: int, n: int) -> Cyc:
     """The positive real square root of d >= 1 as an element of Q(zeta_n).
 
     Requires 8 | n and p | n for every odd prime p dividing the squarefree
     part of d.  The construction goes through quadratic Gauss sums and the
-    result is verified exactly (its square equals d).
+    result is verified exactly (its square equals d).  Its coefficients are
+    integers.
     """
     if d < 1:
         raise ValueError("d must be >= 1")

@@ -3,13 +3,34 @@
 Generator matrices follow the standard explicit formulas
 
     rho(T) = diag(e(Q(lambda))),
-    rho(S)_{lambda,mu} = e(-sig/8) / sqrt(|D|) * e(-b(lambda, mu)),
+    rho(S) = e(-sig/8) |D|^(-1/2) F,    F_{lambda,mu} = e(-b(lambda, mu)),
 
-realized exactly in a cyclotomic field chosen large enough to contain all
-the phases and sqrt(|D|).  The relation checks (unitarity, the braid
-relation (ST)^3 = S^2, and S^2 = e(-sig/4) * (lambda -> -lambda)) are exact
-matrix identities, not floating comparisons; together with the Milgram
-invariant they justify the adopted formulas.
+with entries in Q(zeta_N), N = root_order_for(level, |D|).  A matrix is
+stored as zeta_N^e |D|^(-j/2) H: a phase exponent e mod N, a half-power j and
+an integer array H of shape (|D|, |D|, L) whose slice H[:, :, k] counts
+zeta_N^k.  As (e, j, H), rho(T) is (0, 0, T) and rho(S) is (-N sig/8, 1, F),
+with T and F one-hot along the exponent axis.  A product adds the phases and
+half-powers, multiplies the arrays as matrices of polynomials in one stacked
+matmul, and reduces modulo Phi_N against the integer table of zeta_N^k
+(cyclotomic._power_table).  Every step is exact: it runs in int64 only when
+a bound on every partial sum (max row sum of one factor times max column
+sum of the other) is below 2^63, in Python ints otherwise.  The Cyc entries
+are built once, when .entries is first read.
+
+verify_relations checks integer identities in Z[zeta_N].  Substituting
+rho(S) = e(-sig/8) |D|^(-1/2) F and multiplying by a nonzero scalar turns
+each defining relation into one of them:
+
+    rho(S) rho(S)^+ = I           <=>  F F^+ = |D| I
+        (|e(-sig/8)|^2 = 1 and |D|^(-1/2) is real),
+    rho(T) rho(T)^+ = I           <=>  T T^+ = I,
+    rho(S)^2 = e(-sig/4) P_-      <=>  F^2 = |D| P_-
+        (multiply by e(sig/4) |D|; P_- maps lambda to -lambda),
+    (rho(S) rho(T))^3 = rho(S)^2  <=>  (F T)^3 = e(sig/8) sqrt|D| F^2
+        (multiply by e(3 sig/8) |D|^(3/2)).
+
+sqrt|D| is the Gauss-sum element of sqrt_as_cyclotomic, so no check assumes
+Milgram's formula.
 
 theta_transform_check verifies numerically that the coset theta series of a
 positive definite even lattice transforms under rho itself with automorphy
@@ -23,9 +44,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .cyclotomic import Cyc, root_order_for, sqrt_as_cyclotomic
+import numpy as np
+
+from .cyclotomic import Cyc, _power_table, root_exponent, root_order_for, sqrt_as_cyclotomic
 from .enumeration import theta_qseries
 from .quadlattice import DiscriminantForm, Lattice, discriminant_form
 
@@ -51,81 +74,157 @@ class InsufficientTruncation(ValueError):
     pass
 
 
-class WeilRepMatrix:
-    """A |D| x |D| matrix over Q(zeta_N) indexed by the canonical cosets."""
+def _exact_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
+    """a @ b for integer arrays, given a bound on |every partial sum|: int64
+    when the bound is below 2^63 (nothing can wrap), Python ints otherwise."""
+    if bound < 2 ** 63:
+        return a.astype(np.int64) @ b.astype(np.int64)
+    return a.astype(object) @ b.astype(object)
 
-    def __init__(self, df: DiscriminantForm, entries, generator_word: str = ""):
+
+def _abs_sums(h: np.ndarray, axis) -> np.ndarray:
+    """Sums of |h| over ``axis``, exact: in int64 when the sum of all of |h|
+    provably stays below 2^63, in Python ints otherwise (a.min() < 0 only
+    when abs overflowed at -2^63)."""
+    a = np.abs(h)
+    if a.dtype != object and (a.min() < 0 or int(a.max()) * a.size >= 2 ** 63):
+        a = a.astype(object)
+    return a.sum(axis=axis)
+
+
+@lru_cache(maxsize=64)
+def _reduction_table(n_root: int) -> np.ndarray:
+    """Row k: zeta^k in the power basis of Q(zeta_n_root), as Python ints."""
+    table = np.array(_power_table(n_root), dtype=object)
+    table.setflags(write=False)
+    return table
+
+
+def _times(h: np.ndarray, c, shift: int, n_root: int) -> np.ndarray:
+    """h (..., L), read as sum_k h[..., k] zeta^k, times zeta^shift * sum_y c[y] zeta^y,
+    reduced to the power basis: an integer array (..., phi(n_root))."""
+    table = _reduction_table(n_root)
+    ks = np.arange(h.shape[-1]) + shift
+    m = np.zeros((h.shape[-1], table.shape[1]), dtype=object)
+    for y, c_y in enumerate(c):
+        if c_y:
+            m += int(c_y) * table[(ks + y) % n_root]
+    bound = int(_abs_sums(h, -1).max()) * np.abs(m).max()
+    out = _exact_matmul(h.reshape(-1, h.shape[-1]), m, bound)
+    return out.reshape(h.shape[:-1] + (m.shape[1],))
+
+
+def _poly_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product of (n, n, la) and (n, n, lb) arrays whose entries are
+    polynomials in zeta: c[i, j, x + y] = sum_k a[i, k, x] b[k, j, y].
+
+    One matmul of the (i, x) x k and k x (j, y) stackings, then the x shifts
+    are added up.  |every partial sum| <= max_i sum_{k,x} |a[i, k, x]| times
+    max_j sum_{k,y} |b[k, j, y]|, which selects the exact route.
+    """
+    n, _, la = a.shape
+    lb = b.shape[2]
+    bound = int(_abs_sums(a, (1, 2)).max()) * int(_abs_sums(b, (0, 2)).max())
+    p = _exact_matmul(a.transpose(0, 2, 1).reshape(n * la, n), b.reshape(n, n * lb), bound)
+    p = p.reshape(n, la, n, lb)
+    out = np.zeros((n, n, la + lb - 1), dtype=p.dtype)
+    for x in range(la):
+        out[:, :, x:x + lb] += p[:, x]
+    return out
+
+
+class WeilRepMatrix:
+    """A |D| x |D| matrix over Q(zeta_N) indexed by the canonical cosets,
+    stored as zeta_N^phase |D|^(-half/2) hist (see the module docstring).
+
+    ``hist`` is an integer array of shape (|D|, |D|, L), 1 <= L <= N; it is
+    made read-only, so a cached generator cannot be changed by a caller.
+    """
+
+    def __init__(self, df: DiscriminantForm, hist: np.ndarray, n_root: int,
+                 phase: int = 0, half: int = 0, generator_word: str = ""):
+        size = len(df.cosets)
+        if hist.ndim != 3 or hist.shape[:2] != (size, size) or not 1 <= hist.shape[2] <= n_root:
+            raise ValueError(f"histogram of shape {hist.shape} for {size} cosets and N = {n_root}")
+        if hist.dtype != object and not np.issubdtype(hist.dtype, np.integer):
+            raise ValueError(f"histogram of dtype {hist.dtype} is not integral")
+        hist.setflags(write=False)
         self.df = df
-        self.entries = tuple(tuple(row) for row in entries)
+        self.hist = hist
+        self.root_order = n_root
+        self.phase = phase % n_root
+        self.half = half
         self.generator_word = generator_word
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.hist)
 
-    @property
-    def root_order(self) -> int:
-        return self.entries[0][0].n
+    def _coefficients(self) -> np.ndarray:
+        """Power-basis coefficients of zeta^phase * hist, shape (|D|, |D|, phi(N))."""
+        return _times(self.hist, (1,), self.phase, self.root_order)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Cyc, ...], ...]:
+        """The entries as canonical Cyc elements (built on first use)."""
+        n, d = self.root_order, self.df.order
+        coeffs = self._coefficients()
+        den = d ** (self.half // 2)
+        if self.half % 2:  # |D|^(-1/2) = sqrt(|D|) / |D|
+            coeffs = _times(coeffs, sqrt_as_cyclotomic(d, n).c, 0, n)
+            den *= d
+        return tuple(
+            tuple(Cyc(n, [Fraction(x, den) for x in entry]) for entry in row)
+            for row in coeffs.tolist()
+        )
 
     def __matmul__(self, other: "WeilRepMatrix") -> "WeilRepMatrix":
         if self.df is not other.df and self.df.cosets != other.df.cosets:
             raise ValueError("matrices live over different discriminant forms")
-        n = self.size
-        zero = Cyc.zero(self.root_order)
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    a = self.entries[i][k]
-                    if a.is_zero:
-                        continue
-                    acc = acc + a * other.entries[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return WeilRepMatrix(self.df, rows, self.generator_word + other.generator_word)
+        if self.root_order != other.root_order:
+            raise ValueError("cyclotomic order mismatch")
+        n = self.root_order
+        prod = _times(_poly_matmul(self._coefficients(), other._coefficients()), (1,), 0, n)
+        half = self.half + other.half
+        d = self.df.order
+        # divide out |D| while it divides every coefficient, so the integers
+        # stay as small as the values (S^4 ends at I, not |D|^2 I)
+        while half >= 2 and not (prod % d).any():
+            prod = prod // d
+            half -= 2
+        return WeilRepMatrix(self.df, prod, n, 0, half, self.generator_word + other.generator_word)
 
     def conjugate(self) -> "WeilRepMatrix":
         """Entrywise complex conjugate (the dual representation on generators)."""
-        return WeilRepMatrix(
-            self.df,
-            tuple(tuple(e.conjugate() for e in row) for row in self.entries),
-            self.generator_word + "~",
-        )
+        n = self.root_order
+        hist = np.zeros(self.hist.shape[:2] + (n,), dtype=self.hist.dtype)
+        hist[:, :, -np.arange(self.hist.shape[2]) % n] = self.hist
+        return WeilRepMatrix(self.df, hist, n, -self.phase, self.half, self.generator_word + "~")
 
     def dagger(self) -> "WeilRepMatrix":
-        n = self.size
-        return WeilRepMatrix(
-            self.df,
-            tuple(
-                tuple(self.entries[j][i].conjugate() for j in range(n)) for i in range(n)
-            ),
-            self.generator_word + "+",
-        )
+        conj = self.conjugate()
+        return WeilRepMatrix(self.df, conj.hist.transpose(1, 0, 2), self.root_order,
+                             conj.phase, self.half, self.generator_word + "+")
 
     def scale(self, c: Cyc) -> "WeilRepMatrix":
-        return WeilRepMatrix(
-            self.df, tuple(tuple(c * e for e in row) for row in self.entries),
-            self.generator_word,
-        )
+        """c times the matrix, for c in Z[zeta_N] (integer coefficients)."""
+        if c.n != self.root_order:
+            raise ValueError("cyclotomic order mismatch")
+        if any(x.denominator != 1 for x in c.c):
+            raise ValueError("scale takes an element of Z[zeta_N]")
+        return WeilRepMatrix(self.df, _times(self.hist, c.c, self.phase, self.root_order),
+                             self.root_order, 0, self.half, self.generator_word)
 
     @staticmethod
     def identity(df: DiscriminantForm, n_root: int | None = None) -> "WeilRepMatrix":
-        n_root = n_root or _root_order(df)
-        size = len(df.cosets)
-        one = Cyc.one(n_root)
-        zero = Cyc.zero(n_root)
-        return WeilRepMatrix(
-            df,
-            tuple(tuple(one if i == j else zero for j in range(size)) for i in range(size)),
-        )
+        hist = np.eye(len(df.cosets), dtype=np.int64)[:, :, None]
+        return WeilRepMatrix(df, hist, n_root or _root_order(df))
 
     def is_identity(self) -> bool:
         return self == WeilRepMatrix.identity(self.df, self.root_order)
 
     def is_unitary(self) -> bool:
-        return (self @ self.dagger()) == WeilRepMatrix.identity(self.df, self.root_order)
+        return (self @ self.dagger()).is_identity()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeilRepMatrix):
@@ -189,41 +288,37 @@ class WeilRepMatrix:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _root_order(df: DiscriminantForm) -> int:
     return root_order_for(df.level, df.order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def rho_T(df: DiscriminantForm) -> WeilRepMatrix:
     """Diagonal generator: entry e(Q(lambda)) at coset lambda."""
     n_root = _root_order(df)
     size = len(df.cosets)
-    zero = Cyc.zero(n_root)
-    rows = []
-    for i, lam in enumerate(df.cosets):
-        row = [zero] * size
-        row[i] = Cyc.e(df.q_table[lam], n_root)
-        rows.append(tuple(row))
-    return WeilRepMatrix(df, rows, "T")
+    hist = np.zeros((size, size, n_root), dtype=np.int64)
+    diag = np.arange(size)
+    hist[diag, diag, [root_exponent(df.q_table[lam], n_root) for lam in df.cosets]] = 1
+    return WeilRepMatrix(df, hist, n_root, generator_word="T")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def rho_S(df: DiscriminantForm) -> WeilRepMatrix:
     """Normalized finite Fourier transform with phase e(-sig/8)."""
     n_root = _root_order(df)
-    d = df.order
-    phase = Cyc.e(Fraction(-df.sig8, 8), n_root)
-    if d > 1:
-        inv_sqrt = sqrt_as_cyclotomic(d, n_root).scale(Fraction(1, d))  # 1/sqrt(d)
-        phase = phase * inv_sqrt
-    rows = []
-    for lam in df.cosets:
-        row = []
-        for mu in df.cosets:
-            row.append(phase * Cyc.e(-df.b(lam, mu), n_root))
-        rows.append(tuple(row))
-    return WeilRepMatrix(df, rows, "S")
+    size = len(df.cosets)
+    level = df.level
+    # level * lambda is integral, and b(lambda, mu) lies in (1/level) Z, so
+    # level^2 (lambda, mu) is a multiple of level.
+    scaled = np.array([[int(x * level) for x in lam] for lam in df.cosets], dtype=object)
+    pair = scaled @ np.array(df.lattice.gram, dtype=object) @ scaled.T
+    exps = (-(pair // level) % level * (n_root // level)).astype(np.int64)
+    hist = np.zeros((size, size, n_root), dtype=np.int64)
+    rows, cols = np.indices((size, size))
+    hist[rows, cols, exps] = 1
+    return WeilRepMatrix(df, hist, n_root, root_exponent(Fraction(-df.sig8, 8), n_root), 1, "S")
 
 
 def _generator(df: DiscriminantForm, token: str) -> WeilRepMatrix:
@@ -264,7 +359,7 @@ def rho_word(df: DiscriminantForm, word: str) -> WeilRepMatrix:
     result = WeilRepMatrix.identity(df)
     for token in _tokenize(word):
         result = result @ _generator(df, token)
-    return WeilRepMatrix(df, result.entries, word)
+    return WeilRepMatrix(df, result.hist, result.root_order, result.phase, result.half, word)
 
 
 @dataclass(frozen=True)
@@ -282,44 +377,37 @@ class RelationReport:
 
 
 def verify_relations(df: DiscriminantForm, raise_on_failure: bool = True) -> RelationReport:
-    """Exact checks of the defining relations of the generator matrices."""
-    s = rho_S(df)
-    t = rho_T(df)
+    """Exact checks of the defining relations of the generator matrices, as
+    the integer identities of the module docstring."""
     n_root = _root_order(df)
-    unitary_s = s.is_unitary()
-    unitary_t = t.is_unitary()
-    st = s @ t
-    lhs = st @ st @ st
-    s2 = s @ s
-    braid = lhs == s2
+    d = df.order
+    f = WeilRepMatrix(df, rho_S(df).hist, n_root)  # F: rho(S) without its scalar
+    t = rho_T(df)
+    ff = f @ f
+    ft = f @ t
+    identity = WeilRepMatrix.identity(df, n_root)._coefficients()
+    negation = identity[[df.index(df.neg(lam)) for lam in df.cosets]]
+    gauss = Cyc.e(Fraction(df.sig8, 8), n_root) * sqrt_as_cyclotomic(d, n_root)
 
-    size = len(df.cosets)
-    zero = Cyc.zero(n_root)
-    phase = Cyc.e(Fraction(-df.sig8, 4), n_root)
-    rows = []
-    for lam in df.cosets:
-        row = [zero] * size
-        row[df.index(df.neg(lam))] = phase
-        rows.append(tuple(row))
-    expected_s2 = WeilRepMatrix(df, rows)
-    s_squared = s2 == expected_s2
+    def holds(lhs: WeilRepMatrix, rhs) -> bool:
+        return np.array_equal(lhs._coefficients(), rhs)
 
     report = RelationReport(
-        df_order=df.order,
+        df_order=d,
         sig8=df.sig8,
-        unitary_s=unitary_s,
-        unitary_t=unitary_t,
-        braid=braid,
-        s_squared=s_squared,
+        unitary_s=holds(f @ f.dagger(), d * identity),
+        unitary_t=holds(t @ t.dagger(), identity),
+        braid=holds(ft @ ft @ ft, ff.scale(gauss)._coefficients()),
+        s_squared=holds(ff, d * negation),
     )
     if raise_on_failure and not report.all_pass:
         failed = [
             name
             for name, ok in [
-                ("unitarity of rho(S)", unitary_s),
-                ("unitarity of rho(T)", unitary_t),
-                ("(rho(S)rho(T))^3 = rho(S)^2", braid),
-                ("rho(S)^2 = e(-sig/4) * negation", s_squared),
+                ("unitarity of rho(S)", report.unitary_s),
+                ("unitarity of rho(T)", report.unitary_t),
+                ("(rho(S)rho(T))^3 = rho(S)^2", report.braid),
+                ("rho(S)^2 = e(-sig/4) * negation", report.s_squared),
             ]
             if not ok
         ]

@@ -1,11 +1,17 @@
+import copy
+import time
 from fractions import Fraction as F
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from cycletheta.cyclotomic import Cyc, sqrt_as_cyclotomic
+from cycletheta import weilrep
+from cycletheta.cyclotomic import Cyc, root_order_for, sqrt_as_cyclotomic
 from cycletheta.quadlattice import direct_sum, discriminant_form, named_lattice
 from cycletheta.weilrep import (
     InsufficientTruncation,
+    RelationViolated,
     WeilRepMatrix,
     rho_S,
     rho_T,
@@ -15,10 +21,51 @@ from cycletheta.weilrep import (
 )
 
 CORPUS = ["A1", "A2", "A3", "D4", "E8", "U", "A1(-1)"]
+SUMS = ["A1+A2", "A3+A1", "A2+A2"]
 
 
 def df_of(name):
-    return discriminant_form(named_lattice(name))
+    return discriminant_form(direct_sum(*(named_lattice(n) for n in name.split("+"))))
+
+
+def oracle_generator(df, token):
+    """rho(S), rho(T) or an inverse, entry by entry from the explicit formulas."""
+    n = root_order_for(df.level, df.order)
+    sign = -1 if token.islower() else 1
+    if token in "Ss":
+        inv_sqrt = sqrt_as_cyclotomic(df.order, n).scale(F(1, df.order))
+        phase = Cyc.e(F(-sign * df.sig8, 8), n) * inv_sqrt
+        return [[phase * Cyc.e(-sign * df.b(lam, mu), n) for mu in df.cosets]
+                for lam in df.cosets]
+    return [[Cyc.e(sign * df.q_table[lam], n) if lam == mu else Cyc.zero(n)
+             for mu in df.cosets] for lam in df.cosets]
+
+
+def oracle_matmul(a, b):
+    """Schoolbook product of matrices of Cyc entries."""
+    size = len(a)
+    zero = Cyc.zero(a[0][0].n)
+    rows = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            acc = zero
+            for k in range(size):
+                if not a[i][k].is_zero:
+                    acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def oracle_word(df, word):
+    n = root_order_for(df.level, df.order)
+    size = len(df.cosets)
+    acc = tuple(tuple(Cyc.one(n) if i == j else Cyc.zero(n) for j in range(size))
+                for i in range(size))
+    for token in weilrep._tokenize(word):
+        acc = oracle_matmul(acc, oracle_generator(df, token))
+    return acc
 
 
 class TestGenerators:
@@ -94,11 +141,114 @@ class TestWords:
             rho_word(df_of("A1"), "SX")
 
 
+class TestOracle:
+    @pytest.mark.parametrize("name", CORPUS + SUMS)
+    def test_words_match_schoolbook_product(self, name):
+        df = df_of(name)
+        for word in ["STST", "TSST", "TSTS", "SSTT", "STTS", "sTsT", "StSt", "SSSS", "S^-1S", ""]:
+            m = rho_word(df, word)
+            expected = oracle_word(df, word)
+            assert m.entries == expected
+            shown = SimpleNamespace(df=df, root_order=m.root_order, entries=expected)
+            assert m.entry_strings() == WeilRepMatrix.entry_strings(shown)
+
+    @pytest.mark.parametrize("name", CORPUS + SUMS)
+    def test_exact_milgram(self, name):
+        # sum over D of e(Q(x)) = e(sig/8) sqrt|D| in Z[zeta_N]
+        df = df_of(name)
+        n = root_order_for(df.level, df.order)
+        gauss = Cyc.zero(n)
+        for lam in df.cosets:
+            gauss = gauss + Cyc.e(df.q_table[lam], n)
+        assert gauss == Cyc.e(F(df.sig8, 8), n) * sqrt_as_cyclotomic(df.order, n)
+
+
+class TestExactArithmetic:
+    def test_caches_are_bounded(self):
+        for cached in (weilrep._root_order, rho_T, rho_S, sqrt_as_cyclotomic):
+            assert cached.cache_info().maxsize is not None
+
+    def test_cached_generators_are_read_only(self):
+        df = df_of("A2")
+        for gen in (rho_S(df), rho_T(df)):
+            with pytest.raises(ValueError):
+                gen.hist[0, 0, 0] = 7
+            assert type(gen.entries) is tuple
+            assert all(type(row) is tuple for row in gen.entries)
+        assert rho_S(df).hist.sum() == df.order ** 2
+
+    @pytest.mark.parametrize("c", [2 ** 31 + 1, 2 ** 32 + 1])
+    def test_beyond_int64_takes_object_route(self, c, monkeypatch):
+        # the square of (2^31 + 1) I stays below 2^63 and runs in int64;
+        # 2^64 + 2^33 + 1 would wrap in int64, so the product of
+        # (2^32 + 1) I with itself must run in Python ints
+        dtypes = set()
+        matmul = weilrep._exact_matmul
+
+        def spy(a, b, bound):
+            out = matmul(a, b, bound)
+            dtypes.add(out.dtype)
+            return out
+
+        monkeypatch.setattr(weilrep, "_exact_matmul", spy)
+        df = df_of("A1")
+        m = WeilRepMatrix.identity(df).scale(Cyc.from_rational(8, c))
+        assert (m @ m).entries == oracle_matmul(m.entries, m.entries)
+        assert (m @ m).entries[1][1] == Cyc.from_rational(8, c * c)
+        if c * c < 2 ** 63:
+            assert dtypes == {np.dtype(np.int64)}
+        else:
+            assert np.dtype(object) in dtypes
+
+    def test_row_sum_beyond_int64_takes_object_route(self):
+        # each entry of a fits int64, but the row sum 2^63 that bounds the
+        # product does not, and neither does the product entry 2^63
+        df = df_of("A1")
+        a = np.array([[[2 ** 62], [2 ** 62]], [[0], [0]]], dtype=np.int64)
+        a_m = WeilRepMatrix(df, a, 8)
+        b_m = WeilRepMatrix(df, np.ones((2, 2, 1), dtype=np.int64), 8)
+        assert (a_m @ b_m).entries[0][0] == Cyc.from_rational(8, 2 ** 63)
+
+    def test_scale_needs_integral_coefficients(self):
+        m = WeilRepMatrix.identity(df_of("A1"))
+        with pytest.raises(ValueError):
+            m.scale(Cyc.from_rational(m.root_order, F(1, 2)))
+
+
 class TestRelations:
     @pytest.mark.parametrize("name", CORPUS)
     def test_corpus(self, name):
         rep = verify_relations(df_of(name))
         assert rep.all_pass
+
+    @pytest.mark.parametrize("name", ["A2+A2+A2", "A2+A2+A2+A2", "D4+D4"])
+    def test_reach(self, name):
+        df = df_of(name)
+        rho_S.cache_clear()
+        rho_T.cache_clear()
+        start = time.perf_counter()
+        assert verify_relations(df).all_pass
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("name", ["A1", "A2", "D4", "A3+A1"])
+    def test_wrong_signature_breaks_only_braid(self, name):
+        df = copy.copy(df_of(name))
+        df.sig8 = (df.sig8 + 1) % 8
+        rep = verify_relations(df, raise_on_failure=False)
+        assert (rep.unitary_s, rep.unitary_t, rep.braid, rep.s_squared) == (True, True, False, True)
+        with pytest.raises(RelationViolated):
+            verify_relations(df)
+
+    def test_flipped_fourier_exponent_breaks_unitarity(self, monkeypatch):
+        df = copy.copy(df_of("A2"))
+        s = rho_S(df)
+        hist = s.hist.copy()
+        k = int(hist[1, 2].argmax())  # e(-b) with b = +-1/3, so k != -k mod N
+        hist[1, 2, k] = 0
+        hist[1, 2, -k % s.root_order] = 1
+        flipped = WeilRepMatrix(df, hist, s.root_order, s.phase, s.half, "S")
+        monkeypatch.setattr(weilrep, "rho_S", lambda _: flipped)
+        assert not verify_relations(df, raise_on_failure=False).unitary_s
 
     @pytest.mark.parametrize("name", ["A1", "A2", "A3", "D4"])
     def test_t_order_equals_level(self, name):
