@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """E8 representation numbers three ways: exact vector enumeration, the
-local-density product formula, and the classical 240 sigma_3(m)."""
+local-density product formula, and the classical 240 sigma_3(m).  Exits 1
+when the three disagree for any m."""
 
 import argparse
+import sys
 import time
 
 from cycletheta.eisenstein import local_density, siegel_product, sigma
@@ -20,11 +22,13 @@ def main():
     e8 = named_lattice("E8")
     t0 = time.time()
     print(f"{'m':>3} {'r(m) enum':>12} {'product':>12} {'240*sigma3':>12}")
+    mismatches = 0
     for m in range(1, args.max + 1):
         count = rep_number(e8, None, m)
         pred = siegel_product(e8, m)
         classical = 240 * sigma(3, m)
         flag = "" if count == pred == classical else "   <-- MISMATCH"
+        mismatches += bool(flag)
         print(f"{m:>3} {count:>12} {str(pred):>12} {classical:>12}{flag}")
         if args.show_densities:
             primes = sorted({2, *(p for p in range(2, 2 * m + 1) if m % p == 0 and _is_prime(p))})
@@ -32,6 +36,9 @@ def main():
                 rep = local_density(e8, p, m)
                 print(f"      alpha_{p}({m}) = {rep.stabilized}")
     print(f"\ndone in {time.time() - t0:.1f}s")
+    if mismatches:
+        print(f"{mismatches} mismatch(es)")
+    return 1 if mismatches else 0
 
 
 def _is_prime(p):
@@ -39,4 +46,4 @@ def _is_prime(p):
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

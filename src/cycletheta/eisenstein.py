@@ -15,6 +15,7 @@ All outputs are exact rationals.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -59,7 +60,7 @@ class NotStabilized(RuntimeError):
 # elementary number theory
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n (B_1 = -1/2)."""
     if n == 0:
@@ -295,7 +296,7 @@ def eisenstein_k(k: int, truncation: int) -> ScalarQSeries:
 # Cohen numbers
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def generalized_bernoulli(n: int, disc: int) -> Fraction:
     """B_{n, chi} for the quadratic character chi = (disc / .) of conductor
     |disc| (disc a fundamental discriminant or 1), via Bernoulli polynomials:
@@ -334,7 +335,7 @@ COHEN_CONVENTION = (
 )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def cohen_number(s: int, n: int) -> Fraction:
     """The Cohen number H(s, n) (weight s + 1/2 Eisenstein coefficients).
 
@@ -411,46 +412,18 @@ def _ordp(n: int, p: int) -> int:
     return e
 
 
-def _counts_unimodular(lat: Lattice, p: int, m: int, k_max: int) -> list[int]:
-    """N_k(m) for k = 1..k_max when p does not divide det(gram).
+@lru_cache(maxsize=64)
+def _jordan_blocks(lat: Lattice, p: int, digits: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Orthogonal splitting of Q(x) = x^T G x / 2 over Z_p into blocks p^s B.
 
-    N_1 is read from the mod-p value distribution of the Jordan blocks
-    (_residue_counts at k = 1), computed once.  Solutions with x != 0 mod p
-    are nonsingular (the gradient Gx is a unit vector) and lift
-    p^(n-1)-fold per level; solutions with x = 0 mod p reduce to level
-    k - 2 after dividing by p^2:
-
-        N_k(m) = p^((n-1)(k-1)) (N_1(m) - [p | m]) + nonprimitive part.
+    Each block is (s, coefficients of B mod p^digits): (u,) for the 1x1 form
+    u x^2 with u a unit, and (a, b, c) for the 2x2 form a x^2 + b xy + c y^2
+    with b a unit and p | a, c when p is odd.  The pivot is the entry of
+    least valuation, a diagonal one on ties, so a 2x2 block appears when an
+    off-diagonal entry is strictly smaller (always the case for the
+    unimodular part of an even form at p = 2).
     """
-    n = lat.rank
-    n1 = _residue_counts(_jordan_blocks(lat, p), p)
-
-    @lru_cache(maxsize=None)
-    def count(k: int, mm: int) -> int:
-        if k == 0:
-            return 1
-        prim1 = n1[mm % p] - (1 if mm % p == 0 else 0)
-        total = p ** ((n - 1) * (k - 1)) * prim1
-        if k == 1:
-            if mm % p == 0:
-                total += 1
-            return total
-        if mm % (p * p) == 0:
-            if k == 2:
-                total += p ** n
-            else:
-                total += p ** n * count(k - 2, (mm // (p * p)) % p ** (k - 2))
-        return total
-
-    return [count(k, m % p ** k) for k in range(1, k_max + 1)]
-
-
-def _jordan_blocks(lat: Lattice, p: int):
-    """Orthogonal splitting of the Gram matrix over Z_p into 1x1 and (for
-    p = 2) 2x2 blocks; returns a list of Fraction matrices with p-integral
-    entries."""
-    n = lat.rank
-    m = [[Fraction(lat.gram[i][j]) for j in range(n)] for i in range(n)]
+    m = [[Fraction(x) for x in row] for row in lat.gram]
 
     def val(x: Fraction) -> int:
         if x == 0:
@@ -465,52 +438,31 @@ def _jordan_blocks(lat: Lattice, p: int):
             v -= 1
         return v
 
+    def block(s: int, *coeffs: Fraction) -> tuple[int, tuple[int, ...]]:
+        return s, tuple(_frac_mod(c / p ** s, p ** digits) for c in coeffs)
+
     blocks = []
-    active = list(range(n))
+    active = list(range(lat.rank))
     while active:
-        best_diag = min(active, key=lambda i: val(m[i][i]))
-        best_off = None
-        bv = 10 ** 9
-        for ii, i in enumerate(active):
-            for j in active[ii + 1:]:
-                if val(m[i][j]) < bv:
-                    bv = val(m[i][j])
-                    best_off = (i, j)
-        if val(m[best_diag][best_diag]) <= bv:
-            i0 = best_diag
-            piv = m[i0][i0]
-            blocks.append([[piv]])
-            active.remove(i0)
-            for i in active:
-                f = m[i][i0] / piv
-                if f:
-                    for j in active:
-                        m[i][j] -= f * m[i0][j]
-            for i in active:
-                m[i0][i] = Fraction(0)
-                m[i][i0] = Fraction(0)
+        pairs = [(i, j) for t, i in enumerate(active) for j in active[t:]]
+        i0, j0 = min(pairs, key=lambda ij: (val(m[ij[0]][ij[1]]), ij[0] != ij[1]))
+        piv = [i0] if i0 == j0 else [i0, j0]
+        active = [i for i in active if i not in piv]
+        a, b, c = m[i0][i0], m[i0][j0], m[j0][j0]
+        if i0 == j0:
+            blocks.append(block(val(a / 2), a / 2))
+            inv = [[1 / a]]
         else:
-            i0, j0 = best_off
-            bmat = [[m[i0][i0], m[i0][j0]], [m[j0][i0], m[j0][j0]]]
-            det = bmat[0][0] * bmat[1][1] - bmat[0][1] * bmat[1][0]
-            blocks.append(bmat)
-            active.remove(i0)
-            active.remove(j0)
-            inv = [
-                [bmat[1][1] / det, -bmat[0][1] / det],
-                [-bmat[1][0] / det, bmat[0][0] / det],
-            ]
-            for i in active:
-                ci = [m[i][i0], m[i][j0]]
-                f0 = ci[0] * inv[0][0] + ci[1] * inv[1][0]
-                f1 = ci[0] * inv[0][1] + ci[1] * inv[1][1]
-                if f0 or f1:
-                    for j in range(n):
-                        m[i][j] -= f0 * m[i0][j] + f1 * m[j0][j]
-            for i in active:
-                m[i0][i] = m[i][i0] = Fraction(0)
-                m[j0][i] = m[i][j0] = Fraction(0)
-    return blocks
+            blocks.append(block(val(b), a / 2, b, c / 2))
+            det = a * c - b * b
+            inv = [[c / det, -b / det], [-b / det, a / det]]
+        # Schur complement: subtract the projection onto the pivot block
+        for i in active:
+            f = [sum(m[i][piv[t]] * inv[t][u] for t in range(len(piv))) for u in range(len(piv))]
+            if any(f):
+                for j in active:
+                    m[i][j] -= sum(f[u] * m[piv[u]][j] for u in range(len(piv)))
+    return tuple(blocks)
 
 
 def _frac_mod(x: Fraction, modulus: int) -> int:
@@ -520,40 +472,50 @@ def _frac_mod(x: Fraction, modulus: int) -> int:
     return (x.numerator * pow(den, -1, modulus)) % modulus
 
 
-def _residue_counts(blocks, pk: int) -> list[int]:
-    """#{x mod pk : Q(x) = r mod pk} for r = 0..pk-1, by convolving the value
-    distributions of the Jordan blocks (exact big ints)."""
-    dist = [0] * pk
-    dist[0] = 1
-    for b in blocks:
-        var = [0] * pk
-        if len(b) == 1:
-            coef = _frac_mod(b[0][0] / 2, pk)
-            for x in range(pk):
-                var[(coef * x * x) % pk] += 1
-        else:
-            qa = _frac_mod(b[0][0] / 2, pk)
-            qb = _frac_mod(b[0][1], pk)
-            qc = _frac_mod(b[1][1] / 2, pk)
-            for x in range(pk):
-                base = (qa * x * x) % pk
-                cross = (qb * x) % pk
-                for y in range(pk):
-                    var[(base + cross * y + qc * y * y) % pk] += 1
+def _lifting_level(p: int) -> int:
+    """Level from which solutions with a unit scale-0 part lift p^(n-1)-fold."""
+    return 1 if p > 2 else 3
+
+
+def _residue_counts(blocks, p: int, k: int) -> list[int]:
+    """#{x mod p^k : Q(x) = r mod p^k} for r = 0..p^k-1, by convolving the
+    value distributions of the Jordan blocks (exact big ints)."""
+    pk = p ** k
+    dist = [1] + [0] * (pk - 1)
+    for s, coeffs in blocks:
+        a, b, c = (p ** s * t for t in (coeffs if len(coeffs) == 3 else (coeffs[0], 0, 0)))
+        ys = range(pk) if len(coeffs) == 3 else (0,)
+        var = Counter((a * x * x + b * x * y + c * y * y) % pk for x in range(pk) for y in ys)
         new = [0] * pk
         for v1, c1 in enumerate(dist):
             if c1:
-                for v2, c2 in enumerate(var):
-                    if c2:
-                        new[(v1 + v2) % pk] += c1 * c2
+                for v2, c2 in var.items():
+                    new[(v1 + v2) % pk] += c1 * c2
         dist = new
     return dist
 
 
-def _counts_generic(lat: Lattice, p: int, m: int, k_max: int) -> list[int]:
-    """N_k(m) read from the full value distribution mod p^k at every level."""
-    blocks = _jordan_blocks(lat, p)
-    return [_residue_counts(blocks, p ** k)[m % p ** k] for k in range(1, k_max + 1)]
+def _level_counts(blocks, p: int, m: int, k_max: int) -> list[int]:
+    """[N_1, ..., N_kmax] for Q = sum of p^s B over the Jordan blocks, by the
+    level recursion described in local_density."""
+    lift = _lifting_level(p)
+    n = sum(1 if len(c) == 1 else 2 for _, c in blocks)
+    n0 = sum(1 if len(c) == 1 else 2 for s, c in blocks if s == 0)
+    dist = _residue_counts(blocks, p, lift)
+    counts = [
+        sum(dist[m % p ** k::p ** k]) // p ** (n * (lift - k))
+        for k in range(1, min(lift, k_max) + 1)
+    ]
+    if k_max <= lift:
+        return counts
+    bad = [0] * k_max  # bad[k - 1]: solutions mod p^k with x_0 = 0 mod p
+    if m % p == 0:
+        rotated = tuple((1 if s == 0 else s - 1, c) for s, c in blocks)
+        bad = [p ** (n - n0) * c for c in [1] + _level_counts(rotated, p, m // p, k_max - 1)]
+    good = counts[-1] - bad[lift - 1]
+    return counts + [
+        p ** ((n - 1) * (k - lift)) * good + bad[k - 1] for k in range(lift + 1, k_max + 1)
+    ]
 
 
 def _is_prime(p: int) -> bool:
@@ -566,12 +528,33 @@ def _is_prime(p: int) -> bool:
 
 
 def local_density(lat: Lattice, p: int, m: int, max_level: int | None = None) -> LocalDensityReport:
-    """Normalized counts p^(-k(n-1)) #{x mod p^k : Q(x) = m mod p^k}.
+    """Normalized counts p^(-k(n-1)) N_k, N_k = #{x mod p^k : Q(x) = m mod p^k}.
 
     The stabilization threshold is k0 = 2 ord_p(2 m det) + 2; the report
     carries every level up to max_level (default k0 + 1) and the stabilized
     value once two consecutive levels >= k0 agree.  Requesting extra levels
     re-checks that later values stay put.
+
+    The counts come from one exact recursion over levels, the reduction
+    maps of Hanke, *Local densities and explicit bounds for
+    representability by a quadratic form*, Duke Math. J. 124 (2004), for
+    every p.  Split Q = Q_0 + p Q' over Z_p, with Q_0 the Jordan blocks of
+    scale 0 (rank n_0), and let the lifting level be l = 1 for odd p and
+    l = 3 for p = 2.  For k > l
+
+        N_k(Q, m) = p^((n-1)(k-l)) G + [p | m] p^(n-n_0) N_(k-1)(Q' + p Q_0, m/p).
+
+    The second term counts the x with x_0 = p y_0: then Q(x) = m reads
+    Q'(x') + p Q_0(y_0) = m/p mod p^(k-1), with x' free mod p^k.  G counts
+    the solutions mod p^l with x_0 != 0 mod p (N_l minus the second term
+    at k = l; 0 when n_0 = 0), and each of those lifts p^(n-1)-fold per
+    level above l: by Hensel's lemma where the gradient of Q at x is a unit
+    mod p, which covers odd p and a nonzero 2x2 block at p = 2, and otherwise
+    through a unit 1x1 block u x_i^2 with x_i odd, where for k >= 3 the
+    involution x -> x + 2^(k-1) e_i of the solutions mod 2^k swaps
+    Q(x) = m and Q(x) = m + 2^k mod 2^(k+1), so half of them lift 2^n-fold.
+    N_k for k <= l is read from the value distribution mod p^l.  A report
+    thus costs O(k0) steps on small integers, whatever p^k0 is.
     """
     if not lat.is_positive_definite:
         raise UnsupportedLattice("local densities are computed for positive definite lattices")
@@ -586,10 +569,7 @@ def local_density(lat: Lattice, p: int, m: int, max_level: int | None = None) ->
         raise NotStabilized(
             f"max_level={max_level} is below the stabilization threshold k0+1={k0 + 1}"
         )
-    if abs(lat.det) % p:
-        counts = _counts_unimodular(lat, p, m, max_level)
-    else:
-        counts = _counts_generic(lat, p, m, max_level)
+    counts = _level_counts(_jordan_blocks(lat, p, _lifting_level(p)), p, m, max_level)
     approx = tuple(
         (k, Fraction(cnt, p ** (k * (lat.rank - 1))))
         for k, cnt in zip(range(1, max_level + 1), counts)

@@ -413,7 +413,7 @@ class DiscriminantForm:
         return f"DiscriminantForm(order={self.order}, sig8={self.sig8}, level={self.level})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def discriminant_form(lat: Lattice) -> DiscriminantForm:
     return DiscriminantForm(lat)
 

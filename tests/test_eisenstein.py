@@ -1,11 +1,15 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cycletheta.eisenstein import (
     NotStabilized,
     UnsupportedLattice,
     UnsupportedWeight,
+    _jordan_blocks,
+    _level_counts,
+    _lifting_level,
     bernoulli,
     cohen,
     cohen_number,
@@ -20,7 +24,7 @@ from cycletheta.eisenstein import (
     sigma,
 )
 from cycletheta.enumeration import rep_number
-from cycletheta.quadlattice import direct_sum, named_lattice
+from cycletheta.quadlattice import Degenerate, direct_sum, named_lattice, new_lattice
 
 
 class TestHurwitz:
@@ -268,6 +272,72 @@ def brute_density_counts(lat, p, m, k_max):
     return out
 
 
+def convolution_counts(lat, p, m, k_max):
+    """The full value distribution mod p^k at every level k <= k_max,
+    convolved over the Jordan blocks (p^2k work per 2x2 block)."""
+    out = []
+    for k in range(1, k_max + 1):
+        pk = p ** k
+        dist = [1] + [0] * (pk - 1)
+        for s, coeffs in _jordan_blocks(lat, p, k):
+            a, b, c = (coeffs[0], 0, 0) if len(coeffs) == 1 else coeffs
+            ys = range(pk) if len(coeffs) == 3 else (0,)
+            values = [p ** s * (a * x * x + b * x * y + c * y * y) % pk for x in range(pk) for y in ys]
+            new = [0] * pk
+            for r, cnt in enumerate(dist):
+                if cnt:
+                    for v in values:
+                        new[(r + v) % pk] += cnt
+            dist = new
+        out.append(dist[m % pk])
+    return out
+
+
+def level_counts(lat, p, m, k_max):
+    return _level_counts(_jordan_blocks(lat, p, _lifting_level(p)), p, m, k_max)
+
+
+def scaled(lat, c):
+    return new_lattice([[c * x for x in row] for row in lat.gram])
+
+
+# Mixed Jordan scales at p = 2 and p = 3, and 2x2 blocks at odd p (an
+# off-diagonal entry of strictly smaller valuation than the diagonal).
+MIXED = {
+    "A1+A1(4)": direct_sum(named_lattice("A1"), scaled(named_lattice("A1"), 4)),
+    "D4(3)": scaled(named_lattice("D4"), 3),
+    "A2(2)": scaled(named_lattice("A2"), 2),
+    "[[6,1],[1,6]]": new_lattice([[6, 1], [1, 6]]),
+    "[[18,3],[3,18]]": new_lattice([[18, 3], [3, 18]]),
+    "[[6,2],[2,10]]": new_lattice([[6, 2], [2, 10]]),
+}
+
+
+@st.composite
+def even_gram(draw, p):
+    """A nondegenerate even Gram matrix of rank <= 3 whose rows are scaled by
+    p^e_i, e_i <= 2, so that its Jordan splitting at p has mixed scales."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    e = [draw(st.integers(min_value=0, max_value=2)) for _ in range(n)]
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 2 * draw(st.integers(min_value=-4, max_value=4))
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(st.integers(min_value=-4, max_value=4))
+    return [[g[i][j] * p ** (e[i] + e[j]) for j in range(n)] for i in range(n)]
+
+
+class TestCaches:
+    @pytest.mark.parametrize("fn", [bernoulli, generalized_bernoulli, cohen_number])
+    def test_number_caches_are_bounded(self, fn):
+        assert fn.cache_info().maxsize == 1024
+
+    def test_jordan_splittings_are_bounded_and_immutable(self):
+        assert _jordan_blocks.cache_info().maxsize == 64
+        blocks = _jordan_blocks(named_lattice("D4"), 2, 3)
+        assert isinstance(blocks, tuple) and all(isinstance(c, tuple) for _, c in blocks)
+
+
 class TestLocalDensity:
     def test_e8_p3_m1(self):
         rep = local_density(named_lattice("E8"), 3, 1)
@@ -287,24 +357,50 @@ class TestLocalDensity:
         "name,p,k_max,m",
         [("A1", 2, 4, 1), ("A1", 2, 4, 2), ("A2", 3, 2, 1), ("A2", 3, 2, 3),
          ("A3", 2, 2, 2), ("A2", 2, 2, 1), ("D4", 3, 2, 2), ("E8", 2, 1, 1),
-         ("E8", 3, 1, 1)],
+         ("E8", 3, 1, 1), ("A1+A1(4)", 2, 5, 4), ("A1+A1(4)", 2, 5, 9),
+         ("A2(2)", 2, 4, 2), ("A2(2)", 2, 4, 8), ("D4(3)", 3, 2, 3), ("D4(3)", 3, 2, 9),
+         ("[[6,1],[1,6]]", 3, 4, 3), ("[[6,1],[1,6]]", 3, 4, 18),
+         ("[[18,3],[3,18]]", 3, 4, 9), ("[[18,3],[3,18]]", 3, 4, 27),
+         ("[[6,2],[2,10]]", 2, 5, 8), ("[[6,2],[2,10]]", 7, 2, 7)],
     )
     def test_counts_match_brute_force(self, name, p, k_max, m):
-        lat = named_lattice(name)
-        brute = brute_density_counts(lat, p, m, k_max)
-        if abs(lat.det) % p:
-            from cycletheta.eisenstein import _counts_unimodular as counts
-        else:
-            from cycletheta.eisenstein import _counts_generic as counts
-        assert counts(lat, p, m, k_max) == brute
+        lat = MIXED.get(name) or named_lattice(name)
+        assert level_counts(lat, p, m, k_max) == brute_density_counts(lat, p, m, k_max)
 
-    def test_fast_and_generic_agree(self):
-        # p does not divide det: both computation paths must coincide
-        from cycletheta.eisenstein import _counts_generic, _counts_unimodular
+    @pytest.mark.parametrize(
+        "name,p,k_max",
+        [("A1+A1(4)", 2, 7), ("A2(2)", 2, 6), ("D4(3)", 3, 4), ("[[6,1],[1,6]]", 3, 5),
+         ("[[18,3],[3,18]]", 3, 5), ("[[6,2],[2,10]]", 2, 7), ("D4", 2, 6), ("A3", 2, 6),
+         ("A2", 3, 4), ("E8", 2, 5)],
+    )
+    def test_counts_match_convolution(self, name, p, k_max):
+        lat = MIXED.get(name) or named_lattice(name)
+        for m in (1, 2, 3, 4, 8, 9, 16, 18, 27, 32, 54):
+            assert level_counts(lat, p, m, k_max) == convolution_counts(lat, p, m, k_max)
 
-        for name, p, m in [("A1", 3, 1), ("A2", 2, 1), ("D4", 3, 1), ("A3", 3, 2)]:
-            lat = named_lattice(name)
-            assert _counts_unimodular(lat, p, m, 3) == _counts_generic(lat, p, m, 3)
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_forms_match_oracles(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        gram = data.draw(even_gram(p))
+        try:
+            lat = new_lattice(gram)
+        except Degenerate:
+            assume(False)
+        m = data.draw(st.integers(min_value=1, max_value=2 * p ** 3))
+        k_brute = max(k for k in range(1, 6) if p ** (k * lat.rank) <= 4096)
+        k_conv = max(k for k in range(1, 8) if p ** k <= 128)
+        assert level_counts(lat, p, m, k_brute) == brute_density_counts(lat, p, m, k_brute)
+        assert level_counts(lat, p, m, k_conv) == convolution_counts(lat, p, m, k_conv)
+
+    def test_d4_at_two_exact(self):
+        d4 = named_lattice("D4")
+        rep = local_density(d4, 2, 8)
+        assert rep.stabilized == F(3, 16)
+        assert rep.threshold == 14
+        # alpha_2(2^e u) = 3 / 2^(e+1) for odd u, far past any p^k table
+        for e, u in [(0, 1), (1, 3), (2, 5), (5, 7), (20, 1), (20, 15)]:
+            assert local_density(d4, 2, 2 ** e * u).stabilized == F(3, 2 ** (e + 1))
 
     def test_rank_32_at_two(self):
         # four copies of E8: an even unimodular rank-32 form, alpha_2(1) = 1 - 2^-16
@@ -345,6 +441,20 @@ class TestSiegelProduct:
             siegel_product(named_lattice("A2"), 1)
         with pytest.raises(UnsupportedLattice):
             siegel_product(named_lattice("U"), 1)
+
+    def test_d4_three_routes(self):
+        # D4 is alone in its genus, det 4 and a square discriminant, so the
+        # unramified densities multiply to 1/zeta(2) = 6/pi^2 against the
+        # archimedean 2 pi^2 m: r(m) = 12 m prod_{p | 2m} alpha_p(m)/(1 - p^-2),
+        # and classically r(m) = 24 sum_{d | m, d odd} d.
+        d4 = named_lattice("D4")
+        for m in range(1, 33):
+            product = F(12 * m)
+            for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+                if (2 * m) % p == 0:
+                    product *= local_density(d4, p, m).stabilized / (1 - F(1, p * p))
+            classical = 24 * sum(d for d in range(1, m + 1, 2) if m % d == 0)
+            assert rep_number(d4, None, m) == product == classical, m
 
     def test_higher_cutoff_unchanged(self):
         e8 = named_lattice("E8")

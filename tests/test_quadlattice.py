@@ -52,6 +52,10 @@ class TestNewLattice:
 
 
 class TestDiscriminantForm:
+    def test_cache_is_bounded(self):
+        # as the Weil-representation caches: a long-lived process keeps at most 64
+        assert discriminant_form.cache_info().maxsize == 64
+
     def test_a1(self):
         df = discriminant_form(named_lattice("A1"))
         assert df.order == 2
