@@ -5,7 +5,12 @@ verify.  Exact values are serialized as reduced-fraction strings, never as
 floats; floating renderings sit under explicit "approx" keys.  Expensive
 results (Heegner classes, density reports, theta series) are cached under
 --cache-dir / $CYCLETHETA_CACHE keyed by operation, canonical input digest,
-and package version; cache writes are atomic (write-temp-then-rename).
+package version and the operation's payload schema; cache writes are atomic
+(write-temp-then-rename).
+
+Only theta (on a cache miss), weilrep and verify load numpy: the numpy layers
+(enumeration, weilrep) are imported inside the commands and suites that compute
+with them, so the other commands and every disk-cache hit start without it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from pathlib import Path
 import click
 
 from . import __version__, eisenstein
-from .enumeration import theta_qseries
 from .heegner import heegner_cycle
 from .quadlattice import BUILTIN_GRAMS, LatticeError, discriminant_form, named_lattice, new_lattice
 from .verify import (
@@ -35,7 +39,6 @@ from .verify import (
     suite_volume_formula,
     suite_weilrep,
 )
-from .weilrep import rho_S, rho_T, rho_word, verify_relations
 
 __all__ = ["main", "run", "CacheEntry", "ResultCache"]
 
@@ -87,8 +90,14 @@ class CacheEntry:
     created_at: float
 
 
+# Payload schema of each cached operation.  Bump an operation's number when
+# its payload changes (a new field, a corrected algorithm), so entries
+# written by older code stop matching even within one package version.
+_SCHEMAS = {"heegner": 1, "density": 1, "theta": 1}
+
+
 class ResultCache:
-    """Content-addressed JSON store; a version bump invalidates by key."""
+    """Content-addressed JSON store; a version or schema bump invalidates by key."""
 
     def __init__(self, directory: Path | None):
         self.directory = directory
@@ -98,22 +107,31 @@ class ResultCache:
     @staticmethod
     def make_key(operation: str, inputs: dict) -> str:
         canonical = json.dumps(
-            {"operation": operation, "inputs": inputs, "version": __version__},
+            {
+                "operation": operation,
+                "inputs": inputs,
+                "version": __version__,
+                "schema": _SCHEMAS[operation],
+            },
             sort_keys=True,
         )
         return hashlib.sha256(canonical.encode()).hexdigest()
 
     def get(self, key: str) -> dict | None:
+        """The payload stored under ``key``, or None for a miss.  A missing,
+        unreadable or malformed entry, or one filed under another key, is a
+        miss, so the caller recomputes and overwrites it."""
         if self.directory is None:
             return None
-        path = self.directory / f"{key}.json"
-        if not path.exists():
-            return None
         try:
-            entry = json.loads(path.read_text())
-            return entry["payload"]
-        except (json.JSONDecodeError, KeyError):
+            with open(self.directory / f"{key}.json", encoding="utf-8") as fh:
+                entry = json.load(fh)
+        except (OSError, ValueError):  # FileNotFoundError, JSON and UTF-8 errors
             return None
+        if not isinstance(entry, dict) or entry.get("key") != key:
+            return None
+        payload = entry.get("payload")
+        return payload if isinstance(payload, dict) else None
 
     def put(self, key: str, payload: dict) -> None:
         if self.directory is None:
@@ -229,10 +247,16 @@ def theta_cmd(ctx, spec, truncation, as_json):
         lat = _resolve_lattice(spec)
         bound = _parse_rational(truncation)
         cache = _cache_from_ctx(ctx)
+
+        def compute():
+            from .enumeration import theta_qseries
+
+            return theta_qseries(lat, bound).to_json_dict()
+
         payload = cache.fetch_or_compute(
             "theta",
             {"gram": [list(r) for r in lat.gram], "truncation": str(bound)},
-            lambda: theta_qseries(lat, bound).to_json_dict(),
+            compute,
         )
         if as_json:
             click.echo(json.dumps(payload, sort_keys=True, indent=2))
@@ -250,6 +274,7 @@ def theta_cmd(ctx, spec, truncation, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def weilrep_cmd(spec, word, as_json):
     """Weil representation generator matrices (exact and floating)."""
+    from .weilrep import rho_S, rho_T, rho_word, verify_relations
 
     def go():
         lat = _resolve_lattice(spec)

@@ -6,6 +6,9 @@ equality (tolerance "0"), the theta-transformation suite uses floating
 evaluation with tolerance 1e-9 and prints its truncation tail bounds.
 Reports are deterministic: cases are listed in canonical input order and
 serialize to byte-identical JSON on repeated runs.
+
+The numpy layers (enumeration, weilrep) are imported inside the suites that
+use them, so reading SUITE_NAMES does not load numpy.
 """
 
 from __future__ import annotations
@@ -15,10 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import eisenstein
-from .enumeration import rep_number, rep_number_genus2
 from .heegner import heegner_cycle
 from .quadlattice import Lattice, direct_sum, discriminant_form, gauss_sum, named_lattice
-from .weilrep import theta_transform_check, verify_relations
 
 __all__ = [
     "Case",
@@ -114,6 +115,8 @@ def suite_volume_formula(d_max: int = 200) -> VerificationReport:
 
 def suite_siegel_weil(m_max: int = 10) -> VerificationReport:
     """E8: enumeration count = local-density product = 240 sigma_3(m)."""
+    from .enumeration import rep_number
+
     e8 = named_lattice("E8")
     cases = []
     for m in range(1, m_max + 1):
@@ -128,6 +131,8 @@ def suite_siegel_weil(m_max: int = 10) -> VerificationReport:
 def suite_cup_product(lattice_name: str = "A2", t_max: int = 4) -> VerificationReport:
     """r(t1) r(t2) = sum over half-integral b of the genus-2 count at
     [[t1, b], [b, t2]], exactly."""
+    from .enumeration import rep_number, rep_number_genus2
+
     lat = named_lattice(lattice_name)
     r = [rep_number(lat, None, t) for t in range(t_max + 1)]
     cases = []
@@ -170,6 +175,8 @@ def suite_weilrep(
     even-rank positive definite members at tau = i and 2i."""
     import cmath
     import math
+
+    from .weilrep import theta_transform_check, verify_relations
 
     cases = []
     for name in corpus:

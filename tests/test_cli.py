@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from cycletheta import cli
 from cycletheta.cli import ResultCache, main
 
 
@@ -163,21 +164,115 @@ class TestRunEntryPoint:
         capsys.readouterr()
 
 
+# Cache files that must be treated as misses, built from the key they sit under.
+UNUSABLE_ENTRIES = {
+    "list": lambda key: b"[]",
+    "not-utf8": lambda key: b'{"key": "\xff\xfe"}',
+    "foreign-key": lambda key: json.dumps({"key": "0" * 64, "payload": {"degree": "0"}}).encode(),
+    "list-payload": lambda key: json.dumps({"key": key, "payload": ["3"]}).encode(),
+}
+
+
 class TestResultCache:
     def test_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = cache.make_key("demo", {"x": "1/3"})
+        key = cache.make_key("theta", {"x": "1/3"})
         assert cache.get(key) is None
         cache.put(key, {"value": "1/3"})
         assert cache.get(key) == {"value": "1/3"}
 
-    def test_version_in_key(self, tmp_path):
-        k1 = ResultCache.make_key("demo", {"x": 1})
-        k2 = ResultCache.make_key("demo", {"x": 2})
-        assert k1 != k2
+    def test_version_in_key(self, monkeypatch):
+        inputs = {"N": 1, "r": 1, "d": 23}
+        base = ResultCache.make_key("heegner", inputs)
+        density = ResultCache.make_key("density", inputs)
+        monkeypatch.setattr(cli, "__version__", "0.1.0+other")
+        assert ResultCache.make_key("heegner", inputs) != base
+        monkeypatch.undo()
+        assert ResultCache.make_key("heegner", inputs) == base
+        monkeypatch.setitem(cli._SCHEMAS, "heegner", cli._SCHEMAS["heegner"] + 1)
+        assert ResultCache.make_key("heegner", inputs) != base
+        assert ResultCache.make_key("density", inputs) == density
+
+    def test_unknown_operation_has_no_key(self):
+        with pytest.raises(KeyError):
+            ResultCache.make_key("demo", {})
 
     def test_corrupt_entry_ignored(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = cache.make_key("demo", {})
+        key = cache.make_key("heegner", {})
         (tmp_path / f"{key}.json").write_text("not json")
         assert cache.get(key) is None
+
+    @pytest.mark.parametrize("case", sorted(UNUSABLE_ENTRIES))
+    def test_unusable_entry_is_a_miss(self, runner, tmp_path, case):
+        args = ["heegner", "--level", "1", "--residue", "1", "--disc", "23", "--json"]
+        fresh = invoke(runner, ["--cache-dir", str(tmp_path / "fresh")] + args)
+        key = ResultCache.make_key("heegner", {"N": 1, "r": 1, "d": 23})
+        (tmp_path / f"{key}.json").write_bytes(UNUSABLE_ENTRIES[case](key))
+        assert ResultCache(tmp_path).get(key) is None
+        stale = invoke(runner, ["--cache-dir", str(tmp_path)] + args)
+        assert stale.exit_code == 0
+        assert stale.output == fresh.output
+        assert ResultCache(tmp_path).get(key) == json.loads(fresh.output)
+
+
+NUMPY_LAYERS = ("numpy", "cycletheta.enumeration", "cycletheta.weilrep",
+                "cycletheta.cyclotomic")
+
+
+class TestImportGraph:
+    """Commands that do not compute with numpy start without importing it."""
+
+    def test_cli_import_loads_no_numpy(self, fresh_python):
+        proc = fresh_python(
+            "-c",
+            "import sys, cycletheta.cli\n"
+            f"print([m for m in {NUMPY_LAYERS!r} if m in sys.modules])"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_numpy_free_commands_load_no_numpy(self, fresh_python, tmp_path):
+        commands = [
+            ["heegner", "--level", "1", "--residue", "1", "--disc", "23", "--json"],
+            ["heegner", "--level", "1", "--residue", "1", "--disc", "23", "--json"],
+            ["density", "--lattice", "E8", "--prime", "3", "--m", "2", "--json"],
+            ["density", "--lattice", "E8", "--prime", "3", "--m", "2", "--json"],
+            ["eisenstein", "--series", "hurwitz", "--max", "20", "--json"],
+            ["lattice", "info", "--lattice", "E8", "--json"],
+        ]
+        code = (
+            "import json, sys\n"
+            "from cycletheta.cli import run\n"
+            "cache = sys.argv[1]\n"
+            f"codes = [run(['--cache-dir', cache] + args) for args in {commands!r}]\n"
+            "print(json.dumps({'codes': codes, 'loaded': "
+            f"[m for m in {NUMPY_LAYERS!r} if m in sys.modules]}}))"
+        )
+        proc = fresh_python("-c", code, str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result == {"codes": [0] * len(commands), "loaded": []}
+        assert len(list(tmp_path.glob("*.json"))) == 2  # one entry per miss
+
+    def test_theta_hit_loads_no_numpy(self, fresh_python, tmp_path):
+        args = ["--cache-dir", str(tmp_path), "theta", "--lattice", "A1", "--max", "3", "--json"]
+        check = (
+            "import sys\n"
+            "from cycletheta.cli import run\n"
+            "assert run(sys.argv[1:]) == 0\n"
+            "print('numpy' in sys.modules)"
+        )
+        miss = fresh_python("-c", check, *args)
+        hit = fresh_python("-c", check, *args)
+        assert (miss.returncode, hit.returncode) == (0, 0)
+        miss_payload, miss_numpy = miss.stdout.rstrip().rsplit("\n", 1)
+        hit_payload, hit_numpy = hit.stdout.rstrip().rsplit("\n", 1)
+        assert (miss_numpy, hit_numpy) == ("True", "False")
+        assert miss_payload == hit_payload
+
+    def test_python_dash_m(self, fresh_python, tmp_path):
+        proc = fresh_python("-m", "cycletheta", "heegner", "--level", "1", "--residue", "1",
+                            "--disc", "23", "--json", env={"CYCLETHETA_CACHE": str(tmp_path)})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["degree"] == "3"
