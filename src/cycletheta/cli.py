@@ -148,11 +148,17 @@ class ResultCache:
             raise
 
     def fetch_or_compute(self, operation: str, inputs: dict, compute) -> dict:
+        """The cached payload, or ``compute()``, stored for next time.  A
+        failed store (a full disk, a read-only directory) only costs the next
+        call a recomputation, so it warns on stderr and the result stands."""
         key = self.make_key(operation, inputs)
         payload = self.get(key)
         if payload is None:
             payload = compute()
-            self.put(key, payload)
+            try:
+                self.put(key, payload)
+            except OSError as exc:
+                click.echo(f"warning: result not cached: {type(exc).__name__}: {exc}", err=True)
         return payload
 
 
@@ -176,7 +182,7 @@ def _run_guarded(fn):
         return fn()
     except click.ClickException:
         raise
-    except LIBRARY_ERRORS as exc:
+    except (*LIBRARY_ERRORS, OSError) as exc:  # OSError: an unreadable --lattice, a bad --cache-dir
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(1)
 

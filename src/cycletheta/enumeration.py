@@ -23,12 +23,15 @@ arithmetic (fixed denominators are cleared once per lattice and coset), so
 the output is exact and byte-for-byte deterministic.  The frontier is
 int64 when a bound proved once per (lattice, coset, budget) keeps every
 intermediate value below 2^62, and Python ints (dtype=object) otherwise;
-both run the same code.  Genus-2 counts come from inner-product histograms
-over pairs of shells.  A shell is the set of vectors of one norm in one
-coset, kept as a cached int64 array of integer-scaled rows built straight
-from the walker's offsets.  The pair products run through float64 BLAS
-under a 2^53 exactness guard and are counted with np.bincount, so they
-stay exact; a shell closed under x -> -x is multiplied by half its rows.
+both run the same code.  Walks that only count (theta_qseries, rep_number)
+cover half the ball of a coset with 2 mu in L, which x -> -x maps onto
+itself, and weight what they count.  Genus-2 counts come from
+inner-product histograms over pairs of shells.  A shell is the set of
+vectors of one norm in one coset, kept as a cached int64 array of
+integer-scaled rows built straight from the walker's offsets.  The pair
+products run through float32 or float64 BLAS under a proved exactness bound
+and are counted with np.bincount, so they stay exact; each shell closed
+under x -> -x is multiplied by half its rows.
 """
 from __future__ import annotations
 
@@ -224,8 +227,18 @@ def _descend(data, b_init: int, leaf, last: int, offsets: bool) -> None:
     below.  Every t in the range leaves c_i t^2 <= b, so no row goes over
     budget and rows drop out only through empty ranges.  The frontier is
     walked depth first in chunks of at most _FRONTIER_ROWS rows, so memory
-    stays bounded by a few chunks per level; leaf(b, cen, off) is called on
-    every chunk with levels n-1 .. last fixed.
+    stays bounded by a few chunks per level; leaf(b, cen, off, weight) is
+    called on every chunk with levels n-1 .. last fixed, and counts each of
+    its rows ``weight`` times.
+
+    Sign fold: without offsets the leaf can only count, and when 2 mu is in
+    Z^n, y -> -y maps the ball of mu + Z^n onto itself.  The descent then
+    walks the half y_top >= 0 of the top level n-1 (when n-1 >= last) and
+    never expands y_top < 0: the rows with y_top > 0 carry weight 2, and
+    the slice y_top = 0 weight 1.  That slice exists only when mu_top is
+    integral (it is empty when mu_top = 1/2), and as y_top = 0 changes
+    neither the budget nor the centres it is the root row itself, one level
+    down.  Every other walk carries weight 1.
 
     Exactness: a row whose coordinates j >= i are fixed has
     sum_{k>=i} d_k z_k^2 <= 2M with 2M = b_init / (l0 delta^4), and real
@@ -253,11 +266,12 @@ def _descend(data, b_init: int, leaf, last: int, offsets: bool) -> None:
     dtype = np.int64 if exact64 else object
     u = np.array(u_hat, dtype=dtype)
 
-    def expand(level: int, b, cen, off):
+    def expand(level: int, b, cen, off, positive: bool = False):
         ci = c_hat[level]
         base = mu_base[level] + cen[:, level]
         s = _isqrt(b // ci)
-        lo = -((s + base) // d2)
+        # the least v with t >= -s, or with t > 0; t(lo - 1) <= 0 <= s keeps counts >= 0
+        lo = (-base) // d2 + 1 if positive else -((s + base) // d2)
         counts = ((s - base) // d2 + 1 - lo).astype(np.int64)
         ends = np.cumsum(counts)
         total = int(ends[-1])
@@ -273,15 +287,23 @@ def _descend(data, b_init: int, leaf, last: int, offsets: bool) -> None:
                 child[:, level] = v
             yield b[row] - ci * t * t, cen[row, :level] + y[:, None] * u[:level, level], child
 
-    def walk(level: int, chunk):
+    def walk(level: int, chunk, weight: int):
         if level < last:
-            leaf(*chunk)
+            leaf(*chunk, weight)
             return
         for child in expand(level, *chunk):
-            walk(level - 1, child)
+            walk(level - 1, child, weight)
 
-    off = np.zeros((1, n), dtype) if offsets else None
-    walk(n - 1, (np.array([b_init], dtype=dtype), np.zeros((1, n), dtype), off))
+    top = n - 1
+    root = (np.array([b_init], dtype=dtype), np.zeros((1, n), dtype),
+            np.zeros((1, n), dtype) if offsets else None)
+    if offsets or top < last or any(2 * b % d2 for b in mu_base):
+        walk(top, root, 1)
+        return
+    if mu_base[top] % d2 == 0:
+        walk(top - 1, root, 1)  # y_top = 0 leaves the budget and the centres as they are
+    for child in expand(top, *root, positive=True):
+        walk(top - 1, child, 2)
 
 
 def _walk_target(lat: Lattice, mu: Coset, m: Fraction, collect: bool):
@@ -292,6 +314,8 @@ def _walk_target(lat: Lattice, mu: Coset, m: Fraction, collect: bool):
     level-0 leaf of the descent solves the residual c0 t^2 == B_hat exactly
     instead of scanning: B_hat divisible by c0, the quotient a perfect
     square s^2, and t = +-s congruent to the level-0 centre mod delta^2.
+    The count alone carries no offsets, so on a coset with 2 mu in L it
+    comes from the sign-folded half ball (see _descend).
     """
     data = _scaled_data(lat, mu)
     n, delta, l0, _, c_hat, mu_base, q_mu, _ = data
@@ -305,7 +329,7 @@ def _walk_target(lat: Lattice, mu: Coset, m: Fraction, collect: bool):
     found: list[np.ndarray] = []
     count = 0
 
-    def solve(b, cen, off):
+    def solve(b, cen, off, weight):
         nonlocal count
         base = mu_base[0] + cen[:, 0]
         q = b // c0
@@ -319,7 +343,7 @@ def _walk_target(lat: Lattice, mu: Coset, m: Fraction, collect: bool):
                 rows[:, 0] = num[ok] // d2
                 found.append(rows)
             else:
-                count += int(np.count_nonzero(ok))
+                count += weight * int(np.count_nonzero(ok))
 
     _descend(data, int(b_init), solve, 1, collect)
     if not collect:
@@ -334,7 +358,8 @@ def _ball_counts(lat: Lattice, mu: Coset, bound: Fraction) -> list[int]:
 
     The descent expands level 0 as well (the range scan), and the leaf
     buckets the scaled values 2 Q(y) l0 delta^4 onto the grid with
-    np.bincount.
+    np.bincount, times the leaf weight: on a coset with 2 mu in L the walk
+    covers y_top >= 0 only, counting y_top > 0 twice and y_top = 0 once.
     """
     data = _scaled_data(lat, mu)
     _, delta, l0, _, _, _, q_mu, _ = data
@@ -348,9 +373,9 @@ def _ball_counts(lat: Lattice, mu: Coset, bound: Fraction) -> list[int]:
     # every scaled value is q_mu * scale + k * scale, and q_mu * scale < b_init
     top = b_init - int(q_mu * scale)
 
-    def scan(b, cen, off):
+    def scan(b, cen, off, weight):
         k = (top - b) // scale
-        counts[:] += np.bincount(k[k < grid].astype(np.int64), minlength=grid)
+        counts[:] += weight * np.bincount(k[k < grid].astype(np.int64), minlength=grid)
 
     _descend(data, b_init, scan, 0, False)
     return counts.tolist()
@@ -410,7 +435,25 @@ def _shell(lat: Lattice, mu, m):
     return delta, a
 
 
-_CHUNK = 1 << 20  # float64 products per BLAS call, and the most histogram bins
+_CHUNK = 1 << 20  # products per BLAS call, and the most histogram bins
+
+
+def _positive_rows(lat: Lattice, mu, a: np.ndarray):
+    """When -mu = mu mod L, so that x -> -x maps the shell a onto itself, the
+    mask of its rows whose first nonzero entry is positive; otherwise None."""
+    if any((2 * x).denominator != 1 for x in _coset_tuple(lat, mu)):
+        return None
+    return a[np.arange(len(a)), (a != 0).argmax(axis=1)] > 0
+
+
+def _exact_float(bound: int):
+    """float32 when every integer up to ``bound`` is exact in it, else
+    float64 when it is exact there; OverflowError beyond both."""
+    if bound < 2 ** 24:
+        return np.float32
+    if bound < 2 ** 53:
+        return np.float64
+    raise OverflowError("inner products too large for an exact float64 histogram")
 
 
 @lru_cache(maxsize=64)
@@ -420,14 +463,27 @@ def inner_product_histogram(lat: Lattice, mu1: Coset, m1, mu2: Coset, m2):
 
     With the shells as integer rows A1 = delta1*x1 and A2 = delta2*x2, the
     entries of A1 (A2 G)^T are delta1*delta2*(x1, x2).  They are formed by
-    float64 BLAS in row chunks, exactly: OverflowError is raised unless
-    max|A1| * max|A2 G| * rank < 2^53, which keeps every partial sum an exact
-    float64 integer.  Each chunk is counted by np.bincount, offset by the
-    Cauchy-Schwarz bound |(x1, x2)| <= 2 sqrt(m1 m2); a range wider than
-    _CHUNK bins also raises OverflowError, so memory stays bounded.  When
-    -mu2 = mu2 mod L, x2 -> -x2 maps the second shell onto itself: only the
-    rows whose first nonzero entry is positive are multiplied, the bins are
-    folded as bins[v] + bins[-v], and a zero row (m2 = 0) adds len(A1) at 0.
+    BLAS in row chunks, exactly.  Each entry is a sum of ``rank`` integer
+    products, each at most max|A1| * max|A2 G| in absolute value, so every
+    partial sum BLAS forms, in whatever order it adds, is an integer of
+    absolute value at most B = max|A1| * max|A2 G| * rank.  Every integer of
+    absolute value up to 2^24 (2^53) is a float32 (float64), so for B < 2^24
+    the products run in float32 and for B < 2^53 in float64 without a single
+    rounding; beyond that OverflowError is raised.  Each chunk is counted by
+    np.bincount, offset by the Cauchy-Schwarz bound |(x1, x2)| <= 2
+    sqrt(m1 m2); a range wider than _CHUNK bins also raises OverflowError,
+    so memory stays bounded (and value + offset, below 2^20, stays exact).
+
+    Sign folding: when -mu_i = mu_i mod L, x_i -> -x_i maps shell i onto
+    itself, S_i = P_i + (-P_i) + Z_i with P_i the rows whose first nonzero
+    entry is positive and Z_i the zero row (z_i = |Z_i| is 1 when m_i = 0,
+    else 0).  Only the rows R_i (P_i on a folded side, S_i otherwise) are
+    multiplied, giving K(v) = #{(r1, r2) in R1 x R2 : (r1, r2) = v}, and
+
+        H(v) = f (K(v) + K(-v)) + [v = 0] (z1 |S2| + z2 (|S1| - z1))
+
+    with f = 2 when both sides fold and 1 when one does; with neither,
+    H = K.  Both folded, the zero term is 2 z1 |P2| + z2 |S1|.
     """
     d1, a1 = _shell(lat, mu1, m1)
     d2, a2 = _shell(lat, mu2, m2)
@@ -438,27 +494,26 @@ def inner_product_histogram(lat: Lattice, mu1: Coset, m1, mu2: Coset, m2):
     a2g = a2 @ g  # G is symmetric; int64 wraps, so this is exact if it fits
     off = math.isqrt(math.floor(4 * (d1 * d2) ** 2 * m1 * m2))
     # first test: |(x2, e_i)|^2 <= 2 m2 G_ii (Cauchy-Schwarz) keeps A2 G in int64
-    if (
-        2 * m2 * d2 * d2 * int(g.diagonal().max()) >= 2 ** 126
-        or int(np.abs(a1).max()) * int(np.abs(a2g).max()) * lat.rank >= 2 ** 53
-        or 2 * off + 1 > _CHUNK
-    ):
+    if 2 * m2 * d2 * d2 * int(g.diagonal().max()) >= 2 ** 126 or 2 * off + 1 > _CHUNK:
         raise OverflowError("inner products too large for an exact float64 histogram")
-    symmetric = all((2 * x).denominator == 1 for x in _coset_tuple(lat, mu2))
-    if symmetric:
-        positive = a2[np.arange(len(a2)), (a2 != 0).argmax(axis=1)] > 0
-        zero_rows = len(a2) - 2 * int(np.count_nonzero(positive))
-        a2g = a2g[positive]
-    f1, f2 = a1.astype(np.float64), a2g.T.astype(np.float64)
+    dtype = _exact_float(int(np.abs(a1).max()) * int(np.abs(a2g).max()) * lat.rank)
+    p1, p2 = _positive_rows(lat, mu1, a1), _positive_rows(lat, mu2, a2)
+    z1 = 0 if p1 is None else len(a1) - 2 * int(np.count_nonzero(p1))
+    z2 = 0 if p2 is None else len(a2) - 2 * int(np.count_nonzero(p2))
+    r1 = a1 if p1 is None else a1[p1]
+    r2g = a2g if p2 is None else a2g[p2]
+    f1, f2 = r1.astype(dtype), r2g.T.astype(dtype)
     bins = np.zeros(2 * off + 1, dtype=np.int64)
-    step = max(1, _CHUNK // max(1, len(a2g)))
-    for start in range(0, len(a1), step):
+    step = max(1, _CHUNK // max(1, len(r2g)))
+    for start in range(0, len(r1), step):
         w = f1[start : start + step] @ f2
         w += off
         bins += np.bincount(w.astype(np.int64).ravel(), minlength=len(bins))
-    if symmetric:
+    if p1 is not None or p2 is not None:
         bins += bins[::-1]  # numpy buffers the overlapping reversed view
-        bins[off] += zero_rows * len(a1)
+    if p1 is not None and p2 is not None:
+        bins *= 2
+    bins[off] += z1 * len(a2) + z2 * (len(a1) - z1)
     return MappingProxyType(
         {Fraction(int(i) - off, d1 * d2): int(bins[i]) for i in np.flatnonzero(bins)}
     )

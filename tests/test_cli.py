@@ -114,6 +114,12 @@ class TestLatticeCommands:
         result = runner.invoke(main, ["lattice", "info", "--lattice", "Z9"])
         assert result.exit_code == 2
 
+    def test_directory_is_a_named_error(self, runner, tmp_path):
+        result = invoke(runner, ["lattice", "info", "--lattice", str(tmp_path)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: IsADirectoryError: ")
+        assert "Traceback" not in result.output
+
 
 class TestWeilrepCommand:
     def test_matrices(self, runner):
@@ -202,6 +208,29 @@ class TestResultCache:
         key = cache.make_key("heegner", {})
         (tmp_path / f"{key}.json").write_text("not json")
         assert cache.get(key) is None
+
+    def test_cache_dir_that_is_a_file_is_a_named_error(self, runner, tmp_path):
+        path = tmp_path / "not-a-directory"
+        path.write_text("")
+        result = invoke(runner, ["--cache-dir", str(path), "heegner", "--level", "1",
+                                 "--residue", "1", "--disc", "23"])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: FileExistsError: ")
+        assert result.stdout == ""
+
+    def test_failed_store_warns_and_prints_the_result(self, runner, tmp_path, monkeypatch):
+        args = ["heegner", "--level", "1", "--residue", "1", "--disc", "23", "--json"]
+        fresh = invoke(runner, args)
+
+        def full_disk(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.os, "replace", full_disk)
+        result = invoke(runner, ["--cache-dir", str(tmp_path)] + args)
+        assert result.exit_code == 0
+        assert result.stdout == fresh.stdout
+        assert result.stderr.startswith("warning: result not cached: OSError: ")
+        assert list(tmp_path.iterdir()) == []  # the temporary file is gone too
 
     @pytest.mark.parametrize("case", sorted(UNUSABLE_ENTRIES))
     def test_unusable_entry_is_a_miss(self, runner, tmp_path, case):

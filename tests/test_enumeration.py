@@ -21,6 +21,7 @@ from cycletheta.enumeration import (
 from cycletheta.quadlattice import (
     BUILTIN_GRAMS,
     _mat_inv_fraction,
+    direct_sum,
     discriminant_form,
     named_lattice,
     new_lattice,
@@ -303,6 +304,55 @@ class TestGenus2:
         # m2 = 0: the zero vector alone, paired with each of the 2160
         assert dict(inner_product_histogram(e8, zero, 2, zero, 0)) == {0: len(x)}
 
+    # (lattice, coset 1, k1, coset 2, k2, sides that fold): m_i = q(mu_i) + k_i
+    FOLD_CASES = [
+        ("A3", 1, 1, 0, 1, (False, True)),  # 4-torsion against the zero coset
+        ("A3", 0, 1, 1, 1, (True, False)),
+        ("A3", 1, 1, 2, 1, (False, True)),  # 4-torsion against 2-torsion
+        ("A3", 2, 1, 3, 0, (True, False)),
+        ("A3", 0, 0, 0, 2, (True, True)),  # m1 = 0: P1 empty, one zero row
+        ("A3", 0, 2, 0, 0, (True, True)),
+        ("A3", 0, 0, 0, 0, (True, True)),
+        ("A3", 0, 0, 1, 1, (True, False)),
+        ("A3", 3, 2, 0, 0, (False, True)),
+        ("D4", 1, 0, 3, 0, (True, True)),  # cosets with 1/2 entries
+    ]
+
+    @pytest.mark.parametrize("name,i1,k1,i2,k2,folds", FOLD_CASES)
+    def test_sign_fold_matches_direct_pair_count(self, name, i1, k1, i2, k2, folds):
+        lat = named_lattice(name)
+        df = discriminant_form(lat)
+        mu1, mu2 = df.cosets[i1], df.cosets[i2]
+        m1, m2 = df.q_table[mu1] + k1, df.q_table[mu2] + k2
+        v1, v2 = brute_vectors(lat, mu1, m1), brute_vectors(lat, mu2, m2)
+        for mu, m, fold in ((mu1, m1, folds[0]), (mu2, m2, folds[1])):
+            a = enumeration._shell(lat, mu, m)[1]
+            assert (enumeration._positive_rows(lat, mu, a) is not None) == fold
+        self._check_direct(lat, mu1, m1, v1, mu2, m2, v2)
+
+    def test_histogram_float32_guard(self, monkeypatch):
+        # the skewed A1+A1 of the float64 guard test below, at 2^24: B = c^2
+        c = math.isqrt(2 ** 24 - 1) // 2 * 2
+        assert c * c < 2 ** 24 <= (c + 2) ** 2
+        chosen = []
+        exact_float = enumeration._exact_float
+
+        def spy(bound):
+            chosen.append(exact_float(bound))
+            return chosen[-1]
+
+        monkeypatch.setattr(enumeration, "_exact_float", spy)
+        zero = (F(0), F(0))
+        for e in (c, c + 2):
+            lat = new_lattice([[2, e], [e, e * e // 2 + 2]])
+            hist = inner_product_histogram.__wrapped__(lat, zero, 1, zero, 1)
+            assert dict(hist) == {-2: 4, 0: 8, 2: 4}
+        assert chosen == [np.float32, np.float64]
+        assert exact_float(2 ** 24 - 1) is np.float32
+        assert exact_float(2 ** 53 - 1) is np.float64
+        with pytest.raises(OverflowError):
+            exact_float(2 ** 53)
+
     def test_histogram_is_read_only(self):
         zero = (F(0), F(0))
         hist = inner_product_histogram(named_lattice("A2"), zero, 1, zero, 1)
@@ -390,6 +440,44 @@ class TestClassicalFormulas:
                     # compare only where both factors are complete
                     if m < 2:
                         assert c == conv, (lam1, lam2, m)
+
+
+class TestHalvedWalk:
+    """Counting walks fold x -> -x on cosets with 2 mu in L: the leaf sees the
+    y_top > 0 half with weight 2 and the y_top = 0 slice with weight 1."""
+
+    # (lattice, coset, norms checked, leaf weights the descent must use)
+    CASES = [
+        ("D4", (0, 0, F(1, 2), F(1, 2)), 2, {2}),  # top coordinate 1/2: no zero slice
+        ("D4", (0, 0, 0, 0), 2, {1, 2}),  # the zero coset has a zero slice
+        ("A1+A1", (0, F(1, 2)), 4, {2}),
+        ("A1+A1", (F(1, 2), 0), 4, {1, 2}),
+        ("A2", (F(1, 3), F(2, 3)), 4, {1}),  # 3-torsion: the unfolded walk
+    ]
+
+    @pytest.mark.parametrize("name,mu,norms,weights", CASES)
+    def test_counts_match_box_scan(self, monkeypatch, name, mu, norms, weights):
+        a1 = named_lattice("A1")
+        lat = direct_sum(a1, a1) if name == "A1+A1" else named_lattice(name)
+        mu = tuple(F(x) for x in mu)
+        seen = set()
+        descend = enumeration._descend
+
+        def spy(data, b_init, leaf, last, offsets):
+            def recording_leaf(b, cen, off, weight):
+                seen.add(weight)
+                leaf(b, cen, off, weight)
+
+            descend(data, b_init, recording_leaf, last, offsets)
+
+        monkeypatch.setattr(enumeration, "_descend", spy)
+        q = discriminant_form(lat).q_table[mu]
+        brute = [len(brute_vectors(lat, mu, q + k)) for k in range(norms)]
+        assert enumeration._ball_counts(lat, mu, q + norms) == brute
+        assert [rep_number(lat, mu, q + k) for k in range(norms)] == brute
+        assert seen == weights
+        th = theta_qseries.__wrapped__(lat, q + norms)
+        assert [c for _, c in th.component(mu)] == brute
 
 
 class TestFrontierChunks:
