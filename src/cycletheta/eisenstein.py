@@ -1,7 +1,8 @@
 """Fourier coefficients of classical Eisenstein series and p-adic local
 representation densities.
 
-Covers: Hurwitz class numbers H(d) by weighted reduced-form counting (the
+Covers: Hurwitz class numbers H(d) by one sieve over the reduced forms
+(a, b, c), each visited once for the whole range of d it falls in (the
 holomorphic coefficients of the weight-3/2 series; H(0) = -1/12 by the
 orbifold-volume convention), the level-one series E_k, the Cohen numbers
 H(s, N) of weight s + 1/2 (s >= 1, with H(1, N) = H(N) by the class-number
@@ -165,7 +166,7 @@ def _fundamental_decomposition(disc: int) -> tuple[int, int]:
 # Hurwitz class numbers
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def reduced_forms(d: int) -> tuple[tuple[int, int, int], ...]:
     """All reduced positive binary forms (a, b, c), including imprimitive
     ones, with b^2 - 4ac = -d: -a < b <= a <= c, b >= 0 when a = c."""
@@ -187,25 +188,43 @@ def reduced_forms(d: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=None)
+def _six_hurwitz(d_lo: int, d_hi: int) -> list[int]:
+    """[6 H(d) for d_lo <= d <= d_hi], 1 <= d_lo, as exact integers.
+
+    Visits each reduced form (a, b, c) with d_lo <= 4ac - b^2 <= d_hi once:
+    for every a with 3a^2 <= d_hi and -a < b <= a, c steps up from its
+    least admissible value (c >= a, c > a when b < 0), moving d by 4a.  A
+    form adds 6, except the boundary forms a = c: b = 0 (a multiple of
+    x^2 + y^2) adds 3 and b = a (a multiple of x^2 + xy + y^2) adds 2.
+    """
+    six = [0] * (d_hi - d_lo + 1)
+    a = 1
+    while 3 * a * a <= d_hi:
+        step = 4 * a
+        for b in range(1 - a, a + 1):
+            c = max(a + (b < 0), -(-(d_lo + b * b) // step))
+            d = step * c - b * b
+            if c == a and d <= d_hi:
+                six[d - d_lo] += 3 if b == 0 else 2 if b == a else 6
+                d += step
+            for i in range(d - d_lo, d_hi - d_lo + 1, step):
+                six[i] += 6
+        a += 1
+    return six
+
+
+@lru_cache(maxsize=1024)
 def hurwitz(d: int) -> Fraction:
     """Hurwitz class number H(d); H(0) = -1/12, zero unless d = 0, 3 mod 4.
 
     Classes equivalent to a multiple of x^2 + y^2 weigh 1/2, multiples of
-    x^2 + xy + y^2 weigh 1/3, everything else weighs 1."""
+    x^2 + xy + y^2 weigh 1/3, everything else weighs 1 (the sieve of
+    hurwitz_table on the single value d)."""
     if d < 0:
         raise ValueError("d must be >= 0")
     if d == 0:
         return Fraction(-1, 12)
-    total = Fraction(0)
-    for a, b, c in reduced_forms(d):
-        if a == c and b == 0:
-            total += Fraction(1, 2)
-        elif a == b == c:
-            total += Fraction(1, 3)
-        else:
-            total += 1
-    return total
+    return Fraction(_six_hurwitz(d, d)[0], 6)
 
 
 @dataclass(frozen=True)
@@ -223,7 +242,18 @@ class HurwitzTable:
 
 
 def hurwitz_table(d_max: int) -> HurwitzTable:
-    values = {d: hurwitz(d) for d in range(0, d_max + 1) if d % 4 in (0, 3)}
+    """H(d) for every d <= d_max with d = 0, 3 mod 4, and H(0) = -1/12.
+
+    One pass of the reduced-form sieve over [1, d_max] (see hurwitz for the
+    weights 1, 1/2, 1/3) in integers 6 H(d), converted to Fraction once per
+    d at the end: about pi d_max^(3/2) / 18 steps, O(d_max^(3/2)), against
+    O(d_max^2) for one class count per d.  Not cached, since the table's
+    values dict is mutable; each call builds a fresh one."""
+    if d_max < 0:
+        raise ValueError(f"d_max must be >= 0, got {d_max}")
+    six = _six_hurwitz(1, d_max)
+    values = {0: Fraction(-1, 12)}
+    values.update((d, Fraction(six[d - 1], 6)) for d in range(3, d_max + 1) if d % 4 in (0, 3))
     return HurwitzTable(d_max=d_max, values=values)
 
 
@@ -342,7 +372,7 @@ def cohen_number(s: int, n: int) -> Fraction:
     At s = 1 this is the class-number formula H(1, n) = H(n):
     L(0, chi_D) sum_{e | f} mu(e) chi_D(e) sigma_1(f/e) for -n = D f^2, and
     H(1, 0) = zeta(-1) = -1/12.  It shares no code with the reduced-form
-    count in hurwitz()."""
+    sieve behind hurwitz() and hurwitz_table()."""
     if s < 1:
         raise UnsupportedWeight("need s >= 1")
     if n < 0:
@@ -479,7 +509,8 @@ def _lifting_level(p: int) -> int:
 
 def _residue_counts(blocks, p: int, k: int) -> list[int]:
     """#{x mod p^k : Q(x) = r mod p^k} for r = 0..p^k-1, by convolving the
-    value distributions of the Jordan blocks (exact big ints)."""
+    value distributions of the Jordan blocks (exact big ints).  Used at
+    p = 2, k = 3; odd p reads N_1 from _count_mod_p instead."""
     pk = p ** k
     dist = [1] + [0] * (pk - 1)
     for s, coeffs in blocks:
@@ -495,17 +526,45 @@ def _residue_counts(blocks, p: int, k: int) -> list[int]:
     return dist
 
 
+def _count_mod_p(units, r: int, p: int, m: int) -> int:
+    """#{x mod p : f(x) = m mod p} for odd p, in closed form, where f is the
+    scale-0 part of a Jordan splitting: the coefficient tuples ``units`` of
+    total rank r, a nondegenerate form over F_p.  By Lidl and Niederreiter,
+    *Finite Fields*, Thms 6.26 and 6.27, the count is
+
+        p^(r-1) + v(m) p^(r/2 - 1) eta((-1)^(r/2) D)      for r even,
+        p^(r-1) + p^((r-1)/2) eta((-1)^((r-1)/2) m D)     for r odd,
+
+    with v(0) = p - 1, v(m) = -1 otherwise, eta the quadratic character and
+    D the determinant of f up to squares: the product of u over the blocks
+    u x^2 and of 4ac - b^2 over the blocks a x^2 + b xy + c y^2.
+    """
+    if r == 0:
+        return 1 if m % p == 0 else 0
+    disc = 1
+    for c in units:
+        disc *= c[0] if len(c) == 1 else 4 * c[0] * c[2] - c[1] * c[1]
+    if r % 2:
+        return p ** (r - 1) + p ** (r // 2) * kronecker_symbol((-1) ** (r // 2) * m * disc, p)
+    v = p - 1 if m % p == 0 else -1
+    return p ** (r - 1) + v * p ** (r // 2 - 1) * kronecker_symbol((-1) ** (r // 2) * disc, p)
+
+
 def _level_counts(blocks, p: int, m: int, k_max: int) -> list[int]:
     """[N_1, ..., N_kmax] for Q = sum of p^s B over the Jordan blocks, by the
     level recursion described in local_density."""
     lift = _lifting_level(p)
     n = sum(1 if len(c) == 1 else 2 for _, c in blocks)
     n0 = sum(1 if len(c) == 1 else 2 for s, c in blocks if s == 0)
-    dist = _residue_counts(blocks, p, lift)
-    counts = [
-        sum(dist[m % p ** k::p ** k]) // p ** (n * (lift - k))
-        for k in range(1, min(lift, k_max) + 1)
-    ]
+    if p == 2:
+        dist = _residue_counts(blocks, p, lift)
+        counts = [
+            sum(dist[m % p ** k::p ** k]) // p ** (n * (lift - k))
+            for k in range(1, min(lift, k_max) + 1)
+        ]
+    else:
+        units = [c for s, c in blocks if s == 0]
+        counts = [p ** (n - n0) * _count_mod_p(units, n0, p, m)]
     if k_max <= lift:
         return counts
     bad = [0] * k_max  # bad[k - 1]: solutions mod p^k with x_0 = 0 mod p
@@ -553,8 +612,9 @@ def local_density(lat: Lattice, p: int, m: int, max_level: int | None = None) ->
     through a unit 1x1 block u x_i^2 with x_i odd, where for k >= 3 the
     involution x -> x + 2^(k-1) e_i of the solutions mod 2^k swaps
     Q(x) = m and Q(x) = m + 2^k mod 2^(k+1), so half of them lift 2^n-fold.
-    N_k for k <= l is read from the value distribution mod p^l.  A report
-    thus costs O(k0) steps on small integers, whatever p^k0 is.
+    At p = 2, N_k for k <= 3 is read from the value distribution mod 8; at
+    odd p, N_1 is the closed-form count of a form over F_p (_count_mod_p).
+    A report thus costs O(k0) steps on small integers, whatever p^k0 is.
     """
     if not lat.is_positive_definite:
         raise UnsupportedLattice("local densities are computed for positive definite lattices")

@@ -68,6 +68,12 @@ class TestEisensteinCommand:
         result = runner.invoke(main, ["eisenstein", "--series", "ek", "--max", "3"])
         assert result.exit_code == 2
 
+    def test_negative_hurwitz_max_is_a_named_error(self, runner):
+        result = invoke(runner, ["eisenstein", "--series", "hurwitz", "--max", "-1"])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: ValueError: ")
+        assert "H(" not in result.output
+
     def test_weight_2_is_a_computation_error(self, runner):
         result = runner.invoke(main, ["eisenstein", "--series", "ek", "--weight", "2", "--max", "3"])
         assert result.exit_code == 1

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -77,6 +78,57 @@ class TestHurwitz:
         assert "H(0)" in table.convention
 
 
+def form_weight_sum(d):
+    """H(d) from the reduced forms one by one (the sieve's independent oracle)."""
+    return sum(F(1, 2) if a == c and b == 0 else F(1, 3) if a == b == c else F(1)
+               for a, b, c in reduced_forms(d))
+
+
+class TestHurwitzSieve:
+    def test_matches_reduced_forms(self):
+        table = hurwitz_table(3000)
+        assert set(table.values) == {d for d in range(3001) if d % 4 in (0, 3)}
+        for d in range(3, 3001):
+            if d % 4 in (0, 3):
+                assert table.values[d] == form_weight_sum(d), d
+
+    def test_matches_class_number_formula(self):
+        # cohen_number(1, d) counts no forms: an L-value times a divisor sum
+        table = hurwitz_table(1000)
+        for d, h in table.values.items():
+            assert h == cohen_number(1, d), d
+
+    def test_prefix(self):
+        big = hurwitz_table(500).values
+        for m in (0, 1, 2, 3, 4, 7, 8, 99, 100, 499):
+            small = hurwitz_table(m).values
+            assert small == {d: big[d] for d in range(m + 1) if d in big}
+        assert list(big) == sorted(big)
+
+    def test_boundary_weights(self):
+        # only (k, k, k) sits on the boundary at d = 3k^2 (weight 1/3), and
+        # only (k, 0, k) at d = 4k^2 (weight 1/2)
+        table = hurwitz_table(4 * 30 * 30)
+        for k in range(1, 31):
+            assert (table.values[3 * k * k] - F(1, 3)).denominator == 1, k
+            assert (table.values[4 * k * k] - F(1, 2)).denominator == 1, k
+            assert table.values[3 * k * k] == form_weight_sum(3 * k * k) == hurwitz(3 * k * k)
+            assert table.values[4 * k * k] == form_weight_sum(4 * k * k) == hurwitz(4 * k * k)
+        assert [table.values[d] for d in (3, 4, 12, 16, 27)] == [F(1, 3), F(1, 2), F(4, 3),
+                                                                 F(3, 2), F(4, 3)]
+
+    def test_negative_size_is_an_error(self):
+        with pytest.raises(ValueError):
+            hurwitz_table(-1)
+        assert hurwitz_table(0).values == {0: F(-1, 12)}
+
+    def test_large_table_is_fast(self):
+        t0 = time.perf_counter()
+        table = hurwitz_table(20000)
+        assert time.perf_counter() - t0 < 1.0
+        assert table.values[19999] == cohen_number(1, 19999)
+
+
 class TestReducedForms:
     def test_d23(self):
         assert reduced_forms(23) == ((1, 1, 6), (2, -1, 3), (2, 1, 3))
@@ -131,7 +183,7 @@ class TestCohen:
         assert cohen_number(1, 0) == F(-1, 12)
 
     def test_level_one_is_hurwitz(self):
-        # H(1, d) from the class-number formula against reduced-form counting
+        # H(1, d) from the class-number formula against the reduced-form sieve
         for d in range(1, 3001):
             assert cohen_number(1, d) == hurwitz(d), d
 
@@ -310,6 +362,8 @@ MIXED = {
     "[[6,1],[1,6]]": new_lattice([[6, 1], [1, 6]]),
     "[[18,3],[3,18]]": new_lattice([[18, 3], [3, 18]]),
     "[[6,2],[2,10]]": new_lattice([[6, 2], [2, 10]]),
+    "[[2,1],[1,26]]": new_lattice([[2, 1], [1, 26]]),
+    "[[10,1],[1,10]]": new_lattice([[10, 1], [1, 10]]),
 }
 
 
@@ -328,7 +382,8 @@ def even_gram(draw, p):
 
 
 class TestCaches:
-    @pytest.mark.parametrize("fn", [bernoulli, generalized_bernoulli, cohen_number])
+    @pytest.mark.parametrize(
+        "fn", [bernoulli, generalized_bernoulli, cohen_number, hurwitz, reduced_forms])
     def test_number_caches_are_bounded(self, fn):
         assert fn.cache_info().maxsize == 1024
 
@@ -392,6 +447,22 @@ class TestLocalDensity:
         k_conv = max(k for k in range(1, 8) if p ** k <= 128)
         assert level_counts(lat, p, m, k_brute) == brute_density_counts(lat, p, m, k_brute)
         assert level_counts(lat, p, m, k_conv) == convolution_counts(lat, p, m, k_conv)
+
+    @pytest.mark.parametrize("name", ["A2", "A3", "D4", "E8", "[[6,2],[2,10]]", "[[2,1],[1,26]]",
+                                      "[[6,1],[1,6]]", "[[10,1],[1,10]]", "D4(3)"])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_odd_p_closed_form_matches_convolution(self, name, p):
+        # N_1 at odd p comes from the character sum formula, not a table
+        lat = MIXED.get(name) or named_lattice(name)
+        k_max = max(k for k in range(1, 5) if p ** k <= 125)
+        for m in (1, 2, 3, 5, 6, 7, 9, 11, 25, 49, 121):
+            assert level_counts(lat, p, m, k_max) == convolution_counts(lat, p, m, k_max)
+
+    def test_large_odd_prime_is_fast(self):
+        t0 = time.perf_counter()
+        rep = local_density(named_lattice("E8"), 1009, 1009)
+        assert time.perf_counter() - t0 < 0.05
+        assert rep.stabilized == F(1064726746914215548800, 1064726745878753869969)
 
     def test_d4_at_two_exact(self):
         d4 = named_lattice("D4")
