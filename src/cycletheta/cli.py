@@ -21,7 +21,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,17 +29,9 @@ import click
 from . import __version__, eisenstein
 from .heegner import heegner_cycle
 from .quadlattice import BUILTIN_GRAMS, LatticeError, discriminant_form, named_lattice, new_lattice
-from .verify import (
-    SUITE_NAMES,
-    reports_to_json,
-    suite_all,
-    suite_cup_product,
-    suite_siegel_weil,
-    suite_volume_formula,
-    suite_weilrep,
-)
+from .verify import SUITES, reports_to_json
 
-__all__ = ["main", "run", "CacheEntry", "ResultCache"]
+__all__ = ["main", "run", "ResultCache"]
 
 
 def run(argv) -> int:
@@ -81,13 +72,6 @@ def _resolve_lattice(spec: str):
     raise click.UsageError(
         f"--lattice must be one of {sorted(BUILTIN_GRAMS)} or a JSON file with a 'gram' key"
     )
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    key: str
-    payload: dict
-    created_at: float
 
 
 # Payload schema of each cached operation.  Bump an operation's number when
@@ -420,22 +404,13 @@ def density_cmd(ctx, spec, p, m, max_level, as_json):
 
 
 @main.command("verify")
-@click.option("--suite", type=click.Choice(SUITE_NAMES), default="all")
+@click.option("--suite", type=click.Choice(tuple(SUITES)), default="all")
 @click.option("--json", "as_json", is_flag=True)
 def verify_cmd(suite, as_json):
     """Run a reproduction suite; exit code 0 iff every case passes."""
 
     def go():
-        if suite == "volume":
-            reports = [suite_volume_formula()]
-        elif suite == "siegelweil":
-            reports = [suite_siegel_weil()]
-        elif suite == "cup":
-            reports = [suite_cup_product("A2"), suite_cup_product("E8")]
-        elif suite == "weilrep":
-            reports = [suite_weilrep()]
-        else:
-            reports = suite_all()
+        reports = SUITES[suite]()
         if as_json:
             click.echo(reports_to_json(reports))
         else:

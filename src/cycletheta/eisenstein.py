@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .quadlattice import Lattice
+from .quadlattice import Lattice, _block_reduce
 
 __all__ = [
     "UnsupportedWeight",
@@ -448,50 +448,31 @@ def _jordan_blocks(lat: Lattice, p: int, digits: int) -> tuple[tuple[int, tuple[
 
     Each block is (s, coefficients of B mod p^digits): (u,) for the 1x1 form
     u x^2 with u a unit, and (a, b, c) for the 2x2 form a x^2 + b xy + c y^2
-    with b a unit and p | a, c when p is odd.  The pivot is the entry of
-    least valuation, a diagonal one on ties, so a 2x2 block appears when an
-    off-diagonal entry is strictly smaller (always the case for the
-    unimodular part of an even form at p = 2).
+    with b a unit and p | a, c when p is odd.  The blocks are the pivots of
+    _block_reduce under a p-adic rule: the entry of least valuation, a
+    diagonal one on ties, so a 2x2 block appears when an off-diagonal entry
+    is strictly smaller (always the case for the unimodular part of an even
+    form at p = 2).
     """
-    m = [[Fraction(x) for x in row] for row in lat.gram]
 
     def val(x: Fraction) -> int:
-        if x == 0:
-            return 10 ** 9
-        v = 0
-        num, den = x.numerator, x.denominator
-        while num % p == 0:
-            num //= p
-            v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
-        return v
+        return _ordp(x.numerator, p) - _ordp(x.denominator, p) if x else 10 ** 9
+
+    def choose(m, active):
+        pairs = [(i, j) for t, i in enumerate(active) for j in active[t:]]
+        return min(pairs, key=lambda ij: (val(m[ij[0]][ij[1]]), ij[0] != ij[1]))
 
     def block(s: int, *coeffs: Fraction) -> tuple[int, tuple[int, ...]]:
         return s, tuple(_frac_mod(c / p ** s, p ** digits) for c in coeffs)
 
     blocks = []
-    active = list(range(lat.rank))
-    while active:
-        pairs = [(i, j) for t, i in enumerate(active) for j in active[t:]]
-        i0, j0 = min(pairs, key=lambda ij: (val(m[ij[0]][ij[1]]), ij[0] != ij[1]))
-        piv = [i0] if i0 == j0 else [i0, j0]
-        active = [i for i in active if i not in piv]
-        a, b, c = m[i0][i0], m[i0][j0], m[j0][j0]
-        if i0 == j0:
-            blocks.append(block(val(a / 2), a / 2))
-            inv = [[1 / a]]
+    for piv, prow in _block_reduce(lat.gram, choose):
+        if len(piv) == 1:
+            a = prow[0][piv[0]] / 2
+            blocks.append(block(val(a), a))
         else:
-            blocks.append(block(val(b), a / 2, b, c / 2))
-            det = a * c - b * b
-            inv = [[c / det, -b / det], [-b / det, a / det]]
-        # Schur complement: subtract the projection onto the pivot block
-        for i in active:
-            f = [sum(m[i][piv[t]] * inv[t][u] for t in range(len(piv))) for u in range(len(piv))]
-            if any(f):
-                for j in active:
-                    m[i][j] -= sum(f[u] * m[piv[u]][j] for u in range(len(piv)))
+            b = prow[0][piv[1]]
+            blocks.append(block(val(b), prow[0][piv[0]] / 2, b, prow[1][piv[1]] / 2))
     return tuple(blocks)
 
 
@@ -661,14 +642,15 @@ def _pi_power_over_zeta(l: int) -> Fraction:
     return Fraction(2 * math.factorial(l)) / (sign * bernoulli(l) * 2 ** l)
 
 
-def siegel_product(lat: Lattice, m: int, prime_cutoff: int = 2) -> Fraction:
+def siegel_product(lat: Lattice, m: int) -> Fraction:
     """Product-formula prediction of r(m) for an even unimodular lattice.
 
     r(m) = alpha_infinity * prod_p alpha_p with the archimedean density
     (2 pi)^(n/2) m^(n/2 - 1) / Gamma(n/2) (det = 1); densities are counted
-    honestly for p <= prime_cutoff and p | 2m, and the unramified tail is
-    folded into 1/zeta(n/2) exactly.  Refuses anything that is not even
-    unimodular (positive definite, det 1, rank divisible by 8)."""
+    honestly for p | 2m, and the tail over the other primes, where
+    alpha_p = 1 - p^(-n/2), is folded into 1/zeta(n/2) exactly.  Refuses
+    anything that is not even unimodular (positive definite, det 1, rank
+    divisible by 8)."""
     if not lat.is_positive_definite or lat.det != 1 or lat.rank % 8:
         raise UnsupportedLattice(
             "siegel_product supports even unimodular lattices only (det 1, rank = 0 mod 8)"
@@ -686,7 +668,6 @@ def siegel_product(lat: Lattice, m: int, prime_cutoff: int = 2) -> Fraction:
         f += 1
     if x > 1:
         primes.add(x)
-    primes.update(p for p in range(2, prime_cutoff + 1) if _is_prime(p))
     base = Fraction(2 ** l) * Fraction(m) ** (l - 1) / math.factorial(l - 1)
     result = base * _pi_power_over_zeta(l)
     for p in sorted(primes):

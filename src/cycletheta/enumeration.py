@@ -44,7 +44,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .quadlattice import Coset, Lattice, _mat_inv_fraction, discriminant_form
+from .quadlattice import (Coset, Lattice, _block_reduce, _mat_inv_fraction, _rational_pivot,
+                          discriminant_form)
 
 __all__ = [
     "NotPositiveDefinite",
@@ -142,23 +143,19 @@ def _require_positive_definite(lat: Lattice):
 @lru_cache(maxsize=256)
 def _square_completion(lat: Lattice):
     """Exact decomposition 2*Q(y) = sum_i d_i (y_i + sum_{j>i} u_ij y_j)^2,
-    with the diagonal of the inverse Gram matrix."""
+    with the diagonal of the inverse Gram matrix.  d_i and u_ij are read
+    from the pivot rows of _block_reduce under the rational rule, whose
+    pivots on a positive-definite lattice are diagonal, positive and in
+    index order; anything else raises NotPositiveDefinite."""
     n = lat.rank
-    m = [[Fraction(x) for x in row] for row in lat.gram]
-    ds: list[Fraction] = []
-    us = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d = m[i][i]
-        if d <= 0:
-            raise NotPositiveDefinite("square completion hit a nonpositive pivot")
-        ds.append(d)
-        for j in range(i + 1, n):
-            us[i][j] = m[i][j] / d
-        for r in range(i + 1, n):
-            for s in range(i + 1, n):
-                m[r][s] -= m[r][i] * m[i][s] / d
+    steps = _block_reduce(lat.gram, _rational_pivot)
+    ds = tuple(prow[0][piv[0]] for piv, prow in steps)
+    if [piv for piv, _ in steps] != [(i,) for i in range(n)] or min(ds) <= 0:
+        raise NotPositiveDefinite("square completion hit a nonpositive pivot")
+    us = tuple(tuple(prow[0][j] / ds[i] if j > i else Fraction(0) for j in range(n))
+               for i, (_, prow) in enumerate(steps))
     g_inv = _mat_inv_fraction(lat.gram)
-    return tuple(ds), tuple(tuple(row) for row in us), tuple(g_inv[i][i] for i in range(n))
+    return ds, us, tuple(g_inv[i][i] for i in range(n))
 
 
 @lru_cache(maxsize=256)

@@ -1,10 +1,11 @@
 """Integral even quadratic lattices, their duals, and discriminant forms.
 
 All structural data is exact: Gram matrices are Python integers, coset
-representatives are tuples of fractions.Fraction, and the signature is
-computed by congruence diagonalization over the rationals (no eigenvalues,
-no floating point).  The only float-valued function in this module is
-gauss_sum, which serves as the numeric side of the signature oracle
+representatives are tuples of fractions.Fraction, and determinant and
+signature come from _block_reduce, the one block LDL^T reduction over Q
+that also serves square completion and the p-adic Jordan splitting (no
+eigenvalues, no floating point).  The only float-valued function here is
+gauss_sum, the numeric side of the signature oracle
 |sum e(Q(x))| = sqrt(|D|) * e(sig/8).
 """
 
@@ -26,7 +27,6 @@ __all__ = [
     "new_lattice",
     "named_lattice",
     "direct_sum",
-    "rescale",
     "discriminant_form",
     "disc_b",
     "gauss_sum",
@@ -82,82 +82,53 @@ class Lattice:
         return self.bilinear(x, x) / 2
 
 
-def _det_bareiss(m: list[list[int]]) -> int:
-    """Exact integer determinant (fraction-free Gaussian elimination)."""
-    a = [row[:] for row in m]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
+def _block_reduce(gram, choose) -> list[tuple[tuple[int, ...], list[list[Fraction]]]]:
+    """Block LDL^T of a symmetric matrix by Schur complements over Q.
 
-
-def _inertia(gram: GramMatrix) -> tuple[int, int]:
-    """Signature (p, q) by exact symmetric congruence reduction over Q."""
-    n = len(gram)
+    ``choose(m, active)`` picks the next pivot (i, j) of the working matrix
+    m: 1x1 on m[i][i] when i == j, else 2x2 on {i, j} (nonsingular).
+    Returns one (pivot indices, pivot rows as they stand at that step) per
+    step; stops when every remaining entry is 0, so fewer than len(gram)
+    pivoted indices means the matrix is singular.
+    """
     m = [[Fraction(x) for x in row] for row in gram]
-    pos = neg = 0
-    for t in range(n):
-        if m[t][t] == 0:
-            # bring a nonzero entry to the pivot position
-            piv = next((i for i in range(t, n) if m[i][i] != 0), None)
-            if piv is not None:
-                m[t], m[piv] = m[piv], m[t]
-                for row in m:
-                    row[t], row[piv] = row[piv], row[t]
-            else:
-                off = next(
-                    ((i, j) for i in range(t, n) for j in range(i + 1, n) if m[i][j] != 0),
-                    None,
-                )
-                if off is None:
-                    break  # remaining block is zero
-                i, j = off
-                if i != t:
-                    m[t], m[i] = m[i], m[t]
-                    for row in m:
-                        row[t], row[i] = row[i], row[t]
-                    j = t if j == t else j
-                # zero diagonal block: e_t += e_j creates 2*m[t][j] on the diagonal
-                for s in range(n):
-                    m[t][s] += m[j][s]
-                for row in m:
-                    row[t] += row[j]
-        p = m[t][t]
-        if p == 0:
-            continue
-        if p > 0:
-            pos += 1
+    active = list(range(len(m)))
+    steps = []
+    while any(m[i][j] for i in active for j in active):
+        i0, j0 = choose(m, active)
+        piv = (i0,) if i0 == j0 else (i0, j0)
+        active = [i for i in active if i not in piv]
+        a, b, c = m[i0][i0], m[i0][j0], m[j0][j0]
+        if i0 == j0:
+            inv = [[1 / a]]
         else:
-            neg += 1
-        for i in range(t + 1, n):
-            f = m[i][t] / p
-            if f:
-                for s in range(t, n):
-                    m[i][s] -= f * m[t][s]
-        for i in range(t + 1, n):
-            m[t][i] = Fraction(0)
-            m[i][t] = Fraction(0)
-    return pos, neg
+            det = a * c - b * b
+            inv = [[c / det, -b / det], [-b / det, a / det]]
+        for i in active:
+            f = [sum(m[i][p] * inv[t][u] for t, p in enumerate(piv)) for u in range(len(piv))]
+            if any(f):
+                for j in active:
+                    m[i][j] -= sum(fu * m[p][j] for fu, p in zip(f, piv))
+        steps.append((piv, [m[p] for p in piv]))
+    return steps
+
+
+def _rational_pivot(m, active) -> tuple[int, int]:
+    """The first nonzero diagonal entry in index order; only if there is
+    none, the first nonzero off-diagonal one (a zero-diagonal 2x2 pivot)."""
+    for i in active:
+        if m[i][i]:
+            return i, i
+    return next((i, j) for i in active for j in active if m[i][j])
 
 
 def new_lattice(gram) -> Lattice:
     """Validate a square integer Gram matrix and build a Lattice.
 
-    Raises NotSymmetric / NotEven / Degenerate naming the violated
-    invariant.
+    det and signature come from one _block_reduce pass: the product of the
+    pivot-block determinants and the signs of the 1x1 pivots (a 2x2 pivot,
+    zero diagonal, adds (1, 1)).  Raises NotSymmetric / NotEven /
+    Degenerate naming the violated invariant.
     """
     rows = [tuple(int(x) for x in row) for row in gram]
     n = len(rows)
@@ -170,12 +141,18 @@ def new_lattice(gram) -> Lattice:
     for i in range(n):
         if rows[i][i] % 2 != 0:
             raise NotEven(f"diagonal entry gram[{i}][{i}] = {rows[i][i]} is odd")
-    det = _det_bareiss([list(r) for r in rows])
-    if det == 0:
+    steps = _block_reduce(rows, _rational_pivot)
+    if sum(len(piv) for piv, _ in steps) < n:
         raise Degenerate("gram is singular")
-    sig = _inertia(tuple(rows))
-    assert sig[0] + sig[1] == n
-    return Lattice(gram=tuple(rows), rank=n, signature=sig, det=det)
+    det, pos = Fraction(1), 0
+    for piv, prow in steps:
+        if len(piv) == 2:  # zero diagonal: one positive and one negative square
+            det *= -prow[0][piv[1]] ** 2
+            pos += 1
+        else:
+            det *= prow[0][piv[0]]
+            pos += prow[0][piv[0]] > 0
+    return Lattice(gram=tuple(rows), rank=n, signature=(pos, n - pos), det=int(det))
 
 
 # Standard even lattices used throughout the test corpus and the CLI.
@@ -219,11 +196,6 @@ def direct_sum(*lats: Lattice) -> Lattice:
                 gram[off + i][off + j] = l.gram[i][j]
         off += l.rank
     return new_lattice(gram)
-
-
-def rescale(lat: Lattice, c: int) -> Lattice:
-    """The lattice L(c) with Gram matrix c * gram (c must keep it even)."""
-    return new_lattice([[c * x for x in row] for row in lat.gram])
 
 
 def smith_normal_form(a) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:

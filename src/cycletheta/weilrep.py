@@ -276,17 +276,6 @@ class WeilRepMatrix:
             out.append(line)
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "word": self.generator_word,
-            "root_order": self.root_order,
-            "size": self.size,
-            "entries_exact": self.entry_strings(),
-            "entries_approx": [
-                [[z.real, z.imag] for z in row] for row in self.to_complex()
-            ],
-        }
-
 
 @lru_cache(maxsize=256)
 def _root_order(df: DiscriminantForm) -> int:

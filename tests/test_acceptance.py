@@ -15,7 +15,7 @@ from cycletheta.eisenstein import hurwitz, sigma, siegel_product
 from cycletheta.enumeration import rep_number, rep_number_genus2
 from cycletheta.heegner import heegner_cycle, orbit_cross_check
 from cycletheta.quadlattice import direct_sum, discriminant_form, gauss_sum, named_lattice
-from cycletheta.verify import reports_to_json, suite_all
+from cycletheta.verify import SUITES, reports_to_json
 from cycletheta.weilrep import theta_transform_check, verify_relations
 
 
@@ -167,6 +167,6 @@ def test_criterion_8_determinism():
 
 
 def test_full_verify_suite_green():
-    reports = suite_all()
+    reports = SUITES["all"]()
     assert all(r.passed for r in reports)
     assert reports_to_json(reports)  # serializes cleanly

@@ -527,6 +527,9 @@ class TestSiegelProduct:
             classical = 24 * sum(d for d in range(1, m + 1, 2) if m % d == 0)
             assert rep_number(d4, None, m) == product == classical, m
 
-    def test_higher_cutoff_unchanged(self):
+    def test_unramified_density_is_the_folded_factor(self):
+        # siegel_product folds every p not dividing 2m into 1/zeta(4) on
+        # the assumption alpha_p(E8, m) = 1 - p^-4 there.
         e8 = named_lattice("E8")
-        assert siegel_product(e8, 3, prime_cutoff=7) == siegel_product(e8, 3)
+        for p in (5, 7):
+            assert local_density(e8, p, 3).stabilized == 1 - F(1, p ** 4)

@@ -539,6 +539,25 @@ class TestWalkerProperty:
                 assert c == rep_number(lat, lam, e), (lam, e)
 
 
+class TestSquareCompletion:
+    @settings(max_examples=40, deadline=None)
+    @given(skewed_even_gram(), st.lists(st.integers(-6, 6), min_size=4, max_size=4))
+    def test_reproduces_the_form(self, gram, y):
+        # 2 Q(y) = sum_i d_i (y_i + sum_{j>i} u_ij y_j)^2 exactly, d_i > 0
+        lat = new_lattice(gram)
+        n = lat.rank
+        y = y[:n]
+        ds, us, _ = enumeration._square_completion(lat)
+        completed = sum(ds[i] * (y[i] + sum(us[i][j] * y[j] for j in range(i + 1, n))) ** 2
+                        for i in range(n))
+        assert all(d > 0 for d in ds)
+        assert completed == 2 * lat.quadratic(y)
+
+    def test_refuses_indefinite(self):
+        with pytest.raises(NotPositiveDefinite):
+            enumeration._square_completion(named_lattice("U"))
+
+
 @st.composite
 def small_posdef(draw):
     pool = ["A1", "A2", "A3", "D4"]

@@ -226,6 +226,73 @@ class TestProperties:
         assert disc_b(df, lam, mu) == disc_b(df, mu, lam)
 
 
+def _cofactor_det(g) -> int:
+    """Integer determinant by cofactor expansion along the first row."""
+    if not g:
+        return 1
+    return sum((-1) ** j * g[0][j] * _cofactor_det([row[:j] + row[j + 1:] for row in g[1:]])
+               for j in range(len(g)) if g[0][j])
+
+
+def _char_poly(g) -> list[F]:
+    """Coefficients c_0..c_n of det(x I - G), by Faddeev-LeVerrier over Q."""
+    n = len(g)
+    c = [F(0)] * n + [F(1)]
+    m = [[F(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(g[i][t] * m[t][j] for t in range(n)) + (c[n - k + 1] if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        c[n - k] = -sum(g[i][t] * m[t][i] for i in range(n) for t in range(n)) / k
+    return c
+
+
+def _sign_changes(coeffs) -> int:
+    signs = [x > 0 for x in coeffs if x]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+@st.composite
+def even_symmetric_matrices(draw):
+    """Even symmetric integer matrices of size 1-6: a direct sum of copies of
+    U and a random block whose diagonal may be all zero, in a random basis;
+    indefinite and singular ones included."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    h = draw(st.integers(min_value=0, max_value=n // 2))
+    zero_diagonal = draw(st.booleans())
+    small = st.integers(min_value=-3, max_value=3)
+    g = [[0] * n for _ in range(n)]
+    for k in range(h):
+        g[2 * k][2 * k + 1] = g[2 * k + 1][2 * k] = 1
+    for i in range(2 * h, n):
+        g[i][i] = 0 if zero_diagonal else 2 * draw(small)
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(small)
+    b = [[1 if i == j else draw(st.sampled_from([-1, 0, 1])) if j > i else 0 for j in range(n)]
+         for i in range(n)]
+    if draw(st.booleans()):
+        b = b[::-1]
+    return [[sum(b[k][i] * g[k][l] * b[l][j] for k in range(n) for l in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+class TestBlockReduction:
+    @settings(max_examples=150, deadline=None)
+    @given(even_symmetric_matrices())
+    def test_det_and_signature_against_independent_routes(self, g):
+        det = _cofactor_det(g)
+        if det == 0:
+            with pytest.raises(Degenerate):
+                new_lattice(g)
+            return
+        lat = new_lattice(g)
+        c = _char_poly(g)
+        # all roots are real, so Descartes' rule counts them exactly
+        positive = _sign_changes(c)
+        negative = _sign_changes([(-1) ** k * x for k, x in enumerate(c)])
+        assert lat.det == det
+        assert lat.signature == (positive, negative)
+
+
 class TestSmith:
     def test_uav_equals_s(self):
         for name in CORPUS:

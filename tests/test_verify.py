@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 from cycletheta.verify import (
     Case,
     VerificationReport,
@@ -68,3 +71,14 @@ class TestReportSemantics:
         lines = rep.text_lines()
         assert lines[0].startswith("suite siegelweil:")
         assert all("[ok ]" in line for line in lines[1:])
+
+
+def test_verify_all_json_bytes_are_pinned(fresh_python):
+    """`verify --suite all --json` in a fresh process matches the sha256 and
+    length the benchmark checks (perfbench/workloads.py, loaded read-only)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    proc = fresh_python("-m", "cycletheta", *workloads.VERIFY_ARGS)
+    assert workloads.check_verify_output(proc.returncode, proc.stdout.encode()) is None, proc.stderr
