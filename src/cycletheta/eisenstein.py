@@ -315,6 +315,8 @@ def eisenstein_k(k: int, truncation: int) -> ScalarQSeries:
         raise UnsupportedWeight("E_2 is not modular (non-holomorphic completion only)")
     if k < 4 or k % 2:
         raise UnsupportedWeight(f"weight {k} is not supported (even k >= 4)")
+    if truncation < 0:
+        raise ValueError(f"truncation must be >= 0, got {truncation}")
     factor = Fraction(-2 * k) / bernoulli(k)
     coeffs = [(0, Fraction(1))]
     for n in range(1, truncation):
@@ -399,6 +401,8 @@ def cohen_number(s: int, n: int) -> Fraction:
 
 
 def cohen(s: int, truncation: int) -> ScalarQSeries:
+    if truncation < 0:
+        raise ValueError(f"truncation must be >= 0, got {truncation}")
     coeffs = tuple((n, cohen_number(s, n)) for n in range(truncation))
     return ScalarQSeries(
         name=f"H_{s}+1/2",

@@ -405,6 +405,8 @@ def theta_qseries(lat: Lattice, truncation) -> VectorValuedQSeries:
     """
     _require_positive_definite(lat)
     bound = Fraction(truncation)
+    if bound < 0:
+        raise ValueError(f"truncation must be >= 0, got {bound}")
     df = discriminant_form(lat)
     components: dict[Coset, tuple[tuple[Fraction, int], ...]] = {}
     for lam in df.cosets:
@@ -432,7 +434,8 @@ def _shell(lat: Lattice, mu, m):
     return delta, a
 
 
-_CHUNK = 1 << 20  # products per BLAS call, and the most histogram bins
+_CHUNK = 1 << 20  # BLAS entries per call, and the most histogram bins 2 off + 1
+_TABLE = 1 << 17  # the most bins nb^k of a digit-packed bincount table
 
 
 def _positive_rows(lat: Lattice, mu, a: np.ndarray):
@@ -466,10 +469,27 @@ def inner_product_histogram(lat: Lattice, mu1: Coset, m1, mu2: Coset, m2):
     absolute value at most B = max|A1| * max|A2 G| * rank.  Every integer of
     absolute value up to 2^24 (2^53) is a float32 (float64), so for B < 2^24
     the products run in float32 and for B < 2^53 in float64 without a single
-    rounding; beyond that OverflowError is raised.  Each chunk is counted by
-    np.bincount, offset by the Cauchy-Schwarz bound |(x1, x2)| <= 2
-    sqrt(m1 m2); a range wider than _CHUNK bins also raises OverflowError,
-    so memory stays bounded (and value + offset, below 2^20, stays exact).
+    rounding; beyond that OverflowError is raised.  The values lie within
+    the Cauchy-Schwarz bound off = isqrt(4 delta1^2 delta2^2 m1 m2), so
+    they fall in nb = 2 off + 1 bins; more than _CHUNK bins also raises
+    OverflowError, so memory stays bounded.
+
+    Digit packing: each float32 entry carries k values as base-nb digits.
+    The columns of (R2 G)^T (R_i below) are split into k groups Y_0..Y_{k-1}
+    of ceil(|R2| / k) columns, the last one padded with npad zero columns,
+    and R1 is multiplied by Yp = sum_j nb^j Y_j (built in int64).  An entry
+    of Yp is at most W max|A2 G| with W = (nb^k - 1) / (nb - 1), so every
+    partial sum is an integer of absolute value at most B W.  Adding off W
+    puts each digit v_j + off in [0, nb) and the entry in [0, nb^k).  Hence
+    with B W + nb^k < 2^24 the packed product, the offset and the entry are
+    exact float32 integers, and one np.bincount per chunk of at most _CHUNK
+    entries fills a table of nb^k bins.  Each digit's counts are the axis
+    sum of the (nb,)*k reshaped table over the other digits; their total
+    counts each padding column once per row of R1 at v = 0, so npad |R1| is
+    subtracted from bin off.  k is the largest with nb^k <= _TABLE (2^17)
+    and B W + nb^k < 2^24, and k = 1 when nb = 1 or k = 2 fails; k = 1 is
+    the plain product, in float32 or float64 as above, where each entry
+    value + off lies in [0, nb) with nb <= 2^20 and so stays exact.
 
     Sign folding: when -mu_i = mu_i mod L, x_i -> -x_i maps shell i onto
     itself, S_i = P_i + (-P_i) + Z_i with P_i the rows whose first nonzero
@@ -493,19 +513,32 @@ def inner_product_histogram(lat: Lattice, mu1: Coset, m1, mu2: Coset, m2):
     # first test: |(x2, e_i)|^2 <= 2 m2 G_ii (Cauchy-Schwarz) keeps A2 G in int64
     if 2 * m2 * d2 * d2 * int(g.diagonal().max()) >= 2 ** 126 or 2 * off + 1 > _CHUNK:
         raise OverflowError("inner products too large for an exact float64 histogram")
-    dtype = _exact_float(int(np.abs(a1).max()) * int(np.abs(a2g).max()) * lat.rank)
+    bound = int(np.abs(a1).max()) * int(np.abs(a2g).max()) * lat.rank
+    dtype = _exact_float(bound)
     p1, p2 = _positive_rows(lat, mu1, a1), _positive_rows(lat, mu2, a2)
     z1 = 0 if p1 is None else len(a1) - 2 * int(np.count_nonzero(p1))
     z2 = 0 if p2 is None else len(a2) - 2 * int(np.count_nonzero(p2))
     r1 = a1 if p1 is None else a1[p1]
     r2g = a2g if p2 is None else a2g[p2]
-    f1, f2 = r1.astype(dtype), r2g.T.astype(dtype)
-    bins = np.zeros(2 * off + 1, dtype=np.int64)
-    step = max(1, _CHUNK // max(1, len(r2g)))
+    nb, k = 2 * off + 1, 1  # k: base-nb digits per product entry
+    while nb > 1 and (size := nb ** (k + 1)) <= _TABLE and (
+        bound * (size - 1) // (nb - 1) + size < 2 ** 24
+    ):
+        k += 1
+    cols = -(-len(r2g) // k)
+    npad = k * cols - len(r2g)
+    y = np.pad(r2g, ((0, npad), (0, 0))).reshape(k, cols, lat.rank)
+    f1, f2 = r1.astype(dtype), np.tensordot(nb ** np.arange(k), y, 1).T.astype(dtype)
+    table = np.zeros(nb ** k, dtype=np.int64)
+    step = max(1, _CHUNK // max(1, cols))
     for start in range(0, len(r1), step):
         w = f1[start : start + step] @ f2
-        w += off
-        bins += np.bincount(w.astype(np.int64).ravel(), minlength=len(bins))
+        w += (nb ** k - 1) // 2  # off W: off in every digit
+        w = w.astype(np.int64).ravel()  # frees the float32 chunk before counting
+        table += np.bincount(w, minlength=len(table))
+    digits = table.reshape((nb,) * k)
+    bins = sum(digits.sum(axis=tuple(i for i in range(k) if i != j)) for j in range(k))
+    bins[off] -= npad * len(r1)
     if p1 is not None or p2 is not None:
         bins += bins[::-1]  # numpy buffers the overlapping reversed view
     if p1 is not None and p2 is not None:

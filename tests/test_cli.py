@@ -74,6 +74,18 @@ class TestEisensteinCommand:
         assert result.stderr.startswith("error: ValueError: ")
         assert "H(" not in result.output
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--series", "ek", "--weight", "4", "--max", "-2"],
+         ["--series", "cohen", "--weight", "2", "--max", "-1"]],
+        ids=["ek", "cohen"],
+    )
+    def test_negative_max_is_a_named_error(self, runner, args):
+        result = invoke(runner, ["eisenstein", *args])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: ValueError: truncation must be >= 0, got ")
+        assert result.stdout == ""
+
     def test_weight_2_is_a_computation_error(self, runner):
         result = runner.invoke(main, ["eisenstein", "--series", "ek", "--weight", "2", "--max", "3"])
         assert result.exit_code == 1
@@ -95,6 +107,16 @@ class TestThetaCommand:
         )
         payload = json.loads(result.output)
         assert payload["truncation"] == "5/2"
+
+    def test_negative_max_is_a_named_error(self, runner, tmp_path):
+        result = invoke(
+            runner,
+            ["--cache-dir", str(tmp_path), "theta", "--lattice", "A2", "--max", "-1", "--json"],
+        )
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: ValueError: truncation must be >= 0, got -1")
+        assert result.stdout == ""
+        assert not list(tmp_path.iterdir())
 
     def test_indefinite_is_error(self, runner, tmp_path):
         result = runner.invoke(

@@ -330,6 +330,40 @@ class TestGenus2:
             assert (enumeration._positive_rows(lat, mu, a) is not None) == fold
         self._check_direct(lat, mu1, m1, v1, mu2, m2, v2)
 
+    # (lattice, coset 1, k1, coset 2, k2, digits k per float32 entry)
+    PACKED_CASES = [
+        ("A2", 0, 1, 0, 1, 7),  # both sides folded; the 3 rows of R2 G padded to 7
+        ("D4", 0, 1, 0, 2, 7),  # both sides folded; 12 rows padded to 14
+        ("A2", 1, 0, 1, 0, 4),  # 3-torsion, unfolded; 3 rows padded to 4
+        ("A2", 1, 1, 2, 1, 3),  # 3-torsion, unfolded; no padding
+        ("A3", 3, 2, 0, 0, 1),  # m2 = 0: the single bin forces k = 1
+        ("D4", 1, 1, 3, 1, 3),  # cosets with 1/2 entries; 16 rows padded to 18
+    ]
+
+    @pytest.mark.parametrize("name,i1,k1,i2,k2,k", PACKED_CASES)
+    def test_packed_digits_match_direct_pair_count(self, monkeypatch, name, i1, k1, i2, k2, k):
+        lat = named_lattice(name)
+        df = discriminant_form(lat)
+        mu1, mu2 = df.cosets[i1], df.cosets[i2]
+        m1, m2 = df.q_table[mu1] + k1, df.q_table[mu2] + k2
+        v1, v2 = brute_vectors(lat, mu1, m1), brute_vectors(lat, mu2, m2)
+        d1, d2 = enumeration._shell(lat, mu1, m1)[0], enumeration._shell(lat, mu2, m2)[0]
+        nb = 2 * math.isqrt(math.floor(4 * (d1 * d2) ** 2 * m1 * m2)) + 1
+        tables = []
+        bincount = np.bincount
+
+        def spy(*args, **kwargs):
+            out = bincount(*args, **kwargs)
+            tables.append(len(out))
+            return out
+
+        monkeypatch.setattr(np, "bincount", spy)
+        hist = inner_product_histogram.__wrapped__(lat, mu1, m1, mu2, m2)
+        monkeypatch.undo()
+        assert tables and set(tables) == {nb ** k}
+        assert nb ** k <= 2 ** 17
+        assert dict(hist) == dict(Counter(lat.bilinear(x, y) for x in v1 for y in v2))
+
     def test_histogram_float32_guard(self, monkeypatch):
         # the skewed A1+A1 of the float64 guard test below, at 2^24: B = c^2
         c = math.isqrt(2 ** 24 - 1) // 2 * 2
