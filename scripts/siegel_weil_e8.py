@@ -7,7 +7,7 @@ import argparse
 import sys
 import time
 
-from cycletheta.eisenstein import local_density, siegel_product, sigma
+from cycletheta.eisenstein import _factorize, local_density, siegel_product, sigma
 from cycletheta.enumeration import rep_number
 from cycletheta.quadlattice import named_lattice
 
@@ -31,18 +31,13 @@ def main():
         mismatches += bool(flag)
         print(f"{m:>3} {count:>12} {str(pred):>12} {classical:>12}{flag}")
         if args.show_densities:
-            primes = sorted({2, *(p for p in range(2, 2 * m + 1) if m % p == 0 and _is_prime(p))})
-            for p in primes:
+            for p, _e in _factorize(2 * m):
                 rep = local_density(e8, p, m)
                 print(f"      alpha_{p}({m}) = {rep.stabilized}")
     print(f"\ndone in {time.time() - t0:.1f}s")
     if mismatches:
         print(f"{mismatches} mismatch(es)")
     return 1 if mismatches else 0
-
-
-def _is_prime(p):
-    return p > 1 and all(p % f for f in range(2, int(p ** 0.5) + 1))
 
 
 if __name__ == "__main__":

@@ -21,6 +21,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .eisenstein import _factorize, kronecker_symbol
+
 __all__ = ["Cyc", "cyclotomic_poly", "root_exponent", "sqrt_as_cyclotomic", "root_order_for"]
 
 
@@ -188,55 +190,39 @@ class Cyc:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
 @lru_cache(maxsize=256)
 def sqrt_as_cyclotomic(d: int, n: int) -> Cyc:
     """The positive real square root of d >= 1 as an element of Q(zeta_n).
 
     Requires 8 | n and p | n for every odd prime p dividing the squarefree
-    part of d.  The construction goes through quadratic Gauss sums and the
-    result is verified exactly (its square equals d).  Its coefficients are
-    integers.
+    part of d.  With d = prod p^e, the result is prod p^(e//2) times one
+    factor sqrt(p) for each p with e odd: zeta_8 + zeta_8^-1 for p = 2, and
+    for odd p the quadratic Gauss sum sum_a (a/p) zeta_p^a, divided by i
+    when p = 3 mod 4.  It is verified exactly (its square equals d), and
+    its coefficients are integers.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    square = 1
-    d0 = d
-    f = 2
-    while f * f <= d0:
-        while d0 % (f * f) == 0:
-            d0 //= f * f
-            square *= f
-        f += 1
-    result = Cyc.from_rational(n, square)
-    rem = d0
-    p = 2
-    while rem > 1:
-        if rem % p == 0:
-            rem //= p
-            if p == 2:
-                if n % 8:
-                    raise ValueError("need 8 | n for sqrt(2)")
-                g = Cyc.root(n, n // 8) + Cyc.root(n, -n // 8)
-            else:
-                if n % p:
-                    raise ValueError(f"need {p} | n for sqrt({p})")
-                g = Cyc.zero(n)
-                for a in range(1, p):
-                    s = _legendre(a, p)
-                    term = Cyc.root(n, a * (n // p))
-                    g = g + term if s == 1 else g - term
-                if p % 4 == 3:
-                    # g = i*sqrt(p); divide by i
-                    g = g * Cyc.root(n, -(n // 4))
-            result = result * g
-        p += 1 if p == 2 else 2
+    factors = _factorize(d)
+    result = Cyc.from_rational(n, math.prod(p ** (e // 2) for p, e in factors))
+    for p, e in factors:
+        if e % 2 == 0:
+            continue
+        if p == 2:
+            if n % 8:
+                raise ValueError("need 8 | n for sqrt(2)")
+            g = Cyc.root(n, n // 8) + Cyc.root(n, -n // 8)
+        else:
+            if n % p:
+                raise ValueError(f"need {p} | n for sqrt({p})")
+            g = Cyc.zero(n)
+            for a in range(1, p):
+                term = Cyc.root(n, a * (n // p))
+                g = g + term if kronecker_symbol(a, p) == 1 else g - term
+            if p % 4 == 3:
+                # g = i*sqrt(p); divide by i
+                g = g * Cyc.root(n, -(n // 4))
+        result = result * g
     if result * result != Cyc.from_rational(n, d):
         raise ArithmeticError(f"sqrt({d}) construction failed in Q(zeta_{n})")
     if result.to_complex().real < 0:
@@ -245,20 +231,8 @@ def sqrt_as_cyclotomic(d: int, n: int) -> Cyc:
 
 
 def root_order_for(level: int, disc_order: int) -> int:
-    """A cyclotomic order N containing e(1/level), e(1/8), and sqrt(disc_order)."""
-    n = math.lcm(level, 8)
-    d0 = disc_order
-    f = 2
-    while f * f <= d0:
-        while d0 % (f * f) == 0:
-            d0 //= f * f
-        f += 1
-    while d0 % 2 == 0:
-        d0 //= 2  # sqrt(2) already lives in Q(zeta_8)
-    p = 3
-    while d0 > 1:
-        while d0 % p == 0:
-            d0 //= p
-            n = math.lcm(n, p)
-        p += 2
-    return n
+    """A cyclotomic order N containing e(1/level), e(1/8), and sqrt(disc_order):
+    the lcm of level, 8 and the odd primes of odd exponent in disc_order, as
+    sqrt(p) lies in Q(zeta_p) for p = 1 mod 4 and in Q(zeta_4p) otherwise."""
+    # sqrt(2) already lives in Q(zeta_8)
+    return math.lcm(level, 8, *(p for p, e in _factorize(disc_order) if p > 2 and e % 2))

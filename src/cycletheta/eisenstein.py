@@ -76,44 +76,31 @@ def bernoulli(n: int) -> Fraction:
     return -acc / (n + 1)
 
 
-def sigma(k: int, n: int) -> int:
-    """Divisor power sum sigma_k(n) = sum_{d | n} d^k, 0 for n < 1.
+def _factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime factorisation of n >= 1 as (p, e) pairs, p increasing, by
+    trial division up to sqrt(n)."""
+    if n < 1:
+        raise ValueError(f"cannot factorise {n}")
+    out, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
 
-    Multiplicative: the product over p^e || n of 1 + p^k + ... + p^(ke),
-    with n factorised by trial division up to sqrt(n).
-    """
+
+def sigma(k: int, n: int) -> int:
+    """Divisor power sum sigma_k(n) = sum_{d | n} d^k, 0 for n < 1: the
+    product over p^e || n of 1 + p^k + ... + p^(ke)."""
     if n < 1:
         return 0
-    total, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            pk, term, acc = p ** k, 1, 1
-            while n % p == 0:
-                n //= p
-                term *= pk
-                acc += term
-            total *= acc
-        p += 1
-    if n > 1:
-        total *= 1 + n ** k
-    return total
-
-
-def mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    res = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            res = -res
-        p += 1
-    if n > 1:
-        res = -res
-    return res
+    return math.prod(sum(p ** (k * i) for i in range(e + 1)) for p, e in _factorize(n))
 
 
 def kronecker_symbol(d: int, n: int) -> int:
@@ -149,17 +136,15 @@ def kronecker_symbol(d: int, n: int) -> int:
 
 def _fundamental_decomposition(disc: int) -> tuple[int, int]:
     """disc = D0 * f^2 with D0 a fundamental discriminant (or 1)."""
-    if disc % 4 not in (0, 1):
+    if disc == 0 or disc % 4 not in (0, 1):
         raise ValueError("not a discriminant")
-    d = disc
-    f = 1
-    g = 2
-    while g * g <= abs(d):
-        while d % (g * g) == 0 and (d // (g * g)) % 4 in (0, 1):
-            d //= g * g
-            f *= g
-        g += 1
-    return d, f
+    core, f = (1 if disc > 0 else -1), 1
+    for p, e in _factorize(abs(disc)):
+        core *= p ** (e % 2)
+        f *= p ** (e // 2)
+    if core % 4 != 1:  # then f is even, as disc = core f^2 = 0 mod 4
+        return 4 * core, f // 2
+    return core, f
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +356,13 @@ COHEN_CONVENTION = (
 def cohen_number(s: int, n: int) -> Fraction:
     """The Cohen number H(s, n) (weight s + 1/2 Eisenstein coefficients).
 
-    At s = 1 this is the class-number formula H(1, n) = H(n):
-    L(0, chi_D) sum_{e | f} mu(e) chi_D(e) sigma_1(f/e) for -n = D f^2, and
-    H(1, 0) = zeta(-1) = -1/12.  It shares no code with the reduced-form
-    sieve behind hurwitz() and hurwitz_table()."""
+    For (-1)^s n = D f^2 with D fundamental, H(s, n) = L(1-s, chi_D) times
+    sum_{d | f} mu(d) chi_D(d) d^(s-1) sigma_(2s-1)(f/d).  That sum is
+    multiplicative in f, so it is computed as the product over p^e || f of
+    sigma_(2s-1)(p^e) - chi_D(p) p^(s-1) sigma_(2s-1)(p^(e-1)).  At s = 1
+    this is the class-number formula H(1, n) = H(n), and H(1, 0) = zeta(-1)
+    = -1/12.  It shares no code with the reduced-form sieve behind hurwitz()
+    and hurwitz_table()."""
     if s < 1:
         raise UnsupportedWeight("need s >= 1")
     if n < 0:
@@ -385,19 +373,11 @@ def cohen_number(s: int, n: int) -> Fraction:
     if disc % 4 not in (0, 1):
         return Fraction(0)
     d0, f = _fundamental_decomposition(disc)
-    lval = _l_value_nonpositive(s, d0)
-    acc = Fraction(0)
-    for d in range(1, f + 1):
-        if f % d:
-            continue
-        mu = mobius(d)
-        if mu == 0:
-            continue
-        ch = kronecker_symbol(d0, d)
-        if ch == 0:
-            continue
-        acc += mu * ch * d ** (s - 1) * sigma(2 * s - 1, f // d)
-    return lval * acc
+    return _l_value_nonpositive(s, d0) * math.prod(
+        sigma(2 * s - 1, p ** e)
+        - kronecker_symbol(d0, p) * p ** (s - 1) * sigma(2 * s - 1, p ** (e - 1))
+        for p, e in _factorize(f)
+    )
 
 
 def cohen(s: int, truncation: int) -> ScalarQSeries:
@@ -562,15 +542,6 @@ def _level_counts(blocks, p: int, m: int, k_max: int) -> list[int]:
     ]
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for f in range(2, math.isqrt(p) + 1):
-        if p % f == 0:
-            return False
-    return True
-
-
 def local_density(lat: Lattice, p: int, m: int, max_level: int | None = None) -> LocalDensityReport:
     """Normalized counts p^(-k(n-1)) N_k, N_k = #{x mod p^k : Q(x) = m mod p^k}.
 
@@ -603,7 +574,7 @@ def local_density(lat: Lattice, p: int, m: int, max_level: int | None = None) ->
     """
     if not lat.is_positive_definite:
         raise UnsupportedLattice("local densities are computed for positive definite lattices")
-    if not _is_prime(p):
+    if p < 2 or _factorize(p) != ((p, 1),):
         raise ValueError(f"{p} is not prime")
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -662,19 +633,9 @@ def siegel_product(lat: Lattice, m: int) -> Fraction:
     if m < 1:
         raise ValueError("m must be >= 1")
     l = lat.rank // 2
-    primes = set()
-    x = 2 * m
-    f = 2
-    while f * f <= x:
-        while x % f == 0:
-            primes.add(f)
-            x //= f
-        f += 1
-    if x > 1:
-        primes.add(x)
     base = Fraction(2 ** l) * Fraction(m) ** (l - 1) / math.factorial(l - 1)
     result = base * _pi_power_over_zeta(l)
-    for p in sorted(primes):
+    for p, _e in _factorize(2 * m):
         alpha = local_density(lat, p, m).stabilized
         result *= alpha / (1 - Fraction(1, p ** l))
     return result

@@ -486,8 +486,9 @@ def inner_product_histogram(lat: Lattice, mu1: Coset, m1, mu2: Coset, m2):
     entries fills a table of nb^k bins.  Each digit's counts are the axis
     sum of the (nb,)*k reshaped table over the other digits; their total
     counts each padding column once per row of R1 at v = 0, so npad |R1| is
-    subtracted from bin off.  k is the largest with nb^k <= _TABLE (2^17)
-    and B W + nb^k < 2^24, and k = 1 when nb = 1 or k = 2 fails; k = 1 is
+    subtracted from bin off.  k is the largest with nb^k <= _TABLE (2^17),
+    nb^k <= |R1| |R2| (so a tiny histogram does not fill a large table) and
+    B W + nb^k < 2^24, and k = 1 when nb = 1 or k = 2 fails; k = 1 is
     the plain product, in float32 or float64 as above, where each entry
     value + off lies in [0, nb) with nb <= 2^20 and so stays exact.
 
@@ -521,7 +522,7 @@ def inner_product_histogram(lat: Lattice, mu1: Coset, m1, mu2: Coset, m2):
     r1 = a1 if p1 is None else a1[p1]
     r2g = a2g if p2 is None else a2g[p2]
     nb, k = 2 * off + 1, 1  # k: base-nb digits per product entry
-    while nb > 1 and (size := nb ** (k + 1)) <= _TABLE and (
+    while nb > 1 and (size := nb ** (k + 1)) <= min(_TABLE, len(r1) * len(r2g)) and (
         bound * (size - 1) // (nb - 1) + size < 2 ** 24
     ):
         k += 1

@@ -204,27 +204,27 @@ def _canonical_key(t: tuple[int, int, int]):
 # exact SL2(Z) reduction, automorphs, and Gamma_0(N) transporters
 
 
+def _mul2(m1, m2):
+    """The product m1 m2 of 2x2 integer matrices."""
+    (a, b), (c, d) = m1
+    (p, q), (r, s) = m2
+    return ((a * p + b * r, a * q + b * s), (c * p + d * r, c * q + d * s))
+
+
 def _reduce_sl2(t: tuple[int, int, int]):
     """Reduce a positive form; returns (reduced_triple, g) with form.g = reduced,
     where the action is y -> transpose(g) y g on Gram matrices."""
     a, b, c = t
     g = ((1, 0), (0, 1))
-
-    def mul(m1, m2):
-        return (
-            (m1[0][0] * m2[0][0] + m1[0][1] * m2[1][0], m1[0][0] * m2[0][1] + m1[0][1] * m2[1][1]),
-            (m1[1][0] * m2[0][0] + m1[1][1] * m2[1][0], m1[1][0] * m2[0][1] + m1[1][1] * m2[1][1]),
-        )
-
     while True:
         if not (-a < b <= a):
             k = (a - b) // (2 * a)
             a, b, c = _move_t((a, b, c), k)
-            g = mul(g, ((1, k), (0, 1)))
+            g = _mul2(g, ((1, k), (0, 1)))
             continue
         if a > c or (a == c and b < 0):
             a, b, c = c, -b, a
-            g = mul(g, ((0, -1), (1, 0)))
+            g = _mul2(g, ((0, -1), (1, 0)))
             continue
         return (a, b, c), g
 
@@ -262,18 +262,7 @@ def _transporters(t1, t2):
     # invert g2 (det 1)
     (p, q), (r, s) = g2
     g2_inv = ((s, -q), (-r, p))
-    out = []
-    for aut in _automorphs(r1):
-        m1 = (
-            (g1[0][0] * aut[0][0] + g1[0][1] * aut[1][0], g1[0][0] * aut[0][1] + g1[0][1] * aut[1][1]),
-            (g1[1][0] * aut[0][0] + g1[1][1] * aut[1][0], g1[1][0] * aut[0][1] + g1[1][1] * aut[1][1]),
-        )
-        g = (
-            (m1[0][0] * g2_inv[0][0] + m1[0][1] * g2_inv[1][0], m1[0][0] * g2_inv[0][1] + m1[0][1] * g2_inv[1][1]),
-            (m1[1][0] * g2_inv[0][0] + m1[1][1] * g2_inv[1][0], m1[1][0] * g2_inv[0][1] + m1[1][1] * g2_inv[1][1]),
-        )
-        out.append(g)
-    return out
+    return [_mul2(_mul2(g1, aut), g2_inv) for aut in _automorphs(r1)]
 
 
 def gamma0_equivalent(t1, t2, n: int) -> bool:
@@ -433,16 +422,6 @@ def heegner_cycle(n: int, r: int, d: int) -> HeegnerCycle:
 # independent route: trace-zero matrices under conjugation
 
 
-def _mat_move(x, g_inv, g):
-    """g^-1 x g for 2x2 integer matrices."""
-    (a, b), (c, d) = x
-    (p, q), (r, s) = g_inv
-    y = ((p * a + q * c, p * b + q * d), (r * a + s * c, r * b + s * d))
-    (a, b), (c, d) = y
-    (p, q), (r, s) = g
-    return ((a * p + b * r, a * q + b * s), (c * p + d * r, c * q + d * s))
-
-
 _T = ((1, 1), (0, 1))
 _T_INV = ((1, -1), (0, 1))
 
@@ -509,7 +488,7 @@ def orbit_cross_check(n: int, r: int, d: int, raise_on_mismatch: bool = True) ->
             for x in s:
                 for g, g_inv in ((_T, _T_INV), (gen_l, gen_l_inv)):
                     for gg, gg_inv in ((g, g_inv), (g_inv, g)):
-                        img = _mat_move(x, gg_inv, gg)
+                        img = _mul2(_mul2(gg_inv, x), gg)
                         if img in s:
                             uf.union(x, img)
             classes = list(uf.classes().values())

@@ -128,9 +128,17 @@ def new_lattice(gram) -> Lattice:
     det and signature come from one _block_reduce pass: the product of the
     pivot-block determinants and the signs of the 1x1 pivots (a 2x2 pivot,
     zero diagonal, adds (1, 1)).  Raises NotSymmetric / NotEven /
-    Degenerate naming the violated invariant.
+    Degenerate naming the violated invariant, and LatticeError for a gram
+    that is not a list of rows of integers.
     """
-    rows = [tuple(int(x) for x in row) for row in gram]
+    try:
+        rows = [tuple(int(x) for x in row) for row in gram]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise LatticeError(f"gram must be a list of rows of integers ({exc})") from None
+    for i, row in enumerate(gram):
+        for j, x in enumerate(row):
+            if x != rows[i][j]:
+                raise LatticeError(f"gram[{i}][{j}] = {x!r} is not an integer")
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise LatticeError("gram must be a nonempty square matrix")
@@ -339,11 +347,7 @@ class DiscriminantForm:
         self.cosets: tuple[Coset, ...] = tuple(sorted(cosets))
         self._index = {c: i for i, c in enumerate(self.cosets)}
 
-        gram = lat.gram
-        q_table = {}
-        for lam in self.cosets:
-            val = sum(lam[i] * gram[i][j] * lam[j] for i in range(n) for j in range(n))
-            q_table[lam] = (val / 2) % 1
+        q_table = {lam: lat.quadratic(lam) % 1 for lam in self.cosets}
         self.q_table: dict[Coset, Fraction] = q_table
 
         self.level = math.lcm(1, *(q.denominator for q in q_table.values()))
@@ -373,10 +377,7 @@ class DiscriminantForm:
 
     def b(self, lam: Coset, mu: Coset) -> Fraction:
         """Bilinear form b(lam, mu) = Q(lam+mu) - Q(lam) - Q(mu) mod 1."""
-        gram = self._lat.gram
-        n = self._lat.rank
-        val = sum(lam[i] * gram[i][j] * mu[j] for i in range(n) for j in range(n))
-        return val % 1
+        return self._lat.bilinear(lam, mu) % 1
 
     def coset_label(self, lam: Coset) -> str:
         return "(" + ",".join(str(x) for x in lam) + ")"

@@ -138,6 +138,26 @@ class TestLatticeCommands:
         payload = json.loads(result.output)
         assert payload["det"] == 3
 
+    @pytest.mark.parametrize(
+        "gram,message",
+        [
+            ([[2, 1.5], [1.5, 2]], "gram[0][1] = 1.5 is not an integer"),
+            ([[2, "1"], ["1", 2]], "gram[0][1] = '1' is not an integer"),
+            (5, "gram must be a list of rows of integers"),
+            ([5, 6], "gram must be a list of rows of integers"),
+            ([[2, None], [None, 2]], "gram must be a list of rows of integers"),
+        ],
+        ids=["fraction", "string", "scalar", "flat-list", "null"],
+    )
+    def test_malformed_gram_is_a_named_error(self, runner, tmp_path, gram, message):
+        gram_file = tmp_path / "gram.json"
+        gram_file.write_text(json.dumps({"gram": gram}))
+        result = invoke(runner, ["lattice", "info", "--lattice", str(gram_file)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"error: LatticeError: {message}")
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.output
+
     def test_unknown_name(self, runner):
         result = runner.invoke(main, ["lattice", "info", "--lattice", "Z9"])
         assert result.exit_code == 2

@@ -1,13 +1,17 @@
+import math
 import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cycletheta.cyclotomic import root_order_for, sqrt_as_cyclotomic
 from cycletheta.eisenstein import (
     NotStabilized,
     UnsupportedLattice,
     UnsupportedWeight,
+    _factorize,
+    _fundamental_decomposition,
     _jordan_blocks,
     _level_counts,
     _lifting_level,
@@ -209,6 +213,31 @@ class TestCohen:
                 if ((-1) ** s * n) % 4 in (2, 3):
                     assert cohen_number(s, n) == 0, (s, n)
 
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_multiplicative_sum_matches_mobius_sum(self, s):
+        # the O(f) divisor sum over mu(d) chi_D(d) d^(s-1) sigma_(2s-1)(f/d),
+        # with mu by trial division, as an oracle for the product over p^e || f
+        def mu(d):
+            sign = 1
+            for q in range(2, d + 1):
+                if d % q == 0:
+                    d //= q
+                    if d % q == 0:
+                        return 0
+                    sign = -sign
+            return sign
+
+        fundamentals = [-3, -4, -7, -8, -15, -20] if s % 2 else [1, 5, 8, 12, 13]
+        for d0 in fundamentals:
+            lval = -(generalized_bernoulli(s, d0) if d0 != 1 else bernoulli(s)) / s
+            for f in [1, 8, 9, 30, 60, 105, 180, 210, 1155, 2310]:
+                oracle = lval * sum(
+                    mu(d) * kronecker_symbol(d0, d) * d ** (s - 1) * sigma(2 * s - 1, f // d)
+                    for d in range(1, f + 1)
+                    if f % d == 0
+                )
+                assert cohen_number(s, abs(d0) * f * f) == oracle, (s, d0, f)
+
     def test_series_metadata(self):
         qs = cohen(2, 5)
         assert "convention" in qs.metadata
@@ -222,8 +251,6 @@ class TestCohen:
         # independent check of L(1-s, chi_D): compute L(s, chi_D) from Hurwitz
         # zeta values and reflect with the completed functional equation
         import mpmath as mp
-
-        from cycletheta.eisenstein import _fundamental_decomposition
 
         disc = n if s % 2 == 0 else -n
         if disc % 4 not in (0, 1):
@@ -277,7 +304,82 @@ class TestKronecker:
                     ) * kronecker_symbol(d, n)
 
 
+def _prime_oracle(p):
+    return p > 1 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
+def _squarefree_oracle(n):
+    return all(n % (q * q) for q in range(2, math.isqrt(n) + 1))
+
+
+class TestFactorize:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10 ** 9))
+    def test_product_primes_and_order(self, n):
+        factors = _factorize(n)
+        assert math.prod(p ** e for p, e in factors) == n
+        assert all(_prime_oracle(p) and e >= 1 for p, e in factors)
+        primes = [p for p, _ in factors]
+        assert primes == sorted(set(primes))
+
+    def test_small_values(self):
+        assert _factorize(1) == ()
+        assert _factorize(2) == ((2, 1),)
+        assert _factorize(360) == ((2, 3), (3, 2), (5, 1))
+        assert _factorize(2 ** 31 - 1) == ((2 ** 31 - 1, 1),)
+        assert _factorize(99991 * 99991) == ((99991, 2),)
+
+    @pytest.mark.parametrize("n", [0, -1, -12])
+    def test_rejects_nonpositive(self, n):
+        with pytest.raises(ValueError):
+            _factorize(n)
+
+
+class TestFundamentalDecomposition:
+    def test_all_small_discriminants(self):
+        # D0 is 1 or fundamental: D0 = 1 mod 4 squarefree, or D0 = 4 m with
+        # m = 2, 3 mod 4 squarefree
+        for disc in range(-5000, 5001):
+            if disc == 0 or disc % 4 not in (0, 1):
+                continue
+            d0, f = _fundamental_decomposition(disc)
+            assert d0 * f * f == disc and f >= 1, disc
+            if d0 % 4 == 1:
+                assert _squarefree_oracle(abs(d0)), disc
+            else:
+                assert d0 % 4 == 0 and (d0 // 4) % 4 in (2, 3), disc
+                assert _squarefree_oracle(abs(d0 // 4)), disc
+
+    @pytest.mark.parametrize("disc", [0, 2, 3, -1, -2, 6, -5])
+    def test_rejects_non_discriminants(self, disc):
+        with pytest.raises(ValueError, match="not a discriminant"):
+            _fundamental_decomposition(disc)
+
+
+class TestRootOrder:
+    def test_matches_brute_squarefree_part(self):
+        for order in range(1, 300):
+            core = next(c for c in range(1, order + 1)
+                        if order % c == 0 and math.isqrt(order // c) ** 2 == order // c)
+            odd = [p for p in range(3, core + 1) if core % p == 0 and _prime_oracle(p)]
+            for level in range(1, 30):
+                assert root_order_for(level, order) == math.lcm(level, 8, *odd), (level, order)
+
+    def test_sqrt_lives_in_the_field(self):
+        for order in range(1, 60):
+            n = root_order_for(1, order)
+            root = sqrt_as_cyclotomic(order, n)
+            assert abs(root.to_complex() - math.sqrt(order)) < 1e-9
+
+
 class TestSigma:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6), st.integers(1, 10 ** 6))
+    def test_matches_brute_divisor_sum(self, k, n):
+        small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+        divisors = set(small) | {n // d for d in small}
+        assert sigma(k, n) == sum(d ** k for d in divisors)
+
     def test_matches_divisor_sum(self):
         n_max = 2000
         divisors = [[] for _ in range(n_max + 1)]

@@ -330,19 +330,21 @@ class TestGenus2:
             assert (enumeration._positive_rows(lat, mu, a) is not None) == fold
         self._check_direct(lat, mu1, m1, v1, mu2, m2, v2)
 
-    # (lattice, coset 1, k1, coset 2, k2, digits k per float32 entry)
+    # (lattice, coset 1, k1, coset 2, k2, digits k per float32 entry); the
+    # table nb^k stays within |R1| |R2| products, and "+" is a direct sum
     PACKED_CASES = [
-        ("A2", 0, 1, 0, 1, 7),  # both sides folded; the 3 rows of R2 G padded to 7
-        ("D4", 0, 1, 0, 2, 7),  # both sides folded; 12 rows padded to 14
-        ("A2", 1, 0, 1, 0, 4),  # 3-torsion, unfolded; 3 rows padded to 4
-        ("A2", 1, 1, 2, 1, 3),  # 3-torsion, unfolded; no padding
+        ("A2", 0, 1, 0, 1, 1),  # both sides folded; 3 x 3 products < 25 bins
+        ("D4", 0, 1, 0, 2, 3),  # both sides folded; 12 rows in 3 groups of 4
+        ("A2", 1, 0, 1, 0, 1),  # 3-torsion, unfolded; 3 x 3 products < 13^2 bins
+        ("A2", 1, 1, 2, 1, 1),  # 3-torsion, unfolded; 3 x 3 products < 49^2 bins
         ("A3", 3, 2, 0, 0, 1),  # m2 = 0: the single bin forces k = 1
-        ("D4", 1, 1, 3, 1, 3),  # cosets with 1/2 entries; 16 rows padded to 18
+        ("D4", 1, 1, 3, 1, 1),  # cosets with 1/2 entries; 16 x 16 products < 25^2 bins
+        ("A1+A3", 0, 1, 0, 2, 2),  # both sides folded; 15 rows padded to 16
     ]
 
     @pytest.mark.parametrize("name,i1,k1,i2,k2,k", PACKED_CASES)
     def test_packed_digits_match_direct_pair_count(self, monkeypatch, name, i1, k1, i2, k2, k):
-        lat = named_lattice(name)
+        lat = direct_sum(*map(named_lattice, name.split("+")))
         df = discriminant_form(lat)
         mu1, mu2 = df.cosets[i1], df.cosets[i2]
         m1, m2 = df.q_table[mu1] + k1, df.q_table[mu2] + k2

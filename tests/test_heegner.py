@@ -245,7 +245,7 @@ class TestMatrixRouteEquivariance:
     def test_conjugation_matches_form_action(self):
         # the bijection [a,b,c] <-> [[b, 2c], [-2a, -b]] intertwines the
         # form action y -> g^t y g with conjugation x -> g^-1 x g
-        from cycletheta.heegner import _T, _T_INV, _mat_move, _move_l, _move_t
+        from cycletheta.heegner import _T, _T_INV, _move_l, _move_t, _mul2
 
         def to_x(t):
             a, b, c = t
@@ -255,8 +255,8 @@ class TestMatrixRouteEquivariance:
         gen_l = ((1, 0), (n, 1))
         gen_l_inv = ((1, 0), (-n, 1))
         for t in [(3, 1, 2), (6, 5, 2), (3, -5, 4), (9, 7, 2)]:
-            assert _mat_move(to_x(t), _T_INV, _T) == to_x(_move_t(t, 1))
-            assert _mat_move(to_x(t), gen_l_inv, gen_l) == to_x(_move_l(t, n, 1))
+            assert _mul2(_mul2(_T_INV, to_x(t)), _T) == to_x(_move_t(t, 1))
+            assert _mul2(_mul2(gen_l_inv, to_x(t)), gen_l) == to_x(_move_l(t, n, 1))
 
 
 class TestBinaryForm:
