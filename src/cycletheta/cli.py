@@ -83,10 +83,9 @@ _SCHEMAS = {"heegner": 1, "density": 1, "theta": 1}
 class ResultCache:
     """Content-addressed JSON store; a version or schema bump invalidates by key."""
 
-    def __init__(self, directory: Path | None):
+    def __init__(self, directory: Path):
         self.directory = directory
-        if directory is not None:
-            directory.mkdir(parents=True, exist_ok=True)
+        directory.mkdir(parents=True, exist_ok=True)
 
     @staticmethod
     def make_key(operation: str, inputs: dict) -> str:
@@ -105,8 +104,6 @@ class ResultCache:
         """The payload stored under ``key``, or None for a miss.  A missing,
         unreadable or malformed entry, or one filed under another key, is a
         miss, so the caller recomputes and overwrites it."""
-        if self.directory is None:
-            return None
         try:
             with open(self.directory / f"{key}.json", encoding="utf-8") as fh:
                 entry = json.load(fh)
@@ -118,8 +115,6 @@ class ResultCache:
         return payload if isinstance(payload, dict) else None
 
     def put(self, key: str, payload: dict) -> None:
-        if self.directory is None:
-            return
         entry = {"key": key, "payload": payload, "created_at": time.time()}
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
@@ -161,17 +156,36 @@ def _cache_from_ctx(ctx) -> ResultCache:
 LIBRARY_ERRORS = (LatticeError, ValueError, ArithmeticError, RuntimeError)
 
 
-def _run_guarded(fn):
-    try:
-        return fn()
-    except click.ClickException:
-        raise
-    except (*LIBRARY_ERRORS, OSError) as exc:  # OSError: an unreadable --lattice, a bad --cache-dir
-        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-        sys.exit(1)
+class _Guarded(click.Group):
+    """The CLI's one error boundary: a library error or an OSError (an
+    unreadable --lattice, a bad --cache-dir) in any command prints one
+    ``error: <Type>: <message>`` line on stderr and exits 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        # click's Exit (--help) and Abort are RuntimeErrors too
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except (*LIBRARY_ERRORS, OSError) as exc:
+            click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(1)
 
 
-@click.group()
+def _show(payload: dict, as_json: bool, lines) -> None:
+    """Print ``payload`` as sorted, indented JSON, or else the text ``lines``
+    (an iterable, consumed only in text mode)."""
+    if as_json:
+        click.echo(json.dumps(payload, sort_keys=True, indent=2))
+    else:
+        for line in lines:
+            click.echo(line)
+
+
+_json_option = click.option("--json", "as_json", is_flag=True)
+
+
+@click.group(cls=_Guarded)
 @click.option("--cache-dir", type=click.Path(path_type=Path), default=None,
               help="Result cache directory (default: $CYCLETHETA_CACHE or OS cache dir).")
 @click.pass_context
@@ -189,148 +203,121 @@ def lattice():
 
 @lattice.command("info")
 @click.option("--lattice", "spec", required=True, help="Built-in name or JSON Gram file.")
-@click.option("--json", "as_json", is_flag=True)
+@_json_option
 def lattice_info(spec, as_json):
     """Rank, signature, determinant, and discriminant form data."""
-
-    def go():
-        lat = _resolve_lattice(spec)
-        df = discriminant_form(lat)
-        payload = {
-            "gram": [list(r) for r in lat.gram],
-            "rank": lat.rank,
-            "signature": list(lat.signature),
-            "det": lat.det,
-            "discriminant_form": {
-                "order": df.order,
-                "sig8": df.sig8,
-                "level": df.level,
-                "generators": [
-                    {"coset": [str(x) for x in vec], "order": d}
-                    for vec, d in df.generators
-                ],
-                "q_table": {
-                    df.coset_label(lam): str(df.q_table[lam]) for lam in df.cosets
-                },
+    lat = _resolve_lattice(spec)
+    df = discriminant_form(lat)
+    payload = {
+        "gram": [list(r) for r in lat.gram],
+        "rank": lat.rank,
+        "signature": list(lat.signature),
+        "det": lat.det,
+        "discriminant_form": {
+            "order": df.order,
+            "sig8": df.sig8,
+            "level": df.level,
+            "generators": [
+                {"coset": [str(x) for x in vec], "order": d}
+                for vec, d in df.generators
+            ],
+            "q_table": {
+                df.coset_label(lam): str(df.q_table[lam]) for lam in df.cosets
             },
-        }
-        if as_json:
-            click.echo(json.dumps(payload, sort_keys=True, indent=2))
-            return
-        click.echo(f"rank {lat.rank}, signature {lat.signature}, det {lat.det}")
-        click.echo(f"|L'/L| = {df.order}, sig8 = {df.sig8}, level = {df.level}")
-        for lam in df.cosets:
-            click.echo(f"  Q{df.coset_label(lam)} = {df.q_table[lam]}")
-
-    _run_guarded(go)
+        },
+    }
+    _show(payload, as_json, [
+        f"rank {lat.rank}, signature {lat.signature}, det {lat.det}",
+        f"|L'/L| = {df.order}, sig8 = {df.sig8}, level = {df.level}",
+        *(f"  Q{df.coset_label(lam)} = {df.q_table[lam]}" for lam in df.cosets),
+    ])
 
 
 @main.command("theta")
 @click.option("--lattice", "spec", required=True)
 @click.option("--max", "truncation", required=True, help="Truncation bound (integer or p/q).")
-@click.option("--json", "as_json", is_flag=True)
+@_json_option
 @click.pass_context
 def theta_cmd(ctx, spec, truncation, as_json):
     """Coset theta series of a positive definite lattice below --max."""
+    lat = _resolve_lattice(spec)
+    bound = _parse_rational(truncation)
+    cache = _cache_from_ctx(ctx)
 
-    def go():
-        lat = _resolve_lattice(spec)
-        bound = _parse_rational(truncation)
-        cache = _cache_from_ctx(ctx)
+    def compute():
+        from .enumeration import theta_qseries
 
-        def compute():
-            from .enumeration import theta_qseries
+        return theta_qseries(lat, bound).to_json_dict()
 
-            return theta_qseries(lat, bound).to_json_dict()
-
-        payload = cache.fetch_or_compute(
-            "theta",
-            {"gram": [list(r) for r in lat.gram], "truncation": str(bound)},
-            compute,
-        )
-        if as_json:
-            click.echo(json.dumps(payload, sort_keys=True, indent=2))
-            return
-        for coset, pairs in sorted(payload["components"].items()):
-            terms = [f"{c}*q^({e})" for e, c in pairs if c != "0"]
-            click.echo(f"coset={coset}: " + (" + ".join(terms) if terms else "0"))
-
-    _run_guarded(go)
+    payload = cache.fetch_or_compute(
+        "theta",
+        {"gram": [list(r) for r in lat.gram], "truncation": str(bound)},
+        compute,
+    )
+    lines = []
+    for coset, pairs in sorted(payload["components"].items()):
+        terms = [f"{c}*q^({e})" for e, c in pairs if c != "0"]
+        lines.append(f"coset={coset}: " + (" + ".join(terms) if terms else "0"))
+    _show(payload, as_json, lines)
 
 
 @main.command("weilrep")
 @click.option("--lattice", "spec", required=True)
 @click.option("--word", default=None, help="Generator word over S, T (lowercase or ^-1 inverts).")
-@click.option("--json", "as_json", is_flag=True)
+@_json_option
 def weilrep_cmd(spec, word, as_json):
     """Weil representation generator matrices (exact and floating)."""
     from .weilrep import rho_S, rho_T, rho_word, verify_relations
 
-    def go():
-        lat = _resolve_lattice(spec)
-        df = discriminant_form(lat)
-        if word is not None:
-            mats = {word: rho_word(df, word)}
-        else:
-            mats = {"S": rho_S(df), "T": rho_T(df)}
-        relations = verify_relations(df, raise_on_failure=False)
-        payload = {
-            "order": df.order,
-            "sig8": df.sig8,
-            "relations_pass": relations.all_pass,
-            "matrices": {
-                w: {
-                    "exact": m.entry_strings(),
-                    "approx": [[[z.real, z.imag] for z in row] for row in m.to_complex()],
-                }
-                for w, m in mats.items()
-            },
-        }
-        if as_json:
-            click.echo(json.dumps(payload, sort_keys=True, indent=2))
-            return
-        for w, m in mats.items():
-            click.echo(f"rho({w}) on {df.order} cosets:")
-            approx = m.to_complex()
-            for row, row_c in zip(m.entry_strings(), approx):
-                click.echo("  [" + ", ".join(row) + "]")
-                click.echo(
-                    "    approx ["
-                    + ", ".join(f"{z.real:+.6f}{z.imag:+.6f}i" for z in row_c)
-                    + "]"
-                )
-        click.echo(f"relations: {'pass' if relations.all_pass else 'FAIL'}")
+    lat = _resolve_lattice(spec)
+    df = discriminant_form(lat)
+    if word is not None:
+        mats = {word: rho_word(df, word)}
+    else:
+        mats = {"S": rho_S(df), "T": rho_T(df)}
+    relations = verify_relations(df, raise_on_failure=False)
+    payload = {
+        "order": df.order,
+        "sig8": df.sig8,
+        "relations_pass": relations.all_pass,
+        "matrices": {
+            w: {
+                "exact": m.entry_strings(),
+                "approx": [[[z.real, z.imag] for z in row] for row in m.to_complex()],
+            }
+            for w, m in mats.items()
+        },
+    }
 
-    _run_guarded(go)
+    def lines():
+        for w, m in mats.items():
+            yield f"rho({w}) on {df.order} cosets:"
+            for row, row_c in zip(m.entry_strings(), m.to_complex()):
+                yield "  [" + ", ".join(row) + "]"
+                yield "    approx [" + ", ".join(f"{z.real:+.6f}{z.imag:+.6f}i" for z in row_c) + "]"
+        yield f"relations: {'pass' if relations.all_pass else 'FAIL'}"
+
+    _show(payload, as_json, lines())
 
 
 @main.command("heegner")
 @click.option("--level", "n", required=True, type=int)
 @click.option("--residue", "r", required=True, type=int)
 @click.option("--disc", "d", required=True, type=int)
-@click.option("--json", "as_json", is_flag=True)
+@_json_option
 @click.pass_context
 def heegner_cmd(ctx, n, r, d, as_json):
     """The weighted 0-cycle at level N, residue r, discriminant -d."""
-
-    def go():
-        cache = _cache_from_ctx(ctx)
-        payload = cache.fetch_or_compute(
-            "heegner",
-            {"N": n, "r": r, "d": d},
-            lambda: heegner_cycle(n, r, d).to_json_dict(),
-        )
-        if as_json:
-            click.echo(json.dumps(payload, sort_keys=True, indent=2))
-            return
-        click.echo(f"degree {payload['degree']}")
-        for p in payload["points"]:
-            click.echo(
-                f"  point (-({p['b']}) + sqrt(-{p['d']}))/(2*{p['a']})"
-                f"  mult {p['mult']}  stab {p['stab']}  form {p['form']}"
-            )
-
-    _run_guarded(go)
+    payload = _cache_from_ctx(ctx).fetch_or_compute(
+        "heegner",
+        {"N": n, "r": r, "d": d},
+        lambda: heegner_cycle(n, r, d).to_json_dict(),
+    )
+    _show(payload, as_json, [
+        f"degree {payload['degree']}",
+        *(f"  point (-({p['b']}) + sqrt(-{p['d']}))/(2*{p['a']})"
+          f"  mult {p['mult']}  stab {p['stab']}  form {p['form']}" for p in payload["points"]),
+    ])
 
 
 @main.command("eisenstein")
@@ -338,33 +325,22 @@ def heegner_cmd(ctx, n, r, d, as_json):
 @click.option("--max", "truncation", required=True, type=int)
 @click.option("--weight", type=int, default=None,
               help="Weight k for ek; the parameter s (weight s+1/2) for cohen.")
-@click.option("--json", "as_json", is_flag=True)
+@_json_option
 def eisenstein_cmd(series, truncation, weight, as_json):
     """Eisenstein coefficient tables: Hurwitz H(d), E_k, or Cohen H(s, n)."""
-
-    def go():
-        if series == "hurwitz":
-            table = eisenstein.hurwitz_table(truncation)
-            payload = table.to_json_dict()
-            if as_json:
-                click.echo(json.dumps(payload, sort_keys=True, indent=2))
-                return
-            for dd, v in sorted(table.values.items()):
-                click.echo(f"H({dd}) = {v}")
-            return
-        if weight is None:
-            raise click.UsageError(f"--weight is required for --series {series}")
-        qs = (
-            eisenstein.eisenstein_k(weight, truncation)
-            if series == "ek"
-            else eisenstein.cohen(weight, truncation)
-        )
-        if as_json:
-            click.echo(json.dumps(qs.to_json_dict(), sort_keys=True, indent=2))
-        else:
-            click.echo(qs.text())
-
-    _run_guarded(go)
+    if series == "hurwitz":
+        table = eisenstein.hurwitz_table(truncation)
+        _show(table.to_json_dict(), as_json,
+              [f"H({dd}) = {v}" for dd, v in sorted(table.values.items())])
+        return
+    if weight is None:
+        raise click.UsageError(f"--weight is required for --series {series}")
+    qs = (
+        eisenstein.eisenstein_k(weight, truncation)
+        if series == "ek"
+        else eisenstein.cohen(weight, truncation)
+    )
+    _show(qs.to_json_dict(), as_json, [qs.text()])
 
 
 @main.command("density")
@@ -372,55 +348,42 @@ def eisenstein_cmd(series, truncation, weight, as_json):
 @click.option("--prime", "p", required=True, type=int)
 @click.option("--m", "m", required=True, type=int)
 @click.option("--max-level", type=int, default=None)
-@click.option("--json", "as_json", is_flag=True)
+@_json_option
 @click.pass_context
 def density_cmd(ctx, spec, p, m, max_level, as_json):
     """Local representation density report at one prime."""
-
-    def go():
-        lat = _resolve_lattice(spec)
-        cache = _cache_from_ctx(ctx)
-        payload = cache.fetch_or_compute(
-            "density",
-            {
-                "gram": [list(r) for r in lat.gram],
-                "p": p,
-                "m": m,
-                "max_level": max_level,
-            },
-            lambda: eisenstein.local_density(lat, p, m, max_level).to_json_dict(),
-        )
-        if as_json:
-            click.echo(json.dumps(payload, sort_keys=True, indent=2))
-            return
-        click.echo(
-            f"alpha_{payload['p']}({payload['m']}): stabilized {payload['stabilized']}"
-            f" (threshold k0={payload['threshold']})"
-        )
-        for k, v in payload["approximations"]:
-            click.echo(f"  level {k}: {v}")
-
-    _run_guarded(go)
+    lat = _resolve_lattice(spec)
+    payload = _cache_from_ctx(ctx).fetch_or_compute(
+        "density",
+        {
+            "gram": [list(r) for r in lat.gram],
+            "p": p,
+            "m": m,
+            "max_level": max_level,
+        },
+        lambda: eisenstein.local_density(lat, p, m, max_level).to_json_dict(),
+    )
+    _show(payload, as_json, [
+        f"alpha_{payload['p']}({payload['m']}): stabilized {payload['stabilized']}"
+        f" (threshold k0={payload['threshold']})",
+        *(f"  level {k}: {v}" for k, v in payload["approximations"]),
+    ])
 
 
 @main.command("verify")
 @click.option("--suite", type=click.Choice(tuple(SUITES)), default="all")
-@click.option("--json", "as_json", is_flag=True)
+@_json_option
 def verify_cmd(suite, as_json):
     """Run a reproduction suite; exit code 0 iff every case passes."""
-
-    def go():
-        reports = SUITES[suite]()
-        if as_json:
-            click.echo(reports_to_json(reports))
-        else:
-            for rep in reports:
-                for line in rep.text_lines():
-                    click.echo(line)
-        if not all(r.passed for r in reports):
-            sys.exit(1)
-
-    _run_guarded(go)
+    reports = SUITES[suite]()
+    if as_json:
+        click.echo(reports_to_json(reports))
+    else:
+        for rep in reports:
+            for line in rep.text_lines():
+                click.echo(line)
+    if not all(r.passed for r in reports):
+        sys.exit(1)
 
 
 if __name__ == "__main__":

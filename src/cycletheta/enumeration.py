@@ -44,13 +44,12 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .quadlattice import (Coset, Lattice, _block_reduce, _mat_inv_fraction, _rational_pivot,
-                          discriminant_form)
+from .quadlattice import (Coset, Lattice, _block_reduce, _rational_pivot, discriminant_form,
+                          smith_normal_form)
 
 __all__ = [
     "NotPositiveDefinite",
     "VectorValuedQSeries",
-    "Genus2Coefficient",
     "vectors_with_norm",
     "rep_number",
     "theta_qseries",
@@ -96,14 +95,6 @@ class VectorValuedQSeries:
                 return c
         return 0
 
-    def text_lines(self) -> list[str]:
-        lines = []
-        for coset in sorted(self.components):
-            label = "(" + ",".join(str(x) for x in coset) + ")"
-            terms = [f"{c}*q^({e})" for e, c in self.components[coset] if c != 0]
-            lines.append(f"coset={label}: " + (" + ".join(terms) if terms else "0"))
-        return lines
-
     def to_json_dict(self) -> dict:
         return {
             "weight": str(self.weight),
@@ -121,18 +112,6 @@ class VectorValuedQSeries:
 def _is_psd_2x2(t) -> bool:
     (t11, t12), (t21, t22) = t
     return t11 >= 0 and t22 >= 0 and t11 * t22 - t12 * t21 >= 0
-
-
-@dataclass(frozen=True)
-class Genus2Coefficient:
-    """A genus-2 Fourier index T (half-integral 2x2) with its count."""
-
-    t: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
-    count: int
-
-    def __post_init__(self):
-        if self.count > 0 and not _is_psd_2x2(self.t):
-            raise ValueError("positive count at a non positive semidefinite index")
 
 
 def _require_positive_definite(lat: Lattice):
@@ -154,8 +133,9 @@ def _square_completion(lat: Lattice):
         raise NotPositiveDefinite("square completion hit a nonpositive pivot")
     us = tuple(tuple(prow[0][j] / ds[i] if j > i else Fraction(0) for j in range(n))
                for i, (_, prow) in enumerate(steps))
-    g_inv = _mat_inv_fraction(lat.gram)
-    return ds, us, tuple(g_inv[i][i] for i in range(n))
+    s, u, v = smith_normal_form(lat.gram)  # U G V = S, so G^-1 = V S^-1 U
+    return ds, us, tuple(sum(Fraction(v[j][i] * u[i][j], s[i][i]) for i in range(n))
+                         for j in range(n))
 
 
 @lru_cache(maxsize=256)

@@ -284,22 +284,6 @@ def smith_normal_form(a) -> tuple[list[list[int]], list[list[int]], list[list[in
     return m, u, v
 
 
-def _mat_inv_fraction(a) -> list[list[Fraction]]:
-    n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if m[i][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return [row[n:] for row in m]
-
-
 class DiscriminantForm:
     """The finite quadratic module L'/L with Q: L'/L -> Q/Z.
 
@@ -315,19 +299,14 @@ class DiscriminantForm:
         self.sig8 = (lat.signature[0] - lat.signature[1]) % 8
 
         n = lat.rank
-        s, u, _v = smith_normal_form(lat.gram)
-        u_inv = _mat_inv_fraction(u)
-        g_inv = _mat_inv_fraction(lat.gram)
-
+        # U G V = S gives G^-1 U^-1 = V S^-1: the dual basis images of the
+        # Smith basis are the columns of V divided by the invariants s_i
+        s, _u, v = smith_normal_form(lat.gram)
         gens: list[tuple[Coset, int]] = []
         for i in range(n):
             d = s[i][i]
             if abs(d) > 1:
-                col = [u_inv[r][i] for r in range(n)]
-                vec = tuple(
-                    (sum(g_inv[r][c] * col[c] for c in range(n))) % 1 for r in range(n)
-                )
-                gens.append((vec, abs(d)))
+                gens.append((tuple(Fraction(v[r][i], d) % 1 for r in range(n)), abs(d)))
         self.generators: tuple[tuple[Coset, int], ...] = tuple(gens)
 
         # enumerate the full group

@@ -142,7 +142,7 @@ class WeilRepMatrix:
     """
 
     def __init__(self, df: DiscriminantForm, hist: np.ndarray, n_root: int,
-                 phase: int = 0, half: int = 0, generator_word: str = ""):
+                 phase: int = 0, half: int = 0):
         size = len(df.cosets)
         if hist.ndim != 3 or hist.shape[:2] != (size, size) or not 1 <= hist.shape[2] <= n_root:
             raise ValueError(f"histogram of shape {hist.shape} for {size} cosets and N = {n_root}")
@@ -154,7 +154,6 @@ class WeilRepMatrix:
         self.root_order = n_root
         self.phase = phase % n_root
         self.half = half
-        self.generator_word = generator_word
 
     @property
     def size(self) -> int:
@@ -192,19 +191,19 @@ class WeilRepMatrix:
         while half >= 2 and not (prod % d).any():
             prod = prod // d
             half -= 2
-        return WeilRepMatrix(self.df, prod, n, 0, half, self.generator_word + other.generator_word)
+        return WeilRepMatrix(self.df, prod, n, 0, half)
 
     def conjugate(self) -> "WeilRepMatrix":
         """Entrywise complex conjugate (the dual representation on generators)."""
         n = self.root_order
         hist = np.zeros(self.hist.shape[:2] + (n,), dtype=self.hist.dtype)
         hist[:, :, -np.arange(self.hist.shape[2]) % n] = self.hist
-        return WeilRepMatrix(self.df, hist, n, -self.phase, self.half, self.generator_word + "~")
+        return WeilRepMatrix(self.df, hist, n, -self.phase, self.half)
 
     def dagger(self) -> "WeilRepMatrix":
         conj = self.conjugate()
         return WeilRepMatrix(self.df, conj.hist.transpose(1, 0, 2), self.root_order,
-                             conj.phase, self.half, self.generator_word + "+")
+                             conj.phase, self.half)
 
     def scale(self, c: Cyc) -> "WeilRepMatrix":
         """c times the matrix, for c in Z[zeta_N] (integer coefficients)."""
@@ -213,7 +212,7 @@ class WeilRepMatrix:
         if any(x.denominator != 1 for x in c.c):
             raise ValueError("scale takes an element of Z[zeta_N]")
         return WeilRepMatrix(self.df, _times(self.hist, c.c, self.phase, self.root_order),
-                             self.root_order, 0, self.half, self.generator_word)
+                             self.root_order, 0, self.half)
 
     @staticmethod
     def identity(df: DiscriminantForm, n_root: int | None = None) -> "WeilRepMatrix":
@@ -290,7 +289,7 @@ def rho_T(df: DiscriminantForm) -> WeilRepMatrix:
     hist = np.zeros((size, size, n_root), dtype=np.int64)
     diag = np.arange(size)
     hist[diag, diag, [root_exponent(df.q_table[lam], n_root) for lam in df.cosets]] = 1
-    return WeilRepMatrix(df, hist, n_root, generator_word="T")
+    return WeilRepMatrix(df, hist, n_root)
 
 
 @lru_cache(maxsize=64)
@@ -307,7 +306,7 @@ def rho_S(df: DiscriminantForm) -> WeilRepMatrix:
     hist = np.zeros((size, size, n_root), dtype=np.int64)
     rows, cols = np.indices((size, size))
     hist[rows, cols, exps] = 1
-    return WeilRepMatrix(df, hist, n_root, root_exponent(Fraction(-df.sig8, 8), n_root), 1, "S")
+    return WeilRepMatrix(df, hist, n_root, root_exponent(Fraction(-df.sig8, 8), n_root), 1)
 
 
 def _generator(df: DiscriminantForm, token: str) -> WeilRepMatrix:
@@ -348,7 +347,7 @@ def rho_word(df: DiscriminantForm, word: str) -> WeilRepMatrix:
     result = WeilRepMatrix.identity(df)
     for token in _tokenize(word):
         result = result @ _generator(df, token)
-    return WeilRepMatrix(df, result.hist, result.root_order, result.phase, result.half, word)
+    return result
 
 
 @dataclass(frozen=True)

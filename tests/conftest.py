@@ -21,3 +21,12 @@ def fresh_python():
                               timeout=120, env={**os.environ, **(env or {}), "PYTHONPATH": path})
 
     return run
+
+
+@pytest.fixture(autouse=True)
+def private_cache_home(monkeypatch, tmp_path_factory):
+    """Point the CLI's default cache directories at a fresh temporary
+    directory, so no test reads or writes the user's cache."""
+    home = tmp_path_factory.mktemp("cache-home")
+    monkeypatch.setenv("CYCLETHETA_CACHE", str(home / "cycletheta"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home / "xdg"))

@@ -12,9 +12,8 @@ def runner():
     return CliRunner()
 
 
-def invoke(runner, args, env=None):
-    result = runner.invoke(main, args, env=env or {"CYCLETHETA_CACHE": ""}, catch_exceptions=False)
-    return result
+def invoke(runner, args):
+    return runner.invoke(main, args, catch_exceptions=False)
 
 
 class TestHeegnerCommand:
@@ -204,6 +203,29 @@ class TestVerifyCommand:
         assert a.output == b.output
         payload = json.loads(a.output)
         assert payload["passed"] is True
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["weilrep", "--lattice", "A1", "--word", "SX"], "bad character 'X' in generator word"),
+            (["density", "--lattice", "E8", "--prime", "4", "--m", "1"], "4 is not prime"),
+            (["heegner", "--level", "0", "--residue", "0", "--disc", "3"], "need N >= 1 and d > 0"),
+        ],
+        ids=["weilrep", "density", "heegner"],
+    )
+    def test_library_error_is_one_named_line(self, runner, tmp_path, args, message):
+        result = invoke(runner, ["--cache-dir", str(tmp_path)] + args)
+        assert result.exit_code == 1
+        assert result.stderr == f"error: ValueError: {message}\n"
+        assert result.stdout == ""
+
+    def test_help_is_not_an_error(self, runner):
+        result = invoke(runner, ["theta", "--help"])
+        assert result.exit_code == 0
+        assert result.stdout.startswith("Usage: ")
+        assert result.stderr == ""
 
 
 class TestRunEntryPoint:

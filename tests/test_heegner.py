@@ -235,7 +235,7 @@ class TestCrossCheck:
         assert orbit_cross_check(n, r, d).match
 
     def test_level1_matches_orbit_route(self):
-        # the reduced-form route against trace-zero matrices under conjugation
+        # the reduced-form route against the bounded search over forms_with_disc
         for d in range(3, 101):
             if d % 4 in (0, 3):
                 assert orbit_cross_check(1, d % 2, d).match, d
@@ -244,8 +244,12 @@ class TestCrossCheck:
 class TestMatrixRouteEquivariance:
     def test_conjugation_matches_form_action(self):
         # the bijection [a,b,c] <-> [[b, 2c], [-2a, -b]] intertwines the
-        # form action y -> g^t y g with conjugation x -> g^-1 x g
-        from cycletheta.heegner import _T, _T_INV, _move_l, _move_t, _mul2
+        # form action y -> g^t y g with conjugation x -> g^-1 x g, so a class
+        # search over trace-zero matrices is the forms search relabelled
+        from cycletheta.heegner import _move_l, _move_t, _mul2
+
+        _T = ((1, 1), (0, 1))
+        _T_INV = ((1, -1), (0, 1))
 
         def to_x(t):
             a, b, c = t

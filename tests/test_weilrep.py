@@ -246,7 +246,7 @@ class TestRelations:
         k = int(hist[1, 2].argmax())  # e(-b) with b = +-1/3, so k != -k mod N
         hist[1, 2, k] = 0
         hist[1, 2, -k % s.root_order] = 1
-        flipped = WeilRepMatrix(df, hist, s.root_order, s.phase, s.half, "S")
+        flipped = WeilRepMatrix(df, hist, s.root_order, s.phase, s.half)
         monkeypatch.setattr(weilrep, "rho_S", lambda _: flipped)
         assert not verify_relations(df, raise_on_failure=False).unitary_s
 
