@@ -15,22 +15,20 @@ The classes are found two ways, by level:
   point, so the classes are exactly the SL_2(Z)-reduced forms
   (eisenstein.reduced_forms), a finite enumeration with no search
   (Gross-Kohnen-Zagier, Math. Ann. 278 (1987), I.1);
-* N > 1: _stable_classes, the one height-doubling loop.  Bounded form sets
-  are explored under the parabolic moves T: (a,b,c) -> (a, b+2a, a+b+c)
-  and L_N: (a,b,c) -> (a+bN+cN^2, b+2cN, c) with union-find, certified by
-  an exact transporter test (SL_2(Z)-reduction plus the finite automorph
-  group, intersected with Gamma_0(N)), and the bound doubles until two
-  rounds give the same classes, else BoundNotStabilized.
+* N > 1: _stable_classes, the one height-doubling loop.  Each round groups
+  the forms of a bounded box by the exact class key _gamma0_key (reduced
+  form R, Aut(R)-orbit on P^1(Z/N)); the bound doubles until two rounds
+  give the same classes, else BoundNotStabilized.
 
 orbit_cross_check runs _stable_classes on both residue families r, -r at
-once against heegner_cycle.  At N = 1 the two share no enumeration
-(reduced_forms against forms_with_disc plus the transporter test).  At
-N > 1 both sides ran the same search even when the check enumerated
-trace-zero matrices, so it agrees with the classes the search drops (50
-cases with N <= 30, d <= 200, ROADMAP.md item 1); the strict xfail
-test_every_form_has_a_class pins that defect.  Once P^1(Z/N) enumeration
-is the production route, _stable_classes is oracle-only and its doubling
-gives way to a proved height bound.
+once against heegner_cycle.  At N = 1 it compares reduced_forms against
+_reduce_sl2 of every form in a box.  At N > 1 both sides share the search,
+so it agrees with the classes the search drops (50 cases with N <= 30,
+d <= 200, ROADMAP.md item 1; the strict xfail test_every_form_has_a_class).
+Once P^1(Z/N) enumeration is the production route, _stable_classes is
+oracle-only but shares the class-to-orbit correspondence with it; the
+tests' check of _gamma0_key against the transporter test
+gamma0_equivalent is what keeps it independent.
 """
 
 from __future__ import annotations
@@ -165,7 +163,9 @@ def _congruence_solvable(n: int, r: int, d: int) -> bool:
 
 def forms_with_disc(n: int, r: int, d: int, height_bound: int) -> list[BinaryForm]:
     """All [a, b, c] with b^2 - 4ac = -d, N | a, b = r mod 2N and
-    0 < a <= A, 0 < c <= A (which bounds |b| automatically)."""
+    0 < a <= A, 0 < c <= A, sorted by (a, b, c).  For each a the scan steps
+    b through its residue class with b^2 <= 4aA - d and keeps the b with
+    4a | b^2 + d, so that c = (b^2 + d)/4a lies in [1, A]."""
     if n < 1 or d <= 0:
         raise ValueError("need N >= 1 and d > 0")
     if not _congruence_solvable(n, r, d):
@@ -173,17 +173,14 @@ def forms_with_disc(n: int, r: int, d: int, height_bound: int) -> list[BinaryFor
     out = []
     r2n = r % (2 * n)
     for a in range(n, height_bound + 1, n):
-        for c in range(1, height_bound + 1):
-            b2 = 4 * a * c - d
-            if b2 < 0:
-                continue
-            b = math.isqrt(b2)
-            if b * b != b2:
-                continue
-            for bb in ({b, -b} if b else {0}):
-                if (bb - r2n) % (2 * n) == 0:
-                    out.append(BinaryForm(a, bb, c, n, r2n))
-    out.sort(key=lambda f: f.triple())
+        b2_max = 4 * a * height_bound - d
+        if b2_max < 0:
+            continue
+        b_max = math.isqrt(b2_max)
+        for b in range(-b_max + (r2n + b_max) % (2 * n), b_max + 1, 2 * n):
+            c, rest = divmod(b * b + d, 4 * a)
+            if not rest:
+                out.append(BinaryForm(a, b, c, n, r2n))
     return out
 
 
@@ -191,13 +188,6 @@ def _move_t(t: tuple[int, int, int], k: int = 1) -> tuple[int, int, int]:
     """Action of [[1, k], [0, 1]] on forms: b -> b + 2ak."""
     a, b, c = t
     return (a, b + 2 * a * k, a * k * k + b * k + c)
-
-
-def _move_l(t: tuple[int, int, int], n: int, k: int = 1) -> tuple[int, int, int]:
-    """Action of [[1, 0], [kN, 1]] on forms."""
-    a, b, c = t
-    m = k * n
-    return (a + b * m + c * m * m, b + 2 * c * m, c)
 
 
 def _canonical_key(t: tuple[int, int, int]):
@@ -220,6 +210,8 @@ def _reduce_sl2(t: tuple[int, int, int]):
     """Reduce a positive form; returns (reduced_triple, g) with form.g = reduced,
     where the action is y -> transpose(g) y g on Gram matrices."""
     a, b, c = t
+    if a <= 0 or b * b - 4 * a * c >= 0:
+        raise ValueError(f"{t} is not a positive definite form")
     g = ((1, 0), (0, 1))
     while True:
         if not (-a < b <= a):
@@ -237,15 +229,15 @@ def _reduce_sl2(t: tuple[int, int, int]):
 def _automorphs(t: tuple[int, int, int]):
     """All g in SL2(Z) with transpose(g) y g = y, via the primitive part."""
     a, b, c = t
+    if a <= 0 or b * b - 4 * a * c >= 0:
+        raise ValueError(f"{t} is not a positive definite form")
     k = math.gcd(math.gcd(a, b), c)
     a0, b0, c0 = a // k, b // k, c // k
     d0 = 4 * a0 * c0 - b0 * b0
     sols = []
-    u_max = math.isqrt(4 // d0) if d0 <= 4 else 0
+    u_max = math.isqrt(4 // d0)
     for u in range(-u_max, u_max + 1):
         rest = 4 - d0 * u * u
-        if rest < 0:
-            continue
         s = math.isqrt(rest)
         if s * s != rest:
             continue
@@ -289,78 +281,55 @@ def stabilizer_order(t: tuple[int, int, int], n: int) -> int:
 # class enumeration
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+class _P1Points(dict):
+    """P^1(Z/N), filled on demand: each (c, d) mod N with gcd(c, d, N) = 1
+    maps to the least pair of its orbit under the units mod N.  Only the
+    points a search meets are stored, not all psi(N) of them."""
 
-    def find(self, x):
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
+    def __init__(self, n: int):
+        self.n = n
+        self.units = [u for u in range(n) if math.gcd(u, n) == 1]
 
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-    def classes(self):
-        out: dict = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
+    def __missing__(self, cd):
+        n = self.n
+        least = self[cd] = min((u * cd[0] % n, u * cd[1] % n) for u in self.units)
+        return least
 
 
-def _partition_forms(triples, n: int):
-    """Union-find partition of a set of form triples under T, L_N moves,
-    joined only inside the given set."""
-    s = set(triples)
-    uf = _UnionFind(s)
-    for t in s:
-        for img in (
-            _move_t(t, 1),
-            _move_t(t, -1),
-            _move_l(t, n, 1),
-            _move_l(t, n, -1),
-        ):
-            if img in s:
-                uf.union(t, img)
-    return uf.classes()
+def _gamma0_key(t: tuple[int, int, int], n: int, points):
+    """The Gamma_0(N)-class of a positive form t as (R, least point of the
+    Aut(R)-orbit of row_2(g) in P^1(Z/N)), (R, g) = _reduce_sl2(t).
+
+    Proof: the transporters from t to t' are g a g'^-1, a in Aut(R), as
+    _transporters builds them (none unless R = R').  gamma = g a g'^-1 is
+    in Gamma_0(N) iff Gamma_0(N) g a = Gamma_0(N) g' iff the bottom rows of
+    g a and g' agree up to a unit mod N, since row_2(gamma h) = gamma_22
+    row_2(h) (mod N) for gamma in Gamma_0(N).  Aut(R) is a group, so the
+    least point of the orbit is a complete invariant."""
+    red, g = _reduce_sl2(t)
+    c, d = g[1]
+    return red, min(
+        points[((c * p + d * r) % n, (c * q + d * s) % n)]
+        for (p, q), (r, s) in _automorphs(red)
+    )
 
 
-def _certified_classes(triples, n: int):
-    """Merge union-find classes whose representatives are Gamma_0(N)
-    equivalent (exact transporter test), certifying the partition."""
-    classes = _partition_forms(triples, n)
-    reps = sorted(classes, key=_canonical_key)
-    merged: list[list] = []
-    owners: list[tuple[int, int, int]] = []
-    for rep in reps:
-        for i, owner in enumerate(owners):
-            if gamma0_equivalent(rep, owner, n):
-                merged[i].extend(classes[rep])
-                break
-        else:
-            owners.append(rep)
-            merged.append(list(classes[rep]))
-    return [sorted(members, key=_canonical_key) for members in merged]
-
-
-def _stable_classes(n: int, families, d: int) -> list[list[tuple[int, int, int]]]:
-    """Certified Gamma_0(N)-classes of the forms of the residue families,
-    each sorted by _canonical_key, sorted by their first member; the height
-    bound doubles until two rounds agree (at most 10)."""
+def _stable_classes(n: int, families, d: int) -> list[tuple[int, int, int]]:
+    """The _canonical_key-least form of each Gamma_0(N)-class met by the
+    forms of the residue families, in _canonical_key order: the box is
+    walked in that order and each form filed under its _gamma0_key.  The
+    height bound doubles until two rounds agree (at most 10)."""
+    points = _P1Points(n)
     bound = max(d, 4 * n, 8)
     prev = None
     for _round in range(10):
-        triples = [f.triple() for r in families for f in forms_with_disc(n, r, d, bound)]
-        classes = sorted(_certified_classes(triples, n), key=lambda cls: _canonical_key(cls[0]))
-        reps = [cls[0] for cls in classes]
+        box = (f.triple() for r in families for f in forms_with_disc(n, r, d, bound))
+        least: dict = {}
+        for t in sorted(box, key=_canonical_key):
+            least.setdefault(_gamma0_key(t, n, points), t)
+        reps = list(least.values())
         if reps == prev:
-            return classes
+            return reps
         prev = reps
         bound *= 2
     raise BoundNotStabilized(f"no stable partition for N = {n}, r in {families}, d = {d}")
@@ -372,10 +341,9 @@ def gamma0_classes(n: int, r: int, d: int) -> tuple[tuple[BinaryForm, int], ...]
     stabilizer order) pairs, sorted by representative.
 
     At N = 1 the classes are the SL_2(Z)-reduced forms of discriminant -d,
-    each with its automorph count; nothing is searched.  At N > 1 they come
-    from _stable_classes, whose partitions are certified with the exact
-    transporter test, so a stray parabolic-orbit split cannot leak into the
-    output.  That search stays only until the finite enumeration over
+    each with its automorph count; nothing is searched.  At N > 1 they are
+    the box search of _stable_classes grouped by the exact class key
+    _gamma0_key.  That search stays only until the finite enumeration over
     Gamma_0(N)\\SL_2(Z) = P^1(Z/N) lands together with a re-recorded
     benchmark digest for the level-N queries whose classes it drops.
     """
@@ -390,8 +358,8 @@ def gamma0_classes(n: int, r: int, d: int) -> tuple[tuple[BinaryForm, int], ...]
             for t in sorted(reduced_forms(d), key=_canonical_key)
         )
     return tuple(
-        (BinaryForm(*cls[0], n, r), stabilizer_order(cls[0], n))
-        for cls in _stable_classes(n, (r,), d)
+        (BinaryForm(*t, n, r), stabilizer_order(t, n))
+        for t in _stable_classes(n, (r,), d)
     )
 
 
@@ -444,17 +412,17 @@ def orbit_cross_check(n: int, r: int, d: int, raise_on_mismatch: bool = True) ->
     """Compare the cycle of heegner_cycle, one residue family at a time,
     with the classes of _stable_classes over both families at once.
     Multisets of (class representative, multiplicity) must coincide
-    exactly.  At N = 1 this tests the reduced forms against a bounded
-    search certified by the transporter test; at N > 1 both sides share
-    _stable_classes (see the module docstring)."""
+    exactly.  At N = 1 this tests the reduced forms against _reduce_sl2 of
+    every form in a box; at N > 1 both sides share _stable_classes (see the
+    module docstring)."""
     cycle = heegner_cycle(n, r, d)
     forms_side = tuple(
         sorted((p.form.triple(), str(p.multiplicity)) for p in cycle.points)
     )
 
     orbit_side = tuple(sorted(
-        (cls[0], str(Fraction(2, stabilizer_order(cls[0], n))))
-        for cls in _stable_classes(n, _families(n, r), d)
+        (t, str(Fraction(2, stabilizer_order(t, n))))
+        for t in _stable_classes(n, _families(n, r), d)
     ))
 
     report = CrossCheckReport(

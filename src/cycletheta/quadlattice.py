@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 __all__ = [
     "LatticeError",
@@ -326,8 +327,9 @@ class DiscriminantForm:
         self.cosets: tuple[Coset, ...] = tuple(sorted(cosets))
         self._index = {c: i for i, c in enumerate(self.cosets)}
 
+        # read-only: discriminant_form is cached, so one instance is shared
         q_table = {lam: lat.quadratic(lam) % 1 for lam in self.cosets}
-        self.q_table: dict[Coset, Fraction] = q_table
+        self.q_table: MappingProxyType[Coset, Fraction] = MappingProxyType(q_table)
 
         self.level = math.lcm(1, *(q.denominator for q in q_table.values()))
 

@@ -1,4 +1,6 @@
+import math
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -6,8 +8,8 @@ import pytest
 from cycletheta.eisenstein import hurwitz, reduced_forms
 from cycletheta.heegner import (
     BinaryForm,
-    _certified_classes,
-    _partition_forms,
+    _gamma0_key,
+    _P1Points,
     forms_with_disc,
     gamma0_classes,
     gamma0_equivalent,
@@ -41,6 +43,32 @@ class TestFormsWithDisc:
         b = forms_with_disc(1, 1, 23, 30)
         assert a == b
         assert a == sorted(a, key=lambda f: f.triple())
+
+    def test_matches_ac_scan(self):
+        # oracle: scan (a, c) over the box and solve b^2 = 4ac - d
+        def ac_scan(n, d, height):
+            out = []
+            for a in range(n, height + 1, n):
+                for c in range(1, height + 1):
+                    b2 = 4 * a * c - d
+                    b = math.isqrt(b2) if b2 >= 0 else -1
+                    if b >= 0 and b * b == b2:
+                        out += [(a, bb, c) for bb in {b, -b}]
+            return sorted(out)
+
+        for n in range(1, 13):
+            for d in range(1, 101):
+                bound = max(d, 4 * n, 8)
+                # with no b^2 = -d mod 4N there is no form at all: N | a and
+                # b = r mod 2N give b^2 + d = 4ac = 0 mod 4N
+                solvable = any((b * b + d) % (4 * n) == 0 for b in range(2 * n))
+                box = ac_scan(n, d, 4 * bound) if solvable else []
+                for height in (bound, 2 * bound, 4 * bound):
+                    for r in range(2 * n):
+                        got = [f.triple() for f in forms_with_disc(n, r, d, height)]
+                        want = [t for t in box if t[0] <= height and t[2] <= height
+                                and (t[1] - r) % (2 * n) == 0]
+                        assert got == want, (n, r, d, height)
 
 
 class TestGamma0Classes:
@@ -96,6 +124,22 @@ class TestGamma0Classes:
         for f in forms_with_disc(n, r, d, 200):
             assert any(gamma0_equivalent(f.triple(), rep, n) for rep in reps), f
 
+    def test_coprime_volume_identity(self):
+        # sum over r of 2/s over the classes = H(d) * #{b mod 2N : b^2 = -d mod 4N}
+        # when gcd(N, d) = 1; hurwitz is the reduced-form sieve and shares no
+        # code with heegner.  The failures are the classes the height-doubling
+        # loop drops (ROADMAP.md item 1); any further failure is a regression.
+        failing = set()
+        for n in range(2, 31):
+            for d in range(3, 201):
+                roots = sum(1 for b in range(2 * n) if (b * b + d) % (4 * n) == 0)
+                if math.gcd(n, d) != 1 or not roots:
+                    continue
+                volume = sum(F(2, s) for r in range(2 * n) for _, s in gamma0_classes(n, r, d))
+                if volume != hurwitz(d) * roots:
+                    failing.add((n, d))
+        assert failing == {(21, 83), (27, 107), (27, 155), (27, 179)}
+
 
 class TestStabilizers:
     def test_i_point(self):
@@ -122,6 +166,22 @@ class TestStabilizers:
         assert stabilizer_order((2, 2, 2), 2) == 2
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gamma0_equivalent((-1, 0, -1), (1, 0, 1), 1),
+        lambda: gamma0_equivalent((1, 3, 1), (1, 3, 1), 1),
+        lambda: stabilizer_order((-1, 0, -1), 1),
+        lambda: stabilizer_order((0, 1, 0), 1),
+        lambda: gamma0_equivalent((0, 1, 0), (0, 1, 0), 2),
+    ],
+    ids=["negative", "indefinite", "negative-stabilizer", "zero-a", "zero-a-level2"],
+)
+def test_rejects_forms_that_are_not_positive_definite(call):
+    with pytest.raises(ValueError, match="not a positive definite form"):
+        call()
+
+
 class TestTransporters:
     def test_equivalent_translates(self):
         assert gamma0_equivalent((1, 1, 6), (1, 3, 8), 1)  # T-translate
@@ -136,11 +196,48 @@ class TestTransporters:
         assert gamma0_equivalent(f1, f2, 1)
         assert not gamma0_equivalent(f1, f2, 6)
 
-    def test_parabolic_partition_too_fine_at_level5(self):
-        # regression for the certification step: the orbits of T and L_N alone
-        # are strictly finer than Gamma_0(5)-classes here
+
+class TestGamma0Key:
+    @staticmethod
+    def assert_key_is_transporter_test(n, triples):
+        points = _P1Points(n)
+        keys = [_gamma0_key(t, n, points) for t in triples]
+        for i, (s, ks) in enumerate(zip(triples, keys)):
+            for t, kt in zip(triples[i + 1:], keys[i + 1:]):
+                assert (ks == kt) == gamma0_equivalent(s, t, n), (n, s, t)
+
+    def test_level5_box(self):
+        # the T and L_N orbits inside this box split its Gamma_0(5)-classes,
+        # so the key has to join forms that no parabolic move links here
         triples = [f.triple() for f in forms_with_disc(5, 3, 11, 20)]
-        assert len(_partition_forms(triples, 5)) > len(_certified_classes(triples, 5))
+        self.assert_key_is_transporter_test(5, triples)
+
+    def test_first_forms_of_every_box(self):
+        for n in range(1, 13):
+            for d in range(3, 61):
+                for r in range(2 * n):
+                    box = forms_with_disc(n, r, d, max(d, 4 * n, 8))[:40]
+                    self.assert_key_is_transporter_test(n, [f.triple() for f in box])
+
+    def test_p1_points(self):
+        # |P^1(Z/N)| = psi(N) = N prod_{p | N} (1 + 1/p)
+        for n, psi in [(1, 1), (2, 3), (4, 6), (6, 12), (12, 24), (25, 30)]:
+            points = _P1Points(n)
+            pairs = [(c, d) for c in range(n) for d in range(n) if math.gcd(c, d, n) == 1]
+            assert len({points[cd] for cd in pairs}) == psi
+            assert len(points) == len(pairs)
+
+    def test_large_level_stores_only_the_points_it_meets(self):
+        # P^1(Z/2401) has 2744 points and 5.6 million primitive pairs; the
+        # search meets a handful, so its memory stays far below either
+        tracemalloc.start()
+        try:
+            classes = gamma0_classes.__wrapped__(2401, 2095, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert classes == ((BinaryForm(2401, 2095, 457, 2401, 2095), 6),)
+        assert peak < 2_000_000
 
 
 class TestHeegnerCycle:
@@ -246,7 +343,7 @@ class TestMatrixRouteEquivariance:
         # the bijection [a,b,c] <-> [[b, 2c], [-2a, -b]] intertwines the
         # form action y -> g^t y g with conjugation x -> g^-1 x g, so a class
         # search over trace-zero matrices is the forms search relabelled
-        from cycletheta.heegner import _move_l, _move_t, _mul2
+        from cycletheta.heegner import _move_t, _mul2
 
         _T = ((1, 1), (0, 1))
         _T_INV = ((1, -1), (0, 1))
@@ -255,12 +352,8 @@ class TestMatrixRouteEquivariance:
             a, b, c = t
             return ((b, 2 * c), (-2 * a, -b))
 
-        n = 3
-        gen_l = ((1, 0), (n, 1))
-        gen_l_inv = ((1, 0), (-n, 1))
         for t in [(3, 1, 2), (6, 5, 2), (3, -5, 4), (9, 7, 2)]:
             assert _mul2(_mul2(_T_INV, to_x(t)), _T) == to_x(_move_t(t, 1))
-            assert _mul2(_mul2(gen_l_inv, to_x(t)), gen_l) == to_x(_move_l(t, n, 1))
 
 
 class TestBinaryForm:

@@ -87,6 +87,16 @@ class TestDiscriminantForm:
         assert discriminant_form(named_lattice("E8")).sig8 == 0
         assert discriminant_form(named_lattice("D4")).sig8 == 4
 
+    def test_cached_q_table_is_read_only(self):
+        from cycletheta.weilrep import rho_T, verify_relations
+
+        df = discriminant_form(named_lattice("A2"))
+        with pytest.raises(TypeError):
+            df.q_table[df.cosets[1]] = F(0)
+        rho_T.cache_clear()
+        fresh = discriminant_form(named_lattice("A2"))
+        assert verify_relations(fresh, raise_on_failure=False).all_pass
+
 
 class TestDiscB:
     def test_zero_coset(self):
