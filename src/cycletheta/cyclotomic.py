@@ -9,9 +9,10 @@ representation (weilrep) share.  Square roots of positive integers are
 built from quadratic Gauss sums, which puts sqrt(|D|) inside Q(zeta_N) for
 the N of root_order_for.
 
-Cyc arithmetic is schoolbook and per element.  It builds the generator
-phases, sqrt(|D|) and the printed entries of a Weil-representation matrix;
-matrix products run on integer arrays in weilrep, not on Cyc.
+Cyc arithmetic is schoolbook and per element.  It builds sqrt(|D|), the
+scalars of the relation checks and the printed entries of a
+Weil-representation matrix; matrix products run on integer arrays in
+weilrep, not on Cyc.
 """
 
 from __future__ import annotations

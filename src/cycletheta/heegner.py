@@ -264,6 +264,8 @@ def _transporters(t1, t2):
 
 def gamma0_equivalent(t1, t2, n: int) -> bool:
     """Exact test: some transporter lies in Gamma_0(N)."""
+    if n < 1:
+        raise ValueError(f"need N >= 1, got {n}")
     return any(g[1][0] % n == 0 for g in _transporters(t1, t2))
 
 
@@ -274,6 +276,8 @@ def stabilizer_order(t: tuple[int, int, int], n: int) -> int:
     Gamma_0(N); it always contains +-identity, and equals 4 or 6 exactly at
     forms whose primitive part has discriminant -4 or -3 with N dividing
     the primitive leading coefficient times u."""
+    if n < 1:
+        raise ValueError(f"need N >= 1, got {n}")
     return sum(1 for g in _automorphs(t) if g[1][0] % n == 0)
 
 

@@ -337,6 +337,16 @@ class DiscriminantForm:
             if q_table[lam] != q_table[self.neg(lam)]:
                 raise LatticeError("q(lambda) != q(-lambda); broken group structure")
 
+    def __setattr__(self, name, value):
+        # discriminant_form is cached, so one instance is shared: what
+        # __init__ sets cannot be rebound or deleted
+        if name in vars(self):
+            raise AttributeError(f"DiscriminantForm.{name} is read-only")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"DiscriminantForm.{name} is read-only")
+
     @property
     def lattice(self) -> Lattice:
         return self._lat

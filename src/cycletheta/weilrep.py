@@ -5,32 +5,27 @@ Generator matrices follow the standard explicit formulas
     rho(T) = diag(e(Q(lambda))),
     rho(S) = e(-sig/8) |D|^(-1/2) F,    F_{lambda,mu} = e(-b(lambda, mu)),
 
-with entries in Q(zeta_N), N = root_order_for(level, |D|).  A matrix is
-stored as zeta_N^e |D|^(-j/2) H: a phase exponent e mod N, a half-power j and
-an integer array H of shape (|D|, |D|, L) whose slice H[:, :, k] counts
-zeta_N^k.  As (e, j, H), rho(T) is (0, 0, T) and rho(S) is (-N sig/8, 1, F),
-with T and F one-hot along the exponent axis.  A product adds the phases and
-half-powers, multiplies the arrays as matrices of polynomials in one stacked
-matmul, and reduces modulo Phi_N against the integer table of zeta_N^k
-(cyclotomic._power_table).  Every step is exact: it runs in int64 only when
-a bound on every partial sum (max row sum of one factor times max column
-sum of the other) is below 2^63, in Python ints otherwise.  The Cyc entries
-are built once, when .entries is first read.
+with entries in Q(zeta_N), N = root_order_for(level, |D|).  Every matrix is
+stored in lowest terms as coeffs / den: coeffs is an integer array of shape
+(|D|, |D|, phi(N)) whose slice coeffs[:, :, k] holds the coefficients of
+zeta_N^k in the power basis, and den is the least positive integer that
+clears every entry.  As |D|^(-1/2) = sqrt|D| / |D|, rho(S) is
+e(-sig/8) sqrt|D| F over |D|, with sqrt|D| the Gauss-sum element of
+sqrt_as_cyclotomic, so nothing assumes Milgram's formula.  The format is
+canonical: two matrices are equal exactly when their (den, coeffs) are.
 
-verify_relations checks integer identities in Z[zeta_N].  Substituting
-rho(S) = e(-sig/8) |D|^(-1/2) F and multiplying by a nonzero scalar turns
-each defining relation into one of them:
+A product multiplies the arrays as matrices of polynomials in zeta in one
+stacked matmul, reduces modulo Phi_N against the integer table of zeta_N^k
+(cyclotomic._power_table), and divides by the gcd of the coefficients and
+the product of the denominators.  Every step is exact: it runs in int64 only
+when a bound on every partial sum (max row sum of one factor times max
+column sum of the other) is below 2^63, in Python ints otherwise.  The Cyc
+entries are built once, when .entries is first read.
 
-    rho(S) rho(S)^+ = I           <=>  F F^+ = |D| I
-        (|e(-sig/8)|^2 = 1 and |D|^(-1/2) is real),
-    rho(T) rho(T)^+ = I           <=>  T T^+ = I,
-    rho(S)^2 = e(-sig/4) P_-      <=>  F^2 = |D| P_-
-        (multiply by e(sig/4) |D|; P_- maps lambda to -lambda),
-    (rho(S) rho(T))^3 = rho(S)^2  <=>  (F T)^3 = e(sig/8) sqrt|D| F^2
-        (multiply by e(3 sig/8) |D|^(3/2)).
-
-sqrt|D| is the Gauss-sum element of sqrt_as_cyclotomic, so no check assumes
-Milgram's formula.
+verify_relations checks the defining relations on rho(S) and rho(T)
+themselves: rho(S) rho(S)^+ = I, rho(T) rho(T)^+ = I,
+(rho(S) rho(T))^3 = rho(S)^2 and rho(S)^2 = e(-sig/4) P_-, where P_- maps
+lambda to -lambda.
 
 theta_transform_check verifies numerically that the coset theta series of a
 positive definite even lattice transforms under rho itself with automorphy
@@ -100,11 +95,11 @@ def _reduction_table(n_root: int) -> np.ndarray:
     return table
 
 
-def _times(h: np.ndarray, c, shift: int, n_root: int) -> np.ndarray:
-    """h (..., L), read as sum_k h[..., k] zeta^k, times zeta^shift * sum_y c[y] zeta^y,
+def _times(h: np.ndarray, c, n_root: int) -> np.ndarray:
+    """h (..., L), read as sum_k h[..., k] zeta^k, times sum_y c[y] zeta^y,
     reduced to the power basis: an integer array (..., phi(n_root))."""
     table = _reduction_table(n_root)
-    ks = np.arange(h.shape[-1]) + shift
+    ks = np.arange(h.shape[-1])
     m = np.zeros((h.shape[-1], table.shape[1]), dtype=object)
     for y, c_y in enumerate(c):
         if c_y:
@@ -133,48 +128,48 @@ def _poly_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _zeros(df: DiscriminantForm, n_root: int) -> np.ndarray:
+    size = len(df.cosets)
+    return np.zeros((size, size, _reduction_table(n_root).shape[1]), dtype=np.int64)
+
+
 class WeilRepMatrix:
     """A |D| x |D| matrix over Q(zeta_N) indexed by the canonical cosets,
-    stored as zeta_N^phase |D|^(-half/2) hist (see the module docstring).
+    stored in lowest terms as coeffs / den (see the module docstring).
 
-    ``hist`` is an integer array of shape (|D|, |D|, L), 1 <= L <= N; it is
-    made read-only, so a cached generator cannot be changed by a caller.
+    The constructor divides coeffs and den by their gcd and makes coeffs
+    read-only, so a cached generator cannot be changed by a caller.
     """
 
-    def __init__(self, df: DiscriminantForm, hist: np.ndarray, n_root: int,
-                 phase: int = 0, half: int = 0):
+    def __init__(self, df: DiscriminantForm, coeffs: np.ndarray, n_root: int, den: int = 1):
         size = len(df.cosets)
-        if hist.ndim != 3 or hist.shape[:2] != (size, size) or not 1 <= hist.shape[2] <= n_root:
-            raise ValueError(f"histogram of shape {hist.shape} for {size} cosets and N = {n_root}")
-        if hist.dtype != object and not np.issubdtype(hist.dtype, np.integer):
-            raise ValueError(f"histogram of dtype {hist.dtype} is not integral")
-        hist.setflags(write=False)
+        shape = (size, size, _reduction_table(n_root).shape[1])
+        if coeffs.shape != shape:
+            raise ValueError(f"coefficients of shape {coeffs.shape}, expected {shape}")
+        if coeffs.dtype != object and not np.issubdtype(coeffs.dtype, np.integer):
+            raise ValueError(f"coefficients of dtype {coeffs.dtype} are not integral")
+        if den < 1:
+            raise ValueError(f"denominator {den} is not positive")
+        g = math.gcd(den, int(np.gcd.reduce(coeffs, axis=None))) if den > 1 else 1
+        if g > 1:
+            coeffs, den = coeffs // g, den // g
+        coeffs.setflags(write=False)
         self.df = df
-        self.hist = hist
+        self.coeffs = coeffs
         self.root_order = n_root
-        self.phase = phase % n_root
-        self.half = half
+        self.den = den
 
     @property
     def size(self) -> int:
-        return len(self.hist)
-
-    def _coefficients(self) -> np.ndarray:
-        """Power-basis coefficients of zeta^phase * hist, shape (|D|, |D|, phi(N))."""
-        return _times(self.hist, (1,), self.phase, self.root_order)
+        return len(self.coeffs)
 
     @cached_property
     def entries(self) -> tuple[tuple[Cyc, ...], ...]:
         """The entries as canonical Cyc elements (built on first use)."""
-        n, d = self.root_order, self.df.order
-        coeffs = self._coefficients()
-        den = d ** (self.half // 2)
-        if self.half % 2:  # |D|^(-1/2) = sqrt(|D|) / |D|
-            coeffs = _times(coeffs, sqrt_as_cyclotomic(d, n).c, 0, n)
-            den *= d
+        n, den = self.root_order, self.den
         return tuple(
             tuple(Cyc(n, [Fraction(x, den) for x in entry]) for entry in row)
-            for row in coeffs.tolist()
+            for row in self.coeffs.tolist()
         )
 
     def __matmul__(self, other: "WeilRepMatrix") -> "WeilRepMatrix":
@@ -183,41 +178,36 @@ class WeilRepMatrix:
         if self.root_order != other.root_order:
             raise ValueError("cyclotomic order mismatch")
         n = self.root_order
-        prod = _times(_poly_matmul(self._coefficients(), other._coefficients()), (1,), 0, n)
-        half = self.half + other.half
-        d = self.df.order
-        # divide out |D| while it divides every coefficient, so the integers
-        # stay as small as the values (S^4 ends at I, not |D|^2 I)
-        while half >= 2 and not (prod % d).any():
-            prod = prod // d
-            half -= 2
-        return WeilRepMatrix(self.df, prod, n, 0, half)
+        prod = _times(_poly_matmul(self.coeffs, other.coeffs), (1,), n)
+        return WeilRepMatrix(self.df, prod, n, self.den * other.den)
 
     def conjugate(self) -> "WeilRepMatrix":
-        """Entrywise complex conjugate (the dual representation on generators)."""
+        """Entrywise complex conjugate (the dual representation on generators):
+        coeffs[..., k] moves to zeta^-k, then reduces to the power basis."""
         n = self.root_order
-        hist = np.zeros(self.hist.shape[:2] + (n,), dtype=self.hist.dtype)
-        hist[:, :, -np.arange(self.hist.shape[2]) % n] = self.hist
-        return WeilRepMatrix(self.df, hist, n, -self.phase, self.half)
+        h = np.zeros(self.coeffs.shape[:2] + (n,), dtype=self.coeffs.dtype)
+        h[:, :, -np.arange(self.coeffs.shape[2]) % n] = self.coeffs
+        return WeilRepMatrix(self.df, _times(h, (1,), n), n, self.den)
 
     def dagger(self) -> "WeilRepMatrix":
         conj = self.conjugate()
-        return WeilRepMatrix(self.df, conj.hist.transpose(1, 0, 2), self.root_order,
-                             conj.phase, self.half)
+        return WeilRepMatrix(self.df, conj.coeffs.transpose(1, 0, 2), self.root_order, conj.den)
 
     def scale(self, c: Cyc) -> "WeilRepMatrix":
-        """c times the matrix, for c in Z[zeta_N] (integer coefficients)."""
+        """c times the matrix, for any c in Q(zeta_N)."""
         if c.n != self.root_order:
             raise ValueError("cyclotomic order mismatch")
-        if any(x.denominator != 1 for x in c.c):
-            raise ValueError("scale takes an element of Z[zeta_N]")
-        return WeilRepMatrix(self.df, _times(self.hist, c.c, self.phase, self.root_order),
-                             self.root_order, 0, self.half)
+        n, c_den = self.root_order, math.lcm(*(x.denominator for x in c.c))
+        coeffs = _times(self.coeffs, [x * c_den for x in c.c], n)
+        return WeilRepMatrix(self.df, coeffs, n, self.den * c_den)
 
     @staticmethod
     def identity(df: DiscriminantForm, n_root: int | None = None) -> "WeilRepMatrix":
-        hist = np.eye(len(df.cosets), dtype=np.int64)[:, :, None]
-        return WeilRepMatrix(df, hist, n_root or _root_order(df))
+        n_root = n_root or _root_order(df)
+        coeffs = _zeros(df, n_root)
+        diag = np.arange(len(df.cosets))
+        coeffs[diag, diag, 0] = 1
+        return WeilRepMatrix(df, coeffs, n_root)
 
     def is_identity(self) -> bool:
         return self == WeilRepMatrix.identity(self.df, self.root_order)
@@ -228,10 +218,11 @@ class WeilRepMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeilRepMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return ((self.root_order, self.den) == (other.root_order, other.den)
+                and np.array_equal(self.coeffs, other.coeffs))
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.root_order, self.den, tuple(self.coeffs.ravel().tolist())))
 
     def to_complex(self):
         return [[e.to_complex() for e in row] for row in self.entries]
@@ -285,28 +276,28 @@ def _root_order(df: DiscriminantForm) -> int:
 def rho_T(df: DiscriminantForm) -> WeilRepMatrix:
     """Diagonal generator: entry e(Q(lambda)) at coset lambda."""
     n_root = _root_order(df)
-    size = len(df.cosets)
-    hist = np.zeros((size, size, n_root), dtype=np.int64)
-    diag = np.arange(size)
-    hist[diag, diag, [root_exponent(df.q_table[lam], n_root) for lam in df.cosets]] = 1
-    return WeilRepMatrix(df, hist, n_root)
+    coeffs = _zeros(df, n_root)
+    diag = np.arange(len(df.cosets))
+    exps = [root_exponent(df.q_table[lam], n_root) for lam in df.cosets]
+    coeffs[diag, diag] = _reduction_table(n_root)[exps]
+    return WeilRepMatrix(df, coeffs, n_root)
 
 
 @lru_cache(maxsize=64)
 def rho_S(df: DiscriminantForm) -> WeilRepMatrix:
-    """Normalized finite Fourier transform with phase e(-sig/8)."""
+    """Normalized finite Fourier transform with phase e(-sig/8): the matrix
+    e(-sig/8) sqrt|D| F over |D|."""
     n_root = _root_order(df)
-    size = len(df.cosets)
     level = df.level
     # level * lambda is integral, and b(lambda, mu) lies in (1/level) Z, so
     # level^2 (lambda, mu) is a multiple of level.
     scaled = np.array([[int(x * level) for x in lam] for lam in df.cosets], dtype=object)
     pair = scaled @ np.array(df.lattice.gram, dtype=object) @ scaled.T
-    exps = (-(pair // level) % level * (n_root // level)).astype(np.int64)
-    hist = np.zeros((size, size, n_root), dtype=np.int64)
-    rows, cols = np.indices((size, size))
-    hist[rows, cols, exps] = 1
-    return WeilRepMatrix(df, hist, n_root, root_exponent(Fraction(-df.sig8, 8), n_root), 1)
+    phase = root_exponent(Fraction(-df.sig8, 8), n_root)
+    exps = (-(pair // level) % level * (n_root // level) + phase) % n_root
+    entries = _reduction_table(n_root)[exps.astype(np.int64)]
+    coeffs = _times(entries, sqrt_as_cyclotomic(df.order, n_root).c, n_root)
+    return WeilRepMatrix(df, coeffs, n_root, df.order)
 
 
 def _generator(df: DiscriminantForm, token: str) -> WeilRepMatrix:
@@ -365,41 +356,24 @@ class RelationReport:
 
 
 def verify_relations(df: DiscriminantForm, raise_on_failure: bool = True) -> RelationReport:
-    """Exact checks of the defining relations of the generator matrices, as
-    the integer identities of the module docstring."""
+    """Exact checks of the defining relations on rho(S) and rho(T); in lowest
+    terms each one compares two (den, coeffs) pairs."""
     n_root = _root_order(df)
-    d = df.order
-    f = WeilRepMatrix(df, rho_S(df).hist, n_root)  # F: rho(S) without its scalar
-    t = rho_T(df)
-    ff = f @ f
-    ft = f @ t
-    identity = WeilRepMatrix.identity(df, n_root)._coefficients()
-    negation = identity[[df.index(df.neg(lam)) for lam in df.cosets]]
-    gauss = Cyc.e(Fraction(df.sig8, 8), n_root) * sqrt_as_cyclotomic(d, n_root)
-
-    def holds(lhs: WeilRepMatrix, rhs) -> bool:
-        return np.array_equal(lhs._coefficients(), rhs)
-
-    report = RelationReport(
-        df_order=d,
-        sig8=df.sig8,
-        unitary_s=holds(f @ f.dagger(), d * identity),
-        unitary_t=holds(t @ t.dagger(), identity),
-        braid=holds(ft @ ft @ ft, ff.scale(gauss)._coefficients()),
-        s_squared=holds(ff, d * negation),
-    )
+    s, t = rho_S(df), rho_T(df)
+    identity = WeilRepMatrix.identity(df, n_root)
+    negation = identity.coeffs[[df.index(df.neg(lam)) for lam in df.cosets]]
+    s_squared = WeilRepMatrix(df, negation, n_root).scale(Cyc.e(Fraction(-df.sig8, 4), n_root))
+    ss = s @ s
+    st = s @ t
+    checks = {
+        "unitarity of rho(S)": s @ s.dagger() == identity,
+        "unitarity of rho(T)": t @ t.dagger() == identity,
+        "(rho(S)rho(T))^3 = rho(S)^2": st @ st @ st == ss,
+        "rho(S)^2 = e(-sig/4) * negation": ss == s_squared,
+    }
+    report = RelationReport(df.order, df.sig8, *checks.values())
     if raise_on_failure and not report.all_pass:
-        failed = [
-            name
-            for name, ok in [
-                ("unitarity of rho(S)", report.unitary_s),
-                ("unitarity of rho(T)", report.unitary_t),
-                ("(rho(S)rho(T))^3 = rho(S)^2", report.braid),
-                ("rho(S)^2 = e(-sig/4) * negation", report.s_squared),
-            ]
-            if not ok
-        ]
-        raise RelationViolated("; ".join(failed))
+        raise RelationViolated("; ".join(name for name, ok in checks.items() if not ok))
     return report
 
 

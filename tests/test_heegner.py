@@ -182,6 +182,17 @@ def test_rejects_forms_that_are_not_positive_definite(call):
         call()
 
 
+@pytest.mark.parametrize("n", [0, -2, -3])
+@pytest.mark.parametrize(
+    "call",
+    [lambda n: gamma0_equivalent((1, 0, 1), (1, 0, 1), n), lambda n: stabilizer_order((1, 0, 1), n)],
+    ids=["gamma0_equivalent", "stabilizer_order"],
+)
+def test_rejects_level_below_one(call, n):
+    with pytest.raises(ValueError, match="need N >= 1"):
+        call(n)
+
+
 class TestTransporters:
     def test_equivalent_translates(self):
         assert gamma0_equivalent((1, 1, 6), (1, 3, 8), 1)  # T-translate

@@ -97,6 +97,17 @@ class TestDiscriminantForm:
         fresh = discriminant_form(named_lattice("A2"))
         assert verify_relations(fresh, raise_on_failure=False).all_pass
 
+    @pytest.mark.parametrize("attr", ["order", "sig8", "level", "cosets", "generators", "q_table"])
+    def test_cached_attributes_are_read_only(self, attr):
+        from cycletheta.weilrep import verify_relations
+
+        df = discriminant_form(named_lattice("A2"))
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(df, attr, 3)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(df, attr)
+        assert verify_relations(discriminant_form(named_lattice("A2")), raise_on_failure=False).all_pass
+
 
 class TestDiscB:
     def test_zero_coset(self):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import time
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ import pytest
 
 from cycletheta import weilrep
 from cycletheta.cyclotomic import Cyc, root_order_for, sqrt_as_cyclotomic
-from cycletheta.quadlattice import direct_sum, discriminant_form, named_lattice
+from cycletheta.quadlattice import DiscriminantForm, direct_sum, discriminant_form, named_lattice
 from cycletheta.weilrep import (
     InsufficientTruncation,
     RelationViolated,
@@ -22,6 +23,7 @@ from cycletheta.weilrep import (
 
 CORPUS = ["A1", "A2", "A3", "D4", "E8", "U", "A1(-1)"]
 SUMS = ["A1+A2", "A3+A1", "A2+A2"]
+WORDS = ["STST", "TSST", "TSTS", "SSTT", "STTS", "sTsT", "StSt", "SSSS", "S^-1S", ""]
 
 
 def df_of(name):
@@ -145,12 +147,25 @@ class TestOracle:
     @pytest.mark.parametrize("name", CORPUS + SUMS)
     def test_words_match_schoolbook_product(self, name):
         df = df_of(name)
-        for word in ["STST", "TSST", "TSTS", "SSTT", "STTS", "sTsT", "StSt", "SSSS", "S^-1S", ""]:
+        for word in WORDS:
             m = rho_word(df, word)
             expected = oracle_word(df, word)
             assert m.entries == expected
             shown = SimpleNamespace(df=df, root_order=m.root_order, entries=expected)
             assert m.entry_strings() == WeilRepMatrix.entry_strings(shown)
+
+    @pytest.mark.parametrize("name", CORPUS + SUMS)
+    def test_lowest_terms(self, name):
+        # coeffs / den is canonical, so equal matrices have equal arrays
+        df = df_of(name)
+        for word in WORDS:
+            m = rho_word(df, word)
+            assert m.den > 0
+            assert np.gcd.reduce(m.coeffs, axis=None, initial=m.den) == 1
+        braid, ss = rho_word(df, "STSTST"), rho_word(df, "SS")
+        assert braid.den == ss.den
+        assert np.array_equal(braid.coeffs, ss.coeffs)
+        assert hash(braid) == hash(ss)
 
     @pytest.mark.parametrize("name", CORPUS + SUMS)
     def test_exact_milgram(self, name):
@@ -172,10 +187,10 @@ class TestExactArithmetic:
         df = df_of("A2")
         for gen in (rho_S(df), rho_T(df)):
             with pytest.raises(ValueError):
-                gen.hist[0, 0, 0] = 7
+                gen.coeffs[0, 0, 0] = 7
             assert type(gen.entries) is tuple
             assert all(type(row) is tuple for row in gen.entries)
-        assert rho_S(df).hist.sum() == df.order ** 2
+        assert rho_S(df).den == df.order
 
     @pytest.mark.parametrize("c", [2 ** 31 + 1, 2 ** 32 + 1])
     def test_beyond_int64_takes_object_route(self, c, monkeypatch):
@@ -204,15 +219,23 @@ class TestExactArithmetic:
         # each entry of a fits int64, but the row sum 2^63 that bounds the
         # product does not, and neither does the product entry 2^63
         df = df_of("A1")
-        a = np.array([[[2 ** 62], [2 ** 62]], [[0], [0]]], dtype=np.int64)
+        a = np.zeros((2, 2, 4), dtype=np.int64)
+        a[0, :, 0] = 2 ** 62
+        b = np.zeros((2, 2, 4), dtype=np.int64)
+        b[:, :, 0] = 1
         a_m = WeilRepMatrix(df, a, 8)
-        b_m = WeilRepMatrix(df, np.ones((2, 2, 1), dtype=np.int64), 8)
+        b_m = WeilRepMatrix(df, b, 8)
         assert (a_m @ b_m).entries[0][0] == Cyc.from_rational(8, 2 ** 63)
 
-    def test_scale_needs_integral_coefficients(self):
-        m = WeilRepMatrix.identity(df_of("A1"))
+    def test_scale_by_c_then_inverse_round_trips(self):
+        m = rho_S(df_of("A2"))
+        n = m.root_order
+        c = Cyc.e(F(1, 8), n).scale(F(3, 2))
+        c_inv = Cyc.e(F(-1, 8), n).scale(F(2, 3))
+        assert m.scale(c) != m
+        assert m.scale(c).scale(c_inv) == m
         with pytest.raises(ValueError):
-            m.scale(Cyc.from_rational(m.root_order, F(1, 2)))
+            m.scale(Cyc.one(2 * n))
 
 
 class TestRelations:
@@ -232,8 +255,12 @@ class TestRelations:
 
     @pytest.mark.parametrize("name", ["A1", "A2", "D4", "A3+A1"])
     def test_wrong_signature_breaks_only_braid(self, name):
-        df = copy.copy(df_of(name))
-        df.sig8 = (df.sig8 + 1) % 8
+        # a lattice record whose signature is off by one: its form keeps
+        # q and b but violates Milgram's formula
+        lat = direct_sum(*(named_lattice(n) for n in name.split("+")))
+        p, q = lat.signature
+        df = DiscriminantForm(dataclasses.replace(lat, signature=(p + 1, q)))
+        assert df.sig8 == (df_of(name).sig8 + 1) % 8
         rep = verify_relations(df, raise_on_failure=False)
         assert (rep.unitary_s, rep.unitary_t, rep.braid, rep.s_squared) == (True, True, False, True)
         with pytest.raises(RelationViolated):
@@ -242,11 +269,10 @@ class TestRelations:
     def test_flipped_fourier_exponent_breaks_unitarity(self, monkeypatch):
         df = copy.copy(df_of("A2"))
         s = rho_S(df)
-        hist = s.hist.copy()
-        k = int(hist[1, 2].argmax())  # e(-b) with b = +-1/3, so k != -k mod N
-        hist[1, 2, k] = 0
-        hist[1, 2, -k % s.root_order] = 1
-        flipped = WeilRepMatrix(df, hist, s.root_order, s.phase, s.half)
+        coeffs = s.coeffs.copy()
+        coeffs[1, 2] = s.conjugate().coeffs[1, 2]  # not real, so this changes it
+        assert not np.array_equal(coeffs, s.coeffs)
+        flipped = WeilRepMatrix(df, coeffs, s.root_order, s.den)
         monkeypatch.setattr(weilrep, "rho_S", lambda _: flipped)
         assert not verify_relations(df, raise_on_failure=False).unitary_s
 
