@@ -4,9 +4,9 @@ Subcommands: lattice info, theta, weilrep, heegner, eisenstein, density,
 verify.  Exact values are serialized as reduced-fraction strings, never as
 floats; floating renderings sit under explicit "approx" keys.  Expensive
 results (Heegner classes, density reports, theta series) are cached under
---cache-dir / $CYCLETHETA_CACHE keyed by operation, canonical input digest,
-package version and the operation's payload schema; cache writes are atomic
-(write-temp-then-rename).
+--cache-dir / $CYCLETHETA_CACHE keyed by operation, canonical inputs and a
+digest of the package's own source files, so an entry written by other code
+never matches; cache writes are atomic (write-temp-then-rename).
 
 Only theta (on a cache miss), weilrep and verify load numpy: the numpy layers
 (enumeration, weilrep) are imported inside the commands and suites that compute
@@ -22,11 +22,12 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import click
 
-from . import __version__, eisenstein
+from . import eisenstein
 from .heegner import heegner_cycle
 from .quadlattice import BUILTIN_GRAMS, LatticeError, discriminant_form, named_lattice, new_lattice
 from .verify import SUITES, reports_to_json
@@ -74,14 +75,21 @@ def _resolve_lattice(spec: str):
     )
 
 
-# Payload schema of each cached operation.  Bump an operation's number when
-# its payload changes (a new field, a corrected algorithm), so entries
-# written by older code stop matching even within one package version.
-_SCHEMAS = {"heegner": 1, "density": 1, "theta": 1}
+@lru_cache(maxsize=1)
+def _source_digest() -> str:
+    """sha256 over the name, size and bytes of every *.py file of the package,
+    read once per process: any change to the code changes every cache key."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        h.update(f"{path.name}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 class ResultCache:
-    """Content-addressed JSON store; a version or schema bump invalidates by key."""
+    """Content-addressed JSON store; a change to the package's source
+    invalidates every entry by key."""
 
     def __init__(self, directory: Path):
         self.directory = directory
@@ -93,8 +101,7 @@ class ResultCache:
             {
                 "operation": operation,
                 "inputs": inputs,
-                "version": __version__,
-                "schema": _SCHEMAS[operation],
+                "source": _source_digest(),
             },
             sort_keys=True,
         )
@@ -347,21 +354,15 @@ def eisenstein_cmd(series, truncation, weight, as_json):
 @click.option("--lattice", "spec", required=True)
 @click.option("--prime", "p", required=True, type=int)
 @click.option("--m", "m", required=True, type=int)
-@click.option("--max-level", type=int, default=None)
 @_json_option
 @click.pass_context
-def density_cmd(ctx, spec, p, m, max_level, as_json):
+def density_cmd(ctx, spec, p, m, as_json):
     """Local representation density report at one prime."""
     lat = _resolve_lattice(spec)
     payload = _cache_from_ctx(ctx).fetch_or_compute(
         "density",
-        {
-            "gram": [list(r) for r in lat.gram],
-            "p": p,
-            "m": m,
-            "max_level": max_level,
-        },
-        lambda: eisenstein.local_density(lat, p, m, max_level).to_json_dict(),
+        {"gram": [list(r) for r in lat.gram], "p": p, "m": m},
+        lambda: eisenstein.local_density(lat, p, m).to_json_dict(),
     )
     _show(payload, as_json, [
         f"alpha_{payload['p']}({payload['m']}): stabilized {payload['stabilized']}"

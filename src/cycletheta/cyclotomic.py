@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .eisenstein import _factorize, kronecker_symbol
+from .quadlattice import _ReadOnly
 
 __all__ = ["Cyc", "cyclotomic_poly", "root_exponent", "sqrt_as_cyclotomic", "root_order_for"]
 
@@ -87,18 +88,20 @@ def root_exponent(q, n: int) -> int:
     return q.numerator * (n // q.denominator) % n
 
 
-class Cyc:
-    """An element of Q(zeta_N) in reduced power-basis form."""
+class Cyc(_ReadOnly):
+    """An element of Q(zeta_N) in reduced power-basis form, read-only
+    (sqrt_as_cyclotomic caches its results)."""
 
     __slots__ = ("n", "c")
 
     def __init__(self, n: int, coeffs):
-        self.n = n
         deg = len(cyclotomic_poly(n)) - 1
         c = tuple(Fraction(x) for x in coeffs)
         if len(c) != deg:
             raise ValueError(f"expected {deg} coefficients for Q(zeta_{n})")
-        self.c = c
+        # a fresh instance has nothing to guard: skip the hasattr check
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "c", c)
 
     @staticmethod
     def zero(n: int) -> "Cyc":

@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .quadlattice import Lattice, _block_reduce
 
@@ -215,8 +216,9 @@ def hurwitz(d: int) -> Fraction:
 @dataclass(frozen=True)
 class HurwitzTable:
     d_max: int
-    values: dict[int, Fraction] = field(compare=False)
-    convention: str = "H(0) = -1/12 (orbifold volume of SL2(Z)\\H)"
+    values: MappingProxyType[int, Fraction] = field(compare=False)  # read-only: cached
+
+    convention = "H(0) = -1/12 (orbifold volume of SL2(Z)\\H)"
 
     def to_json_dict(self) -> dict:
         return {
@@ -226,20 +228,20 @@ class HurwitzTable:
         }
 
 
+@lru_cache(maxsize=16)
 def hurwitz_table(d_max: int) -> HurwitzTable:
     """H(d) for every d <= d_max with d = 0, 3 mod 4, and H(0) = -1/12.
 
     One pass of the reduced-form sieve over [1, d_max] (see hurwitz for the
     weights 1, 1/2, 1/3) in integers 6 H(d), converted to Fraction once per
     d at the end: about pi d_max^(3/2) / 18 steps, O(d_max^(3/2)), against
-    O(d_max^2) for one class count per d.  Not cached, since the table's
-    values dict is mutable; each call builds a fresh one."""
+    O(d_max^2) for one class count per d."""
     if d_max < 0:
         raise ValueError(f"d_max must be >= 0, got {d_max}")
     six = _six_hurwitz(1, d_max)
     values = {0: Fraction(-1, 12)}
     values.update((d, Fraction(six[d - 1], 6)) for d in range(3, d_max + 1) if d % 4 in (0, 3))
-    return HurwitzTable(d_max=d_max, values=values)
+    return HurwitzTable(d_max=d_max, values=MappingProxyType(values))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +404,7 @@ class LocalDensityReport:
     m: int
     rank: int
     approximations: tuple[tuple[int, Fraction], ...]
-    stabilized: Fraction | None
+    stabilized: Fraction
     threshold: int
 
     def to_json_dict(self) -> dict:
@@ -412,7 +414,7 @@ class LocalDensityReport:
             "rank": self.rank,
             "threshold": self.threshold,
             "approximations": [[k, str(v)] for k, v in self.approximations],
-            "stabilized": str(self.stabilized) if self.stabilized is not None else "not stabilized",
+            "stabilized": str(self.stabilized),
         }
 
 
@@ -542,13 +544,13 @@ def _level_counts(blocks, p: int, m: int, k_max: int) -> list[int]:
     ]
 
 
-def local_density(lat: Lattice, p: int, m: int, max_level: int | None = None) -> LocalDensityReport:
+def local_density(lat: Lattice, p: int, m: int) -> LocalDensityReport:
     """Normalized counts p^(-k(n-1)) N_k, N_k = #{x mod p^k : Q(x) = m mod p^k}.
 
-    The stabilization threshold is k0 = 2 ord_p(2 m det) + 2; the report
-    carries every level up to max_level (default k0 + 1) and the stabilized
-    value once two consecutive levels >= k0 agree.  Requesting extra levels
-    re-checks that later values stay put.
+    The normalized counts are constant from the threshold k0 = 2 ord_p(2 m det) + 2
+    on.  The report carries levels 1..k0+1 and, as the stabilized value, the
+    level-k0 value, once level k0+1 equals it; otherwise NotStabilized is
+    raised.
 
     The counts come from one exact recursion over levels, the reduction
     maps of Hanke, *Local densities and explicit bounds for
@@ -579,31 +581,14 @@ def local_density(lat: Lattice, p: int, m: int, max_level: int | None = None) ->
     if m < 1:
         raise ValueError("m must be >= 1")
     k0 = 2 * _ordp(2 * m * abs(lat.det), p) + 2
-    if max_level is None:
-        max_level = k0 + 1
-    if max_level < k0 + 1:
-        raise NotStabilized(
-            f"max_level={max_level} is below the stabilization threshold k0+1={k0 + 1}"
-        )
-    counts = _level_counts(_jordan_blocks(lat, p, _lifting_level(p)), p, m, max_level)
+    counts = _level_counts(_jordan_blocks(lat, p, _lifting_level(p)), p, m, k0 + 1)
     approx = tuple(
         (k, Fraction(cnt, p ** (k * (lat.rank - 1))))
-        for k, cnt in zip(range(1, max_level + 1), counts)
+        for k, cnt in zip(range(1, k0 + 2), counts)
     )
-    stabilized = None
-    for k in range(k0, max_level):
-        if approx[k - 1][1] == approx[k][1]:
-            stabilized = approx[k - 1][1]
-            tail = [v for kk, v in approx if kk >= k]
-            if any(v != stabilized for v in tail):
-                raise NotStabilized(
-                    f"stabilization violated beyond level {k} for p={p}, m={m}"
-                )
-            break
-    if stabilized is None:
-        raise NotStabilized(
-            f"no two consecutive levels >= k0={k0} agree up to max_level={max_level}"
-        )
+    stabilized = approx[k0 - 1][1]
+    if approx[k0][1] != stabilized:
+        raise NotStabilized(f"levels k0={k0} and k0+1 disagree for p={p}, m={m}")
     return LocalDensityReport(
         p=p, m=m, rank=lat.rank, approximations=approx, stabilized=stabilized,
         threshold=k0,

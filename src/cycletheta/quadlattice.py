@@ -285,7 +285,22 @@ def smith_normal_form(a) -> tuple[list[list[int]], list[list[int]], list[list[in
     return m, u, v
 
 
-class DiscriminantForm:
+class _ReadOnly:
+    """Attributes, once set, cannot be rebound or deleted.  Instances of the
+    subclasses sit in lru caches, so one instance is shared by every caller."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
+class DiscriminantForm(_ReadOnly):
     """The finite quadratic module L'/L with Q: L'/L -> Q/Z.
 
     Cosets are represented canonically by dual vectors (in lattice-basis
@@ -336,16 +351,6 @@ class DiscriminantForm:
         for lam in self.cosets:
             if q_table[lam] != q_table[self.neg(lam)]:
                 raise LatticeError("q(lambda) != q(-lambda); broken group structure")
-
-    def __setattr__(self, name, value):
-        # discriminant_form is cached, so one instance is shared: what
-        # __init__ sets cannot be rebound or deleted
-        if name in vars(self):
-            raise AttributeError(f"DiscriminantForm.{name} is read-only")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name):
-        raise AttributeError(f"DiscriminantForm.{name} is read-only")
 
     @property
     def lattice(self) -> Lattice:

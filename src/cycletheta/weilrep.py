@@ -45,7 +45,7 @@ import numpy as np
 
 from .cyclotomic import Cyc, _power_table, root_exponent, root_order_for, sqrt_as_cyclotomic
 from .enumeration import theta_qseries
-from .quadlattice import DiscriminantForm, Lattice, discriminant_form
+from .quadlattice import DiscriminantForm, Lattice, _ReadOnly, discriminant_form
 
 __all__ = [
     "RelationViolated",
@@ -128,20 +128,35 @@ def _poly_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _zeros(df: DiscriminantForm, n_root: int) -> np.ndarray:
+@lru_cache(maxsize=256)
+def _root_order(df: DiscriminantForm) -> int:
+    return root_order_for(df.level, df.order)
+
+
+def _zeros(df: DiscriminantForm) -> np.ndarray:
     size = len(df.cosets)
-    return np.zeros((size, size, _reduction_table(n_root).shape[1]), dtype=np.int64)
+    return np.zeros((size, size, _reduction_table(_root_order(df)).shape[1]), dtype=np.int64)
 
 
-class WeilRepMatrix:
-    """A |D| x |D| matrix over Q(zeta_N) indexed by the canonical cosets,
-    stored in lowest terms as coeffs / den (see the module docstring).
+def _same_form(a: DiscriminantForm, b: DiscriminantForm) -> bool:
+    """Whether a and b have the same cosets and the same values of q on them
+    (then they also share the level, and so the root order N)."""
+    return a is b or (a.cosets == b.cosets and a.q_table == b.q_table)
 
-    The constructor divides coeffs and den by their gcd and makes coeffs
-    read-only, so a cached generator cannot be changed by a caller.
+
+class WeilRepMatrix(_ReadOnly):
+    """A |D| x |D| matrix over Q(zeta_N) indexed by the canonical cosets of
+    df, stored in lowest terms as coeffs / den (see the module docstring).
+    N is the root order of df, root_order_for(df.level, |D|).
+
+    The constructor divides coeffs and den by their gcd; coeffs and every
+    attribute are read-only, so a cached generator cannot be changed by a
+    caller.  Products and equality require the same form: the same cosets
+    with the same values of q.
     """
 
-    def __init__(self, df: DiscriminantForm, coeffs: np.ndarray, n_root: int, den: int = 1):
+    def __init__(self, df: DiscriminantForm, coeffs: np.ndarray, den: int = 1):
+        n_root = _root_order(df)
         size = len(df.cosets)
         shape = (size, size, _reduction_table(n_root).shape[1])
         if coeffs.shape != shape:
@@ -173,13 +188,10 @@ class WeilRepMatrix:
         )
 
     def __matmul__(self, other: "WeilRepMatrix") -> "WeilRepMatrix":
-        if self.df is not other.df and self.df.cosets != other.df.cosets:
+        if not _same_form(self.df, other.df):
             raise ValueError("matrices live over different discriminant forms")
-        if self.root_order != other.root_order:
-            raise ValueError("cyclotomic order mismatch")
-        n = self.root_order
-        prod = _times(_poly_matmul(self.coeffs, other.coeffs), (1,), n)
-        return WeilRepMatrix(self.df, prod, n, self.den * other.den)
+        prod = _times(_poly_matmul(self.coeffs, other.coeffs), (1,), self.root_order)
+        return WeilRepMatrix(self.df, prod, self.den * other.den)
 
     def conjugate(self) -> "WeilRepMatrix":
         """Entrywise complex conjugate (the dual representation on generators):
@@ -187,30 +199,29 @@ class WeilRepMatrix:
         n = self.root_order
         h = np.zeros(self.coeffs.shape[:2] + (n,), dtype=self.coeffs.dtype)
         h[:, :, -np.arange(self.coeffs.shape[2]) % n] = self.coeffs
-        return WeilRepMatrix(self.df, _times(h, (1,), n), n, self.den)
+        return WeilRepMatrix(self.df, _times(h, (1,), n), self.den)
 
     def dagger(self) -> "WeilRepMatrix":
         conj = self.conjugate()
-        return WeilRepMatrix(self.df, conj.coeffs.transpose(1, 0, 2), self.root_order, conj.den)
+        return WeilRepMatrix(self.df, conj.coeffs.transpose(1, 0, 2), conj.den)
 
     def scale(self, c: Cyc) -> "WeilRepMatrix":
         """c times the matrix, for any c in Q(zeta_N)."""
         if c.n != self.root_order:
             raise ValueError("cyclotomic order mismatch")
-        n, c_den = self.root_order, math.lcm(*(x.denominator for x in c.c))
-        coeffs = _times(self.coeffs, [x * c_den for x in c.c], n)
-        return WeilRepMatrix(self.df, coeffs, n, self.den * c_den)
+        c_den = math.lcm(*(x.denominator for x in c.c))
+        coeffs = _times(self.coeffs, [x * c_den for x in c.c], self.root_order)
+        return WeilRepMatrix(self.df, coeffs, self.den * c_den)
 
     @staticmethod
-    def identity(df: DiscriminantForm, n_root: int | None = None) -> "WeilRepMatrix":
-        n_root = n_root or _root_order(df)
-        coeffs = _zeros(df, n_root)
+    def identity(df: DiscriminantForm) -> "WeilRepMatrix":
+        coeffs = _zeros(df)
         diag = np.arange(len(df.cosets))
         coeffs[diag, diag, 0] = 1
-        return WeilRepMatrix(df, coeffs, n_root)
+        return WeilRepMatrix(df, coeffs)
 
     def is_identity(self) -> bool:
-        return self == WeilRepMatrix.identity(self.df, self.root_order)
+        return self == WeilRepMatrix.identity(self.df)
 
     def is_unitary(self) -> bool:
         return (self @ self.dagger()).is_identity()
@@ -218,7 +229,7 @@ class WeilRepMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeilRepMatrix):
             return NotImplemented
-        return ((self.root_order, self.den) == (other.root_order, other.den)
+        return (self.den == other.den and _same_form(self.df, other.df)
                 and np.array_equal(self.coeffs, other.coeffs))
 
     def __hash__(self):
@@ -267,20 +278,15 @@ class WeilRepMatrix:
         return out
 
 
-@lru_cache(maxsize=256)
-def _root_order(df: DiscriminantForm) -> int:
-    return root_order_for(df.level, df.order)
-
-
 @lru_cache(maxsize=64)
 def rho_T(df: DiscriminantForm) -> WeilRepMatrix:
     """Diagonal generator: entry e(Q(lambda)) at coset lambda."""
     n_root = _root_order(df)
-    coeffs = _zeros(df, n_root)
+    coeffs = _zeros(df)
     diag = np.arange(len(df.cosets))
     exps = [root_exponent(df.q_table[lam], n_root) for lam in df.cosets]
     coeffs[diag, diag] = _reduction_table(n_root)[exps]
-    return WeilRepMatrix(df, coeffs, n_root)
+    return WeilRepMatrix(df, coeffs)
 
 
 @lru_cache(maxsize=64)
@@ -297,7 +303,7 @@ def rho_S(df: DiscriminantForm) -> WeilRepMatrix:
     exps = (-(pair // level) % level * (n_root // level) + phase) % n_root
     entries = _reduction_table(n_root)[exps.astype(np.int64)]
     coeffs = _times(entries, sqrt_as_cyclotomic(df.order, n_root).c, n_root)
-    return WeilRepMatrix(df, coeffs, n_root, df.order)
+    return WeilRepMatrix(df, coeffs, df.order)
 
 
 def _generator(df: DiscriminantForm, token: str) -> WeilRepMatrix:
@@ -358,11 +364,10 @@ class RelationReport:
 def verify_relations(df: DiscriminantForm, raise_on_failure: bool = True) -> RelationReport:
     """Exact checks of the defining relations on rho(S) and rho(T); in lowest
     terms each one compares two (den, coeffs) pairs."""
-    n_root = _root_order(df)
     s, t = rho_S(df), rho_T(df)
-    identity = WeilRepMatrix.identity(df, n_root)
+    identity = WeilRepMatrix.identity(df)
     negation = identity.coeffs[[df.index(df.neg(lam)) for lam in df.cosets]]
-    s_squared = WeilRepMatrix(df, negation, n_root).scale(Cyc.e(Fraction(-df.sig8, 4), n_root))
+    s_squared = WeilRepMatrix(df, negation).scale(Cyc.e(Fraction(-df.sig8, 4), s.root_order))
     ss = s @ s
     st = s @ t
     checks = {
@@ -449,13 +454,11 @@ def theta_transform_check(lat: Lattice, generator: str, tau: complex, truncation
             if cnt
         )
 
-    rho_c = mat.to_complex()
+    at_tau = [eval_component(mu, tau) for mu in df.cosets]
     residual = 0.0
-    for i, lam in enumerate(df.cosets):
+    for lam, row in zip(df.cosets, mat.to_complex()):
         lhs = eval_component(lam, gamma_tau)
-        rhs = j_pow * sum(
-            rho_c[i][j] * eval_component(mu, tau) for j, mu in enumerate(df.cosets)
-        )
+        rhs = j_pow * sum(r * v for r, v in zip(row, at_tau))
         residual = max(residual, abs(lhs - rhs))
     return ThetaTransformResult(
         generator=generator,

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -257,21 +258,29 @@ class TestResultCache:
         cache.put(key, {"value": "1/3"})
         assert cache.get(key) == {"value": "1/3"}
 
-    def test_version_in_key(self, monkeypatch):
+    def test_source_digest_in_key(self, monkeypatch):
+        # a different source digest changes every key
         inputs = {"N": 1, "r": 1, "d": 23}
-        base = ResultCache.make_key("heegner", inputs)
-        density = ResultCache.make_key("density", inputs)
-        monkeypatch.setattr(cli, "__version__", "0.1.0+other")
-        assert ResultCache.make_key("heegner", inputs) != base
+        operations = ("heegner", "density", "theta")
+        base = {op: ResultCache.make_key(op, inputs) for op in operations}
+        assert len(set(base.values())) == len(operations)
+        monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+        for op in operations:
+            assert ResultCache.make_key(op, inputs) != base[op]
         monkeypatch.undo()
-        assert ResultCache.make_key("heegner", inputs) == base
-        monkeypatch.setitem(cli._SCHEMAS, "heegner", cli._SCHEMAS["heegner"] + 1)
-        assert ResultCache.make_key("heegner", inputs) != base
-        assert ResultCache.make_key("density", inputs) == density
+        assert {op: ResultCache.make_key(op, inputs) for op in operations} == base
 
-    def test_unknown_operation_has_no_key(self):
-        with pytest.raises(KeyError):
-            ResultCache.make_key("demo", {})
+    def test_source_digest_covers_every_module(self, tmp_path, monkeypatch):
+        package = tmp_path / "cycletheta"
+        package.mkdir()
+        for path in Path(cli.__file__).parent.glob("*.py"):
+            (package / path.name).write_bytes(path.read_bytes())
+        monkeypatch.setattr(cli, "__file__", str(package / "cli.py"))
+        digest = cli._source_digest.__wrapped__
+        assert digest() == cli._source_digest()
+        with open(package / "eisenstein.py", "a") as fh:
+            fh.write("\n")
+        assert digest() != cli._source_digest()
 
     def test_corrupt_entry_ignored(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cycletheta.cyclotomic import root_order_for, sqrt_as_cyclotomic
+from cycletheta import eisenstein
 from cycletheta.eisenstein import (
+    HurwitzTable,
     NotStabilized,
     UnsupportedLattice,
     UnsupportedWeight,
@@ -80,6 +82,17 @@ class TestHurwitz:
         assert table.values[0] == F(-1, 12)
         assert table.values[20] == 2
         assert "H(0)" in table.convention
+
+    def test_table_is_cached_and_read_only(self):
+        assert hurwitz_table.cache_info().maxsize is not None
+        table = hurwitz_table(20)
+        assert hurwitz_table(20) is table
+        with pytest.raises(TypeError):
+            table.values[20] = F(7)
+        with pytest.raises(AttributeError):
+            table.convention = "H(0) = 0"
+        assert hurwitz_table(20).values[20] == 2
+        assert table.to_json_dict()["convention"] == HurwitzTable.convention
 
 
 def form_weight_sum(d):
@@ -506,9 +519,22 @@ class TestLocalDensity:
         assert rep.threshold == 6
 
     def test_unramified_stable_from_level_1(self):
-        rep = local_density(named_lattice("E8"), 5, 1, max_level=4)
+        rep = local_density(named_lattice("E8"), 5, 1)
         values = {v for _, v in rep.approximations}
         assert len(values) == 1
+
+    @pytest.mark.parametrize("name", ["A1", "A2", "A3", "D4", "E8"])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_levels_past_threshold_stay_stabilized(self, name, p):
+        # the report stops at level k0 + 1; the counts stay put beyond it
+        lat = named_lattice(name)
+        for m in range(1, 13):
+            rep = local_density(lat, p, m)
+            k0 = rep.threshold
+            normalized = [F(c, p ** (k * (lat.rank - 1)))
+                          for k, c in enumerate(level_counts(lat, p, m, k0 + 4), 1)]
+            assert rep.approximations == tuple(enumerate(normalized[:k0 + 1], 1))
+            assert normalized[k0 - 1:] == [rep.stabilized] * 5, (m, k0)
 
     @pytest.mark.parametrize(
         "name,p,k_max,m",
@@ -581,9 +607,14 @@ class TestLocalDensity:
         rep = local_density(direct_sum(e8, e8, e8, e8), 2, 1)
         assert rep.stabilized == 1 - F(1, 2 ** 16)
 
-    def test_not_stabilized_error(self):
-        with pytest.raises(NotStabilized):
-            local_density(named_lattice("A1"), 2, 1, max_level=3)
+    def test_not_stabilized_error(self, monkeypatch):
+        # levels k0 and k0 + 1 that disagree are an error, not a report
+        def drifting(blocks, p, m, k_max):
+            return [p ** ((k - 1) * k) for k in range(1, k_max + 1)]
+
+        monkeypatch.setattr(eisenstein, "_level_counts", drifting)
+        with pytest.raises(NotStabilized, match="k0=6"):
+            local_density(named_lattice("A1"), 2, 1)
 
     def test_rejects_indefinite(self):
         with pytest.raises(UnsupportedLattice):

@@ -123,7 +123,7 @@ class TestWords:
         m = rho_word(df_of("A1"), "SS")
         n = m.root_order
         phase = Cyc.e(F(-1, 4), n)
-        expected = WeilRepMatrix.identity(df_of("A1"), n).scale(phase)
+        expected = WeilRepMatrix.identity(df_of("A1")).scale(phase)
         assert m == expected
 
     @pytest.mark.parametrize("name", CORPUS)
@@ -192,6 +192,35 @@ class TestExactArithmetic:
             assert all(type(row) is tuple for row in gen.entries)
         assert rho_S(df).den == df.order
 
+    def test_cached_values_reject_assignment(self):
+        df = df_of("A2")
+        s, sqrt2 = rho_S(df), sqrt_as_cyclotomic(2, 8)
+        s_coeffs, sqrt2_c = s.coeffs.copy(), sqrt2.c
+        for obj, attr, value in [(s, "den", 5), (s, "coeffs", s_coeffs), (s, "root_order", 8),
+                                 (sqrt2, "c", (0, 0, 0, 0)), (sqrt2, "n", 16)]:
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(obj, attr, value)
+            with pytest.raises(AttributeError, match="read-only"):
+                delattr(obj, attr)
+        assert rho_S(df) is s and (s.den, s.root_order) == (df.order, 24)
+        assert np.array_equal(s.coeffs, s_coeffs)
+        assert sqrt_as_cyclotomic(2, 8) is sqrt2 and sqrt2.c == sqrt2_c and sqrt2.n == 8
+        assert sqrt2 * sqrt2 == Cyc.from_rational(8, 2)
+
+    def test_forms_must_agree(self):
+        # A1 and A1(-1) share the cosets ((0,), (1/2,)), but q(1/2) is 1/4 in
+        # one and 3/4 in the other
+        a1, a1_neg = df_of("A1"), df_of("A1(-1)")
+        assert a1.cosets == a1_neg.cosets
+        with pytest.raises(ValueError, match="different discriminant forms"):
+            rho_S(a1) @ rho_T(a1_neg)
+        assert WeilRepMatrix.identity(a1) != WeilRepMatrix.identity(a1_neg)
+        # a form built again from the same lattice is the same form
+        again = DiscriminantForm(named_lattice("A2"))
+        assert again is not df_of("A2")
+        assert rho_S(df_of("A2")) @ rho_T(again) == rho_word(df_of("A2"), "ST")
+        assert WeilRepMatrix.identity(again) == WeilRepMatrix.identity(df_of("A2"))
+
     @pytest.mark.parametrize("c", [2 ** 31 + 1, 2 ** 32 + 1])
     def test_beyond_int64_takes_object_route(self, c, monkeypatch):
         # the square of (2^31 + 1) I stays below 2^63 and runs in int64;
@@ -223,8 +252,8 @@ class TestExactArithmetic:
         a[0, :, 0] = 2 ** 62
         b = np.zeros((2, 2, 4), dtype=np.int64)
         b[:, :, 0] = 1
-        a_m = WeilRepMatrix(df, a, 8)
-        b_m = WeilRepMatrix(df, b, 8)
+        a_m = WeilRepMatrix(df, a)
+        b_m = WeilRepMatrix(df, b)
         assert (a_m @ b_m).entries[0][0] == Cyc.from_rational(8, 2 ** 63)
 
     def test_scale_by_c_then_inverse_round_trips(self):
@@ -272,7 +301,7 @@ class TestRelations:
         coeffs = s.coeffs.copy()
         coeffs[1, 2] = s.conjugate().coeffs[1, 2]  # not real, so this changes it
         assert not np.array_equal(coeffs, s.coeffs)
-        flipped = WeilRepMatrix(df, coeffs, s.root_order, s.den)
+        flipped = WeilRepMatrix(df, coeffs, s.den)
         monkeypatch.setattr(weilrep, "rho_S", lambda _: flipped)
         assert not verify_relations(df, raise_on_failure=False).unitary_s
 
