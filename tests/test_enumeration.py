@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import time
 from collections import Counter
 from fractions import Fraction as F
@@ -226,6 +227,21 @@ class TestThetaQSeries:
             for e, c in pairs:
                 assert c == rep_number(lat, coset, e), (coset, e)
 
+    def test_component_of_a_non_coset_is_a_named_error(self):
+        th = theta_qseries(named_lattice("A1"), 2)
+        for coset in [(F(1, 3),), (0, 0)]:
+            with pytest.raises(ValueError, match="is not a coset of the dual lattice"):
+                th.component(coset)
+            with pytest.raises(ValueError, match="is not a coset of the dual lattice"):
+                th.coefficient(coset, 1)
+
+    def test_none_is_the_zero_coset(self):
+        for name in ["A1", "A2", "D4"]:
+            th = theta_qseries(named_lattice(name), 3)
+            zero = tuple(F(0) for _ in range(named_lattice(name).rank))
+            assert min(th.components) == zero
+            assert th.component(None) is th.components[zero]
+
     def test_cached_series_is_read_only(self):
         th = theta_qseries(named_lattice("A2"), 2)
         zero = (F(0), F(0))
@@ -247,6 +263,16 @@ class TestGenus2:
 
     def test_not_psd(self):
         assert rep_number_genus2(named_lattice("E8"), None, ((1, 2), (2, 1))) == 0
+
+    @pytest.mark.parametrize("cosets", [[(F(1, 2),)], [], [(0,), (0,), (0,)]])
+    def test_cosets_must_be_none_or_a_pair(self, cosets):
+        a1 = named_lattice("A1")
+        with pytest.raises(ValueError, match="pair"):
+            rep_number_genus2(a1, cosets, ((1, 0), (0, 1)))
+        half = (F(1, 2),)
+        t = ((F(1, 4), F(1, 4)), (F(1, 4), F(1, 4)))
+        assert rep_number_genus2(a1, [half, half], t) == 2
+        assert rep_number_genus2(a1, None, ((1, 1), (1, 1))) == 2
 
     def test_transpose_symmetry(self):
         lat = named_lattice("A2")
@@ -548,22 +574,159 @@ class TestFrontierChunks:
         assert got.tolist() == [math.isqrt(x) for x in a]
 
 
-@st.composite
-def skewed_even_gram(draw):
-    """A positive definite even Gram matrix of rank 2-4: a sum of A_k root
-    lattices with one diagonal entry raised, in a random unimodular basis."""
-    n = draw(st.integers(min_value=2, max_value=4))
-    sign = st.sampled_from([-1, 0, 1])
+def _lattice(name):
+    return direct_sum(*(named_lattice(n) for n in name.split("+")))
+
+
+class TestGluing:
+    """The glued counts against the oracle: the walk over the whole ball."""
+
+    @staticmethod
+    def assert_matches_walk(lat, bound):
+        th = theta_qseries.__wrapped__(lat, bound)
+        assert len(th.components) == abs(lat.det)
+        for lam, pairs in th.components.items():
+            assert [c for _, c in pairs] == enumeration._ball_counts(lat, lam, bound), lam
+
+    @pytest.mark.parametrize("name,bound,order", [
+        ("E8", 12, 5), ("A1+A1+A1+A1+A1+A1+A1+A1", 4, 1), ("D4+D4", 8, 1),
+        ("A2+A2+A2+A2", 5, 1),
+    ])
+    def test_rank_8_matches_walk(self, name, bound, order):
+        lat = _lattice(name)
+        assert len(enumeration._glue(lat)[3]) == order
+        self.assert_matches_walk(lat, bound)
+        df = discriminant_form(lat)
+        for lam in df.cosets[:8]:
+            for k in range(3):
+                m = df.q_table[lam] + k
+                assert rep_number(lat, lam, m) == enumeration._walk_target(lat, lam, m, False)
+
+    def test_seeded_corpus_matches_walk(self):
+        rng = random.Random(20261019)
+        cases = 0
+        while cases < 12:
+            lat = new_lattice(_skewed_gram(rng.choice, rng.randint(6, 8)))
+            if abs(lat.det) > 64:
+                continue
+            cases += 1
+            for lam in discriminant_form(lat).cosets:
+                assert enumeration._glued_counts(lat, lam, F(7, 2), {}) == \
+                    enumeration._ball_counts(lat, lam, F(7, 2)), (lat.gram, lam)
+
+    @pytest.mark.parametrize("name,bound,order,glued", [
+        ("D4", 12, 3, {4}), ("A2+A2+A2", 6, 2, {6, 3}),
+    ])
+    def test_lowered_threshold_matches_walk(self, monkeypatch, name, bound, order, glued):
+        lat = _lattice(name)
+        ranks = []
+        glued_counts = enumeration._glued_counts
+
+        def spy(lat, mu, bound, memo):
+            ranks.append(lat.rank)
+            return glued_counts(lat, mu, bound, memo)
+
+        monkeypatch.setattr(enumeration, "_GLUE_RANK", 3)
+        monkeypatch.setattr(enumeration, "_glued_counts", spy)
+        assert len(enumeration._glue(lat)[3]) == order
+        self.assert_matches_walk(lat, bound)
+        assert set(ranks) == glued  # halves of rank >= 3 are glued again
+        df = discriminant_form(lat)
+        for lam in df.cosets:
+            m = df.q_table[lam] + 2
+            assert rep_number(lat, lam, m) == enumeration._walk_target(lat, lam, m, False)
+
+    def test_halves_beyond_int64_take_object_route(self, monkeypatch):
+        # L2 = L meet e_0^perp is spanned by (1, -2) of norm 2^18 - 2, so its
+        # cosets have denominators near 2^18 and the half walks hold Python ints
+        lat = new_lattice([[2, 1], [1, 2 ** 16]])
+        dtypes = set()
+        isqrt = enumeration._isqrt
+
+        def spy(a):
+            dtypes.add(a.dtype)
+            return isqrt(a)
+
+        monkeypatch.setattr(enumeration, "_GLUE_RANK", 2)
+        monkeypatch.setattr(enumeration, "_isqrt", spy)
+        assert len(enumeration._glue(lat)[3]) == 2
+        det = 2 ** 17 - 1
+        for c in (0, 1, 2, 5, det - 1):
+            lam = (F(-c, det) % 1, F(2 * c, det) % 1)
+            glued = enumeration._glued_counts(lat, lam, 3, {})
+            assert glued == enumeration._ball_counts(lat, lam, 3)
+            assert sum(glued) > 0
+        assert np.dtype(object) in dtypes
+
+    def test_convolution_beyond_int64(self, monkeypatch):
+        # A1^8 splits as A1^4 + A1^4 with trivial glue, so the zero coset is
+        # one convolution; counts of 2^62 put its entries past int64
+        monkeypatch.setattr(enumeration, "_counts", lambda lat, mu, bound, memo: [2 ** 62] * 3)
+        lat = _lattice("A1+A1+A1+A1+A1+A1+A1+A1")
+        zero = tuple(F(0) for _ in range(8))
+        assert enumeration._glued_counts(lat, zero, 3, {}) == [2 ** 124, 2 ** 125, 3 * 2 ** 124]
+
+    def test_e8_e8(self):
+        # theta of E8 + E8 is E8 = 1 + 480 sum sigma_7(m) q^m, and the square
+        # of theta_E8; the walk over this rank-16 ball is out of reach
+        e8 = named_lattice("E8")
+        lat = direct_sum(e8, e8)
+        start = time.perf_counter()
+        counts = [c for _, c in theta_qseries(lat, 10).component(None)]
+        assert time.perf_counter() - start < 10
+        sigma7 = [sum(d ** 7 for d in range(1, m + 1) if m % d == 0) for m in range(10)]
+        assert counts == [1] + [480 * s for s in sigma7[1:]]
+        e8_counts = [c for _, c in theta_qseries(e8, 10).component(None)]
+        assert counts == [sum(e8_counts[i] * e8_counts[m - i] for i in range(m + 1))
+                          for m in range(10)]
+        assert [rep_number(lat, None, m) for m in range(7)] == counts[:7]
+
+    def test_lll_reduces(self):
+        # the kernel basis from the Smith form has a vector of norm 30 on E8;
+        # the reduced complement is spanned by roots
+        e8 = named_lattice("E8")
+        l2 = enumeration._glue(e8)[1]
+        assert [l2.gram[i][i] for i in range(4)] == [2, 2, 2, 2]
+        rng = random.Random(7)
+        g = BUILTIN_GRAMS["D4"]
+        dot = lambda x, y: sum(a * g[i][j] * b for i, a in enumerate(x) for j, b in enumerate(y))
+        for _ in range(20):
+            basis = [[1 if i == j else rng.randint(-4, 4) if j > i else 0 for j in range(4)]
+                     for i in range(4)]
+            basis = [basis[i] for i in rng.sample(range(4), 4)]
+            b = enumeration._lll(dot, basis)
+            # the same lattice: b = M basis with M integral and unimodular
+            assert abs(_det(b)) == 1
+            mu, bs = [[F(0)] * 4 for _ in range(4)], []  # Gram-Schmidt from scratch
+            for i in range(4):
+                for j in range(i):
+                    mu[i][j] = (dot(b[i], b[j])
+                                - sum(mu[j][t] * mu[i][t] * bs[t] for t in range(j))) / bs[j]
+                bs.append(dot(b[i], b[i]) - sum(mu[i][j] ** 2 * bs[j] for j in range(i)))
+            assert all(abs(mu[i][j]) <= F(1, 2) for i in range(4) for j in range(i))
+            assert all(bs[i] >= (F(3, 4) - mu[i][i - 1] ** 2) * bs[i - 1] for i in range(1, 4))
+def _skewed_gram(pick, n):
+    """A positive definite even Gram matrix of rank n: a sum of A_k root
+    lattices with one diagonal entry raised, in a random unimodular basis;
+    pick(options) makes each random choice."""
+    sign = [-1, 0, 1]
     h = [[2 * (i == j) for j in range(n)] for i in range(n)]
     for i in range(n - 1):
-        h[i][i + 1] = h[i + 1][i] = draw(sign)
-    i0 = draw(st.integers(min_value=0, max_value=n - 1))
-    h[i0][i0] += 2 * draw(st.integers(min_value=0, max_value=2))
-    b = [[1 if i == j else draw(sign) if j > i else 0 for j in range(n)] for i in range(n)]
+        h[i][i + 1] = h[i + 1][i] = pick(sign)
+    i0 = pick(range(n))
+    h[i0][i0] += 2 * pick(range(3))
+    b = [[1 if i == j else pick(sign) if j > i else 0 for j in range(n)] for i in range(n)]
     return [
         [sum(b[k][i] * h[k][l] * b[l][j] for k in range(n) for l in range(n)) for j in range(n)]
         for i in range(n)
     ]
+
+
+@st.composite
+def skewed_even_gram(draw):
+    """_skewed_gram of rank 2-4, drawn by hypothesis."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    return _skewed_gram(lambda options: draw(st.sampled_from(options)), n)
 
 
 class TestWalkerProperty:
