@@ -4,9 +4,9 @@
 For each lattice of a fixed corpus, feeds into one sha256 the sorted-key
 JSON of theta_qseries(lat, T).to_json_dict() and of rep_number(lat, lam, m)
 for every coset lam of L'/L and the first few norms m on its grid
-q(lam) + Z.  The corpus mixes ranks below and at the gluing threshold of
-``enumeration``, so both count routes feed the digest.  Exits 1 unless the
-digest equals the recorded one.
+q(lam) + Z.  Theta series are glued at every rank; rep_number walks below
+rank 8 and glues from it on, and the corpus has ranks 1 to 8, so both count
+routes feed the digest.  Exits 1 unless the digest equals the recorded one.
 
     PYTHONPATH=src python scripts/theta_sweep.py
 """
@@ -16,22 +16,32 @@ import json
 import sys
 
 from cycletheta.enumeration import rep_number, theta_qseries
-from cycletheta.quadlattice import direct_sum, discriminant_form, named_lattice
+from cycletheta.quadlattice import direct_sum, discriminant_form, named_lattice, new_lattice
 
-EXPECTED = "be3bfc6add43a8287387b48080e2924fe1b41618959ba20d266d7fcab714df95"
+EXPECTED = "51f536f061c985671c4360280306b23f3530f2ee75fedf2e91a4f6ace9a5cbc7"
+
+# a rank-7 Gram with glue group of order 4 (from the seeded skewed corpus of
+# the gluing tests)
+SKEWED_7 = (
+    (2, -1, 1, 2, -1, 3, 1), (-1, 2, -3, 0, -1, -4, 2), (1, -3, 6, -3, 2, 7, -5),
+    (2, 0, -3, 8, -1, -1, 6), (-1, -1, 2, -1, 4, 0, 0), (3, -4, 7, -1, 0, 12, -6),
+    (1, 2, -5, 6, 0, -6, 12),
+)
 
 # (lattice, theta truncation, norms per coset for rep_number)
 CORPUS = [
     ("A1", 30, 8), ("A2", 20, 8), ("A3", 12, 6), ("D4", 12, 6), ("E8", 16, 12),
     ("A1+A1", 20, 6), ("A2+A2", 10, 4), ("A2+A2+A2", 8, 3), ("D4+A2", 8, 3),
-    ("A1+A1+A1+A1+A1+A1+A1+A1", 5, 3), ("E8", 24, 0),
+    ("A1+A1+A1+A1+A1+A1+A1+A1", 5, 3), ("E8", 24, 0), ("D4+A1", 12, 4),
+    ("A2+A2+A2+A1", 8, 3), (SKEWED_7, 8, 3),
 ]
 
 
 def main() -> int:
     digest = hashlib.sha256()
     for name, truncation, norms in CORPUS:
-        lat = direct_sum(*(named_lattice(n) for n in name.split("+")))
+        lat = (direct_sum(*(named_lattice(n) for n in name.split("+")))
+               if isinstance(name, str) else new_lattice(name))
         df = discriminant_form(lat)
         counts = [[str(lam), str(df.q_table[lam] + k), rep_number(lat, lam, df.q_table[lam] + k)]
                   for lam in df.cosets for k in range(norms)]

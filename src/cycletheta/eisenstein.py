@@ -325,7 +325,9 @@ def generalized_bernoulli(n: int, disc: int) -> Fraction:
 
     where S_j = sum_{a=1}^{f} chi(a) a^j is summed in integers, so the loop
     over a does no rational arithmetic."""
-    f = abs(disc) if disc != 1 else 1
+    if disc % 4 not in (0, 1) or not disc or _fundamental_decomposition(disc) != (disc, 1):
+        raise ValueError(f"{disc} is not a fundamental discriminant or 1")
+    f = abs(disc)
     sums = [0] * (n + 1)
     for a in range(1, f + 1):
         power = kronecker_symbol(disc, a)

@@ -1,48 +1,40 @@
 """Exact lattice-vector enumeration: representation numbers and coset theta
 series in genus 1 and 2.
 
-There is one enumeration engine, a Fincke-Pohst descent (_descend) over the
-successive square completion of the Gram matrix.  It works level by level
-on a numpy frontier: each row is one partial vector (its remaining budget,
-the centres it induces on the lower levels and, when asked, its lattice
+Counts come from gluing and lists from walking.  Every count below a bound
+(theta_qseries, and rep_number from rank _GLUE_RANK on) is glued (Conway-
+Sloane, SPLAG ch. 4).  L contains L1 + L2 with finite index, L1 the span of
+the first n // 2 basis vectors and L2 = L meet L1^perp, LLL-reduced; each
+coset lam + L is the union of the products (g1 + L1) x (g2 + L2) over the
+glue group L / (L1 + L2), so its theta series is the sum of the products of
+the half series, convolved exactly.  Each half is glued again down to rank
+1, where L = (g) and the counts have a closed form in Python ints.
+
+Vectors come from one Fincke-Pohst descent (_descend) over the successive
+square completion of the Gram matrix.  It works level by level on a numpy
+frontier: each row is one partial vector (its remaining budget, the
+centres it induces on the lower levels and, when asked, its lattice
 offsets), and one step expands every row of a chunk over its whole range
 for the next coordinate at once.  The frontier is walked depth first in
-chunks of bounded size, so memory stays bounded.  The last level is left to
-a leaf chosen by the caller:
-
-* the exact-solve leaf (_walk_target) takes the frontier with levels
-  n-1 .. 1 fixed and solves the residual quadratic for the last coordinate,
-  giving the shell Q(x) = m for vectors_with_norm, rep_number and the
-  genus-2 shells;
-* the range-scan leaf (_ball_counts) takes the frontier with level 0
-  expanded too and buckets every norm below a bound onto the grid
-  q(mu) + Z with np.bincount, giving theta_qseries.
+chunks of bounded size, so memory stays bounded.  With levels n-1 .. 1
+fixed, the leaf (_walk_target) solves the residual quadratic for the last
+coordinate exactly, giving the shell Q(x) = m for vectors_with_norm, the
+genus-2 shells and rep_number below _GLUE_RANK.  That walk shares no code
+with gluing, so it is the oracle of the glued counts in tests.
 
 All bounds and membership tests are carried out in scaled integer
 arithmetic (fixed denominators are cleared once per lattice and coset), so
 the output is exact and byte-for-byte deterministic.  The frontier is
 int64 when a bound proved once per (lattice, coset, budget) keeps every
 intermediate value below 2^62, and Python ints (dtype=object) otherwise;
-both run the same code.  Walks that only count (theta_qseries, rep_number)
-cover half the ball of a coset with 2 mu in L, which x -> -x maps onto
-itself, and weight what they count.  Genus-2 counts come from
-inner-product histograms over pairs of shells.  A shell is the set of
-vectors of one norm in one coset, kept as a cached int64 array of
-integer-scaled rows built straight from the walker's offsets.  The pair
-products run through float32 or float64 BLAS under a proved exactness bound
-and are counted with np.bincount, so they stay exact; each shell closed
-under x -> -x is multiplied by half its rows.
-
-Counts at rank >= _GLUE_RANK (theta_qseries and the counting rep_number)
-come from gluing instead of one walk over the whole ball (Conway-Sloane,
-SPLAG ch. 4).  L contains L1 + L2 with finite index, L1 the span of the
-first n // 2 basis vectors and L2 = L meet L1^perp, LLL-reduced; each coset
-lam + L is the union of the products (g1 + L1) x (g2 + L2) over the glue
-group L / (L1 + L2), so its theta series is the sum of the products of the
-half series, convolved exactly.  Each half is counted the same way, by the
-walk below the threshold and glued again at or above it.  The walk over
-the whole ball (_ball_counts, _walk_target) stays the oracle in tests and
-the only route that yields vectors (vectors_with_norm, _shell).
+both run the same code.  A walk that only counts covers half the ball of a
+coset with 2 mu in L, which x -> -x maps onto itself, and weights what it
+counts.  Genus-2 counts come from inner-product histograms over pairs of
+shells.  A shell is the set of vectors of one norm in one coset, kept as a
+cached int64 array of integer-scaled rows built straight from the walker's
+offsets.  The pair products run through float32 or float64 BLAS under a
+proved exactness bound and are counted with np.bincount, so they stay
+exact; each shell closed under x -> -x is multiplied by half its rows.
 """
 from __future__ import annotations
 
@@ -160,6 +152,8 @@ def _inverse(a) -> list[list[Fraction]]:
 @lru_cache(maxsize=1024)
 def _coset_norm(lat: Lattice, mu: Coset) -> Fraction:
     """q(mu) = Q(mu) mod 1; raises ValueError unless mu is in the dual lattice."""
+    if len(mu) != lat.rank:
+        raise ValueError(f"a coset of {len(mu)} coordinates on a lattice of rank {lat.rank}")
     g_mu = [sum(g * x for g, x in zip(row, mu)) for row in lat.gram]
     if any(y.denominator != 1 for y in g_mu):
         raise ValueError(f"{mu} is not a coset of the dual lattice")
@@ -211,14 +205,13 @@ def _isqrt(a: np.ndarray) -> np.ndarray:
     return s
 
 
-def _descend(data, b_init: int, leaf, last: int, offsets: bool) -> None:
-    """The Fincke-Pohst descent over mu + Z^n shared by every walker.
+def _descend(data, b_init: int, leaf, offsets: bool) -> None:
+    """The Fincke-Pohst descent over mu + Z^n.
 
     data is _scaled_data(lat, mu).  The descent fixes the coordinates from
-    level n-1 down to level ``last`` (1 for the exact-solve leaf, 0 for the
-    range scan), each over exactly the range its residual budget allows;
-    budgets are B_hat = (2 Q-budget - partial sums) * l0 * delta^4 in plain
-    integers.  It works on a frontier of rows (b, cen, off): b the remaining
+    level n-1 down to level 1, each over exactly the range its residual
+    budget allows; budgets are B_hat = (2 Q-budget - partial sums) * l0 *
+    delta^4 in plain integers.  It works on a frontier of rows (b, cen, off): b the remaining
     budget, cen[:, i] the scaled centre offset sum_{j>level} u_hat[i][j] y_j
     delta accumulated for each lower level i <= level, and off the lattice
     offsets fixed so far (None unless ``offsets``: carrying them costs about
@@ -230,12 +223,12 @@ def _descend(data, b_init: int, leaf, last: int, offsets: bool) -> None:
     budget and rows drop out only through empty ranges.  The frontier is
     walked depth first in chunks of at most _FRONTIER_ROWS rows, so memory
     stays bounded by a few chunks per level; leaf(b, cen, off, weight) is
-    called on every chunk with levels n-1 .. last fixed, and counts each of
+    called on every chunk with levels n-1 .. 1 fixed, and counts each of
     its rows ``weight`` times.
 
     Sign fold: without offsets the leaf can only count, and when 2 mu is in
     Z^n, y -> -y maps the ball of mu + Z^n onto itself.  The descent then
-    walks the half y_top >= 0 of the top level n-1 (when n-1 >= last) and
+    walks the half y_top >= 0 of the top level n-1 (when n >= 2) and
     never expands y_top < 0: the rows with y_top > 0 carry weight 2, and
     the slice y_top = 0 weight 1.  That slice exists only when mu_top is
     integral (it is empty when mu_top = 1/2), and as y_top = 0 changes
@@ -290,7 +283,7 @@ def _descend(data, b_init: int, leaf, last: int, offsets: bool) -> None:
             yield b[row] - ci * t * t, cen[row, :level] + y[:, None] * u[:level, level], child
 
     def walk(level: int, chunk, weight: int):
-        if level < last:
+        if not level:
             leaf(*chunk, weight)
             return
         for child in expand(level, *chunk):
@@ -299,7 +292,7 @@ def _descend(data, b_init: int, leaf, last: int, offsets: bool) -> None:
     top = n - 1
     root = (np.array([b_init], dtype=dtype), np.zeros((1, n), dtype),
             np.zeros((1, n), dtype) if offsets else None)
-    if offsets or top < last or any(2 * b % d2 for b in mu_base):
+    if offsets or not top or any(2 * b % d2 for b in mu_base):
         walk(top, root, 1)
         return
     if mu_base[top] % d2 == 0:
@@ -347,46 +340,16 @@ def _walk_target(lat: Lattice, mu: Coset, m: Fraction, collect: bool):
             else:
                 count += weight * int(np.count_nonzero(ok))
 
-    _descend(data, int(b_init), solve, 1, collect)
+    _descend(data, int(b_init), solve, collect)
     if not collect:
         return count
     rows = np.concatenate(found) if found else np.zeros((0, n), dtype=np.int64)
     return rows[np.lexsort(rows.T[::-1])]
 
 
-def _ball_counts(lat: Lattice, mu: Coset, bound: Fraction) -> list[int]:
-    """Counts of vectors y in mu + Z^n with Q(y) = q(mu) + k, for every
-    k = 0, 1, ... with q(mu) + k < bound.
-
-    The descent expands level 0 as well (the range scan), and the leaf
-    buckets the scaled values 2 Q(y) l0 delta^4 onto the grid with
-    np.bincount, times the leaf weight: on a coset with 2 mu in L the walk
-    covers y_top >= 0 only, counting y_top > 0 twice and y_top = 0 once.
-    """
-    data = _scaled_data(lat, mu)
-    _, delta, l0, _, _, _, q_mu, _ = data
-    bound = Fraction(bound)
-    grid = max(0, math.ceil(bound - q_mu))
-    if not grid:
-        return []
-    counts = np.zeros(grid, dtype=np.int64)
-    scale = 2 * l0 * delta ** 4
-    b_init = math.ceil(bound * scale)
-    # every scaled value is q_mu * scale + k * scale, and q_mu * scale < b_init
-    top = b_init - int(q_mu * scale)
-
-    def scan(b, cen, off, weight):
-        k = (top - b) // scale
-        counts[:] += weight * np.bincount(k[k < grid].astype(np.int64), minlength=grid)
-
-    _descend(data, b_init, scan, 0, False)
-    return counts.tolist()
-
-
-# Gluing replaces the walk from this rank on.  theta_qseries at T = 16, walk
-# against one level of gluing (2 vCPU Xeon): D4 2.3 / 4.0 ms, D4+A1 8.6 / 9.3,
-# D4+A2 37 / 5.7, A2^3+A1 471 / 22, E8 169 / 3.4, D4+D4 788 / 8.7.  Gluing
-# wins from rank 6 on; ranks below 8 keep the walk they were pinned with.
+# rep_number counts one shell by the exact-solve walk below this rank, which
+# reaches any m, but its ball grows as m^((n-1)/2); from this rank on (E8+E8
+# needs it) the shell is the last of the glued counts below m + 1.
 _GLUE_RANK = 8
 
 
@@ -487,18 +450,35 @@ def _glue(lat: Lattice):
 
 
 def _counts(lat: Lattice, mu: Coset, bound: Fraction, memo: dict) -> list[int]:
-    """The counts of _ball_counts(lat, mu, bound) by the production route:
-    the walk below _GLUE_RANK, gluing from it on.  ``memo`` holds the
-    counts found so far under this bound, keyed by (lattice, coset), so
-    every half coset is counted once."""
+    """Counts of vectors y in mu + L with Q(y) = q(mu) + k, for every
+    k = 0, 1, ... with q(mu) + k < bound: in closed form at rank 1, glued
+    at every other rank.  ``memo`` holds the counts found so far under this
+    bound, keyed by (lattice, coset), so every half coset is counted once."""
     if (lat, mu) not in memo:
-        memo[lat, mu] = (_ball_counts(lat, mu, bound) if lat.rank < _GLUE_RANK
+        memo[lat, mu] = (_line_counts(lat, mu, bound) if lat.rank == 1
                          else _glued_counts(lat, mu, bound, memo))
     return memo[lat, mu]
 
 
+def _line_counts(lat: Lattice, mu: Coset, bound: Fraction) -> list[int]:
+    """The counts of _counts at rank 1.  With L = (g) and mu = j / g, the
+    vectors are y = z / g with z = j mod g, of norm z^2 / 2g; as g is even,
+    z^2 = j^2 mod 2g, so with r = j^2 mod 2g the vector lands at index
+    (z^2 - r) / 2g of the grid r / 2g + Z.  The loop runs over those z in
+    Python ints, so Gram entries of any size stay exact."""
+    g = lat.gram[0][0]
+    j = int(mu[0] * g)
+    r = j * j % (2 * g)
+    counts = [0] * max(0, math.ceil(bound - Fraction(r, 2 * g)))
+    if counts:
+        top = math.isqrt(r + 2 * g * (len(counts) - 1))  # the largest |z| below bound
+        for z in range(j - (j + top) // g * g, top + 1, g):
+            counts[(z * z - r) // (2 * g)] += 1
+    return counts
+
+
 def _glued_counts(lat: Lattice, mu: Coset, bound: Fraction, memo: dict) -> list[int]:
-    """The counts of _ball_counts(lat, mu, bound) from the split of _glue.
+    """The counts of _counts from the split of _glue.
 
     mu + L is the disjoint union over h in the glue of (g1 + L1) x (g2 + L2)
     with (g1, g2) = z(mu) + h mod 1.  With a and b the counts of those two
@@ -513,9 +493,11 @@ def _glued_counts(lat: Lattice, mu: Coset, bound: Fraction, memo: dict) -> list[
     of sum(a) * sum(b) over those terms.  When that total is below 2^63 the
     convolutions run in int64, and otherwise in Python ints (dtype=object).
     """
-    l1, l2, project, glue = _glue(lat)
     q = _coset_norm(lat, mu)
     grid = max(0, math.ceil(bound - q))
+    if not grid:
+        return []
+    l1, l2, project, glue = _glue(lat)
     k = l1.rank
     z = project(mu)
     terms = []
@@ -523,8 +505,10 @@ def _glued_counts(lat: Lattice, mu: Coset, bound: Fraction, memo: dict) -> list[
         g = _add_mod1(z, h)
         g1, g2 = g[:k], g[k:]
         s = int(_coset_norm(l1, g1) + _coset_norm(l2, g2) - q)
+        if s >= grid:
+            continue
         a, b = _counts(l1, g1, bound, memo), _counts(l2, g2, bound, memo)
-        if s < grid and sum(a) * sum(b):
+        if sum(a) * sum(b):
             terms.append((a, b, s))
     dtype = np.int64 if sum(sum(a) * sum(b) for a, b, _ in terms) < 2 ** 63 else object
     out = np.zeros(grid, dtype)
@@ -567,7 +551,7 @@ def theta_qseries(lat: Lattice, truncation) -> VectorValuedQSeries:
 
     One component per coset of L'/L; the component at coset lam carries the
     counts of vectors of each norm m < truncation on the grid q(lam) + Z,
-    walked below _GLUE_RANK and glued from it on.
+    glued down to rank 1 (_counts).
     """
     _require_positive_definite(lat)
     bound = Fraction(truncation)

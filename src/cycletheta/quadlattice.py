@@ -357,7 +357,7 @@ class DiscriminantForm(_ReadOnly):
         return self._lat
 
     def q(self, lam: Coset) -> Fraction:
-        return self.q_table[self.reduce(lam)]
+        return self.q_table[self._key(lam)]
 
     def reduce(self, lam) -> Coset:
         return tuple(Fraction(x) % 1 for x in lam)
@@ -369,7 +369,13 @@ class DiscriminantForm(_ReadOnly):
         return tuple((x + y) % 1 for x, y in zip(lam, mu))
 
     def index(self, lam: Coset) -> int:
-        return self._index[self.reduce(lam)]
+        return self._index[self._key(lam)]
+
+    def _key(self, lam) -> Coset:
+        key = self.reduce(lam)
+        if key not in self._index:
+            raise ValueError(f"{tuple(lam)} is not a coset of the dual lattice")
+        return key
 
     def b(self, lam: Coset, mu: Coset) -> Fraction:
         """Bilinear form b(lam, mu) = Q(lam+mu) - Q(lam) - Q(mu) mod 1."""

@@ -114,12 +114,13 @@ def suite_volume_formula(d_max: int = 200) -> VerificationReport:
 
 def suite_siegel_weil(m_max: int = 10) -> VerificationReport:
     """E8: enumeration count = local-density product = 240 sigma_3(m)."""
-    from .enumeration import rep_number
+    from .enumeration import theta_qseries
 
     e8 = named_lattice("E8")
+    r = [c for _, c in theta_qseries(e8, m_max + 1).component(None)]
     cases = []
     for m in range(1, m_max + 1):
-        count = rep_number(e8, None, m)
+        count = r[m]
         pred = eisenstein.siegel_product(e8, m)
         classical = 240 * eisenstein.sigma(3, m)
         cases.append(_exact_case(f"m={m:02d} count=product", count, pred))
@@ -130,10 +131,10 @@ def suite_siegel_weil(m_max: int = 10) -> VerificationReport:
 def suite_cup_product(lattice_name: str = "A2", t_max: int = 4) -> VerificationReport:
     """r(t1) r(t2) = sum over half-integral b of the genus-2 count at
     [[t1, b], [b, t2]], exactly."""
-    from .enumeration import rep_number, rep_number_genus2
+    from .enumeration import rep_number_genus2, theta_qseries
 
     lat = named_lattice(lattice_name)
-    r = [rep_number(lat, None, t) for t in range(t_max + 1)]
+    r = [c for _, c in theta_qseries(lat, t_max + 1).component(None)]
     cases = []
     for t1 in range(0, t_max + 1):
         for t2 in range(t1, t_max + 1):

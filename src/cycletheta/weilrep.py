@@ -44,7 +44,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .cyclotomic import Cyc, _power_table, root_exponent, root_order_for, sqrt_as_cyclotomic
-from .enumeration import theta_qseries
 from .quadlattice import DiscriminantForm, Lattice, _ReadOnly, discriminant_form
 
 __all__ = [
@@ -418,6 +417,8 @@ def theta_transform_check(lat: Lattice, generator: str, tau: complex, truncation
     (c tau + d)^(rank/2) uses the principal branch, which is the correct
     branch at the generators S and T on the upper imaginary axis.
     """
+    from .enumeration import theta_qseries  # here, so importing weilrep leaves it out
+
     if generator not in ("S", "T"):
         raise ValueError("generator must be 'S' or 'T'")
     if tau.imag <= 0:

@@ -340,6 +340,12 @@ class TestImportGraph:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_weilrep_import_leaves_enumeration_out(self, fresh_python):
+        proc = fresh_python("-c", "import sys, cycletheta.weilrep\n"
+                                  "print('cycletheta.enumeration' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_numpy_free_commands_load_no_numpy(self, fresh_python, tmp_path):
         commands = [
             ["heegner", "--level", "1", "--residue", "1", "--disc", "23", "--json"],

@@ -190,6 +190,17 @@ class TestEisensteinK:
         assert bernoulli(6) == F(1, 42)
         assert bernoulli(12) == F(-691, 2730)
 
+    def test_generalized_bernoulli(self):
+        # B_{1, chi_-3} = -1/3, B_{1, chi_-4} = -1/2, and chi_1 gives B_n(1)
+        assert generalized_bernoulli(1, -3) == F(-1, 3)
+        assert generalized_bernoulli(1, -4) == F(-1, 2)
+        assert generalized_bernoulli(2, 1) == F(1, 6)
+
+    @pytest.mark.parametrize("disc", [6, 0, 2, -1, 9, -12, 16, 20, 45])
+    def test_generalized_bernoulli_rejects_non_fundamental(self, disc):
+        with pytest.raises(ValueError, match=f"{disc} is not a fundamental discriminant or 1"):
+            generalized_bernoulli(2, disc)
+
 
 class TestCohen:
     def test_constant_term(self):

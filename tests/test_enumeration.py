@@ -74,6 +74,14 @@ def brute_vectors(lat, mu, m):
     return sorted(out)
 
 
+def walk_counts(lat, lam, bound):
+    """The oracle of the glued counts: one exact-solve walk per norm on the
+    grid q(lam) + Z below bound.  The walk shares no code with gluing."""
+    q = enumeration._coset_norm(lat, lam)
+    return [enumeration._walk_target(lat, lam, q + k, False)
+            for k in range(max(0, math.ceil(bound - q)))]
+
+
 class TestVectorsWithNorm:
     def test_a1_unit(self):
         lat = named_lattice("A1")
@@ -171,6 +179,19 @@ class TestRepNumber:
         with pytest.raises(ValueError):
             rep_number(named_lattice("A1"), (F(1, 3),), 1)
 
+    @pytest.mark.parametrize("name,mu,m", [
+        ("E8", (0,) * 7, 1), ("A2", (F(1, 3), F(2, 3), 0), F(1, 3)), ("A2", (0,), 1),
+    ])
+    def test_rejects_coset_of_wrong_length(self, name, mu, m):
+        lat = named_lattice(name)
+        match = f"a coset of {len(mu)} coordinates on a lattice of rank {lat.rank}"
+        with pytest.raises(ValueError, match=match):
+            rep_number(lat, mu, m)
+        with pytest.raises(ValueError, match=match):
+            vectors_with_norm(lat, mu, m)
+        with pytest.raises(ValueError, match=match):
+            rep_number_genus2(lat, (mu, None), ((m, 0), (0, 1)))
+
     def test_coset_symmetry(self):
         from cycletheta.quadlattice import discriminant_form
 
@@ -218,7 +239,7 @@ class TestThetaQSeries:
          [[4, 1, 0], [1, 6, 3], [0, 3, 10]]],
     )
     def test_matches_rep_number(self, gram):
-        # the range-scan leaf (theta) against the exact-solve leaf (shells)
+        # the glued counts (theta) against the exact-solve walk (rep_number)
         lat = new_lattice(gram)
         th = theta_qseries(lat, 3)
         assert len(th.components) == abs(lat.det)
@@ -536,17 +557,16 @@ class TestHalvedWalk:
         seen = set()
         descend = enumeration._descend
 
-        def spy(data, b_init, leaf, last, offsets):
+        def spy(data, b_init, leaf, offsets):
             def recording_leaf(b, cen, off, weight):
                 seen.add(weight)
                 leaf(b, cen, off, weight)
 
-            descend(data, b_init, recording_leaf, last, offsets)
+            descend(data, b_init, recording_leaf, offsets)
 
         monkeypatch.setattr(enumeration, "_descend", spy)
         q = discriminant_form(lat).q_table[mu]
         brute = [len(brute_vectors(lat, mu, q + k)) for k in range(norms)]
-        assert enumeration._ball_counts(lat, mu, q + norms) == brute
         assert [rep_number(lat, mu, q + k) for k in range(norms)] == brute
         assert seen == weights
         th = theta_qseries.__wrapped__(lat, q + norms)
@@ -557,12 +577,14 @@ class TestFrontierChunks:
     @pytest.mark.parametrize("rows", [1, 7])
     def test_results_do_not_depend_on_chunk_size(self, monkeypatch, rows):
         lats = [named_lattice("D4"), new_lattice([[4, 1, 0], [1, 6, 3], [0, 3, 10]])]
-        e8 = named_lattice("E8")
-        thetas = [theta_qseries(lat, 4) for lat in lats]
-        counts = [rep_number(e8, None, m) for m in range(1, 5)]
+
+        def walks():
+            return [(rep_number(lat, None, m), vectors_with_norm(lat, None, m))
+                    for lat in lats for m in range(1, 5)]
+
+        before = walks()
         monkeypatch.setattr(enumeration, "_FRONTIER_ROWS", rows)
-        assert [theta_qseries.__wrapped__(lat, 4) for lat in lats] == thetas
-        assert [rep_number(e8, None, m) for m in range(1, 5)] == counts
+        assert walks() == before
 
 
     def test_int64_isqrt_near_squares(self):
@@ -579,14 +601,15 @@ def _lattice(name):
 
 
 class TestGluing:
-    """The glued counts against the oracle: the walk over the whole ball."""
+    """The glued counts against the oracle: the exact-solve walk, one norm
+    at a time."""
 
     @staticmethod
     def assert_matches_walk(lat, bound):
         th = theta_qseries.__wrapped__(lat, bound)
         assert len(th.components) == abs(lat.det)
         for lam, pairs in th.components.items():
-            assert [c for _, c in pairs] == enumeration._ball_counts(lat, lam, bound), lam
+            assert [c for _, c in pairs] == walk_counts(lat, lam, bound), lam
 
     @pytest.mark.parametrize("name,bound,order", [
         ("E8", 12, 5), ("A1+A1+A1+A1+A1+A1+A1+A1", 4, 1), ("D4+D4", 8, 1),
@@ -610,27 +633,24 @@ class TestGluing:
             if abs(lat.det) > 64:
                 continue
             cases += 1
-            for lam in discriminant_form(lat).cosets:
-                assert enumeration._glued_counts(lat, lam, F(7, 2), {}) == \
-                    enumeration._ball_counts(lat, lam, F(7, 2)), (lat.gram, lam)
+            self.assert_matches_walk(lat, F(7, 2))
 
-    @pytest.mark.parametrize("name,bound,order,glued", [
-        ("D4", 12, 3, {4}), ("A2+A2+A2", 6, 2, {6, 3}),
+    @pytest.mark.parametrize("name,bound,order,ranks", [
+        ("D4", 12, 3, {4, 2, 1}), ("A2+A2+A2", 6, 2, {6, 3, 2, 1}),
     ])
-    def test_lowered_threshold_matches_walk(self, monkeypatch, name, bound, order, glued):
+    def test_default_route_glues_to_rank_1(self, monkeypatch, name, bound, order, ranks):
         lat = _lattice(name)
-        ranks = []
-        glued_counts = enumeration._glued_counts
+        seen = set()
+        counts = enumeration._counts
 
         def spy(lat, mu, bound, memo):
-            ranks.append(lat.rank)
-            return glued_counts(lat, mu, bound, memo)
+            seen.add(lat.rank)
+            return counts(lat, mu, bound, memo)
 
-        monkeypatch.setattr(enumeration, "_GLUE_RANK", 3)
-        monkeypatch.setattr(enumeration, "_glued_counts", spy)
+        monkeypatch.setattr(enumeration, "_counts", spy)
         assert len(enumeration._glue(lat)[3]) == order
         self.assert_matches_walk(lat, bound)
-        assert set(ranks) == glued  # halves of rank >= 3 are glued again
+        assert seen == ranks  # every half of rank >= 2 is glued again
         df = discriminant_form(lat)
         for lam in df.cosets:
             m = df.q_table[lam] + 2
@@ -638,25 +658,41 @@ class TestGluing:
 
     def test_halves_beyond_int64_take_object_route(self, monkeypatch):
         # L2 = L meet e_0^perp is spanned by (1, -2) of norm 2^18 - 2, so its
-        # cosets have denominators near 2^18 and the half walks hold Python ints
+        # cosets have denominators near 2^18: the rank-1 halves are counted in
+        # Python ints, and the walk over L (the oracle) holds Python ints too
         lat = new_lattice([[2, 1], [1, 2 ** 16]])
-        dtypes = set()
-        isqrt = enumeration._isqrt
+        dtypes, halves = set(), set()
+        isqrt, line_counts = enumeration._isqrt, enumeration._line_counts
 
-        def spy(a):
+        def isqrt_spy(a):
             dtypes.add(a.dtype)
             return isqrt(a)
 
-        monkeypatch.setattr(enumeration, "_GLUE_RANK", 2)
-        monkeypatch.setattr(enumeration, "_isqrt", spy)
+        def line_spy(lat, mu, bound):
+            halves.add(lat.gram)
+            return line_counts(lat, mu, bound)
+
+        monkeypatch.setattr(enumeration, "_isqrt", isqrt_spy)
+        monkeypatch.setattr(enumeration, "_line_counts", line_spy)
         assert len(enumeration._glue(lat)[3]) == 2
         det = 2 ** 17 - 1
         for c in (0, 1, 2, 5, det - 1):
             lam = (F(-c, det) % 1, F(2 * c, det) % 1)
-            glued = enumeration._glued_counts(lat, lam, 3, {})
-            assert glued == enumeration._ball_counts(lat, lam, 3)
+            glued = enumeration._counts(lat, lam, 3, {})
+            assert glued == walk_counts(lat, lam, 3)
             assert sum(glued) > 0
+        assert halves == {((2,),), ((2 ** 18 - 2,),)}
         assert np.dtype(object) in dtypes
+
+    @pytest.mark.parametrize("g", [2, 6, 10, 2 ** 20, 2 ** 60])
+    def test_rank_1_closed_form_matches_walk(self, g):
+        lat = new_lattice([[g]])
+        for j in sorted({0, 1, 2, g // 2, g - 1}):
+            lam = (F(j, g),)
+            q = enumeration._coset_norm(lat, lam)
+            for bound in (q, q + F(1, 2), q + 1, q + 7, 40):
+                counts = enumeration._counts(lat, lam, bound, {})
+                assert counts == walk_counts(lat, lam, bound), (j, bound)
 
     def test_convolution_beyond_int64(self, monkeypatch):
         # A1^8 splits as A1^4 + A1^4 with trivial glue, so the zero coset is

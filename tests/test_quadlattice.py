@@ -81,6 +81,13 @@ class TestDiscriminantForm:
             prod = math.prod([d for _, d in df.generators]) if df.generators else 1
             assert prod == df.order
 
+    @pytest.mark.parametrize("lam", [(F(1, 2), 0), (F(1, 3),), (F(1, 3), F(2, 3), 0)])
+    def test_non_coset_is_a_named_error(self, lam):
+        df = discriminant_form(named_lattice("A2"))
+        for method in (df.q, df.index):
+            with pytest.raises(ValueError, match="is not a coset of the dual lattice"):
+                method(lam)
+
     def test_sig8(self):
         assert discriminant_form(named_lattice("A1")).sig8 == 1
         assert discriminant_form(named_lattice("A1(-1)")).sig8 == 7
