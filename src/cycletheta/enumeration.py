@@ -34,7 +34,10 @@ shells.  A shell is the set of vectors of one norm in one coset, kept as a
 cached int64 array of integer-scaled rows built straight from the walker's
 offsets.  The pair products run through float32 or float64 BLAS under a
 proved exactness bound and are counted with np.bincount, so they stay
-exact; each shell closed under x -> -x is multiplied by half its rows.
+exact.  The first shell is multiplied by one row per orbit of the
+reflections in orthogonal roots (and of x -> -x where the coset is its own
+negative), weighted by the orbit's size, and the second, when closed under
+x -> -x, by half its rows.
 """
 from __future__ import annotations
 
@@ -573,14 +576,19 @@ def theta_qseries(lat: Lattice, truncation) -> VectorValuedQSeries:
     )
 
 
-@lru_cache(maxsize=32)
 def _shell(lat: Lattice, mu, m):
     """(delta, A): the rows of the read-only int64 array A are delta*x for the
-    x in mu + L with Q(x) = m, in lexicographic order; delta clears mu."""
-    mu_t = _coset_tuple(lat, mu)
-    delta = math.lcm(1, *(x.denominator for x in mu_t))
-    base = [int(x * delta) for x in mu_t]
-    a = (_walk_target(lat, mu_t, m, collect=True) * delta + base).astype(np.int64)
+    x in mu + L with Q(x) = m, in lexicographic order; delta clears mu.  Every
+    spelling of the coset (None, a sequence, an unreduced representative)
+    shares one cache entry."""
+    return _shell_rows(lat, _coset_tuple(lat, mu), Fraction(m))
+
+
+@lru_cache(maxsize=32)
+def _shell_rows(lat: Lattice, mu: Coset, m: Fraction):
+    delta = math.lcm(1, *(x.denominator for x in mu))
+    base = [int(x * delta) for x in mu]
+    a = (_walk_target(lat, mu, m, collect=True) * delta + base).astype(np.int64)
     a.flags.writeable = False
     return delta, a
 
@@ -589,12 +597,49 @@ _CHUNK = 1 << 20  # BLAS entries per call, and the most histogram bins 2 off + 1
 _TABLE = 1 << 17  # the most bins nb^k of a digit-packed bincount table
 
 
-def _positive_rows(lat: Lattice, mu, a: np.ndarray):
-    """When -mu = mu mod L, so that x -> -x maps the shell a onto itself, the
-    mask of its rows whose first nonzero entry is positive; otherwise None."""
-    if any((2 * x).denominator != 1 for x in _coset_tuple(lat, mu)):
-        return None
-    return a[np.arange(len(a)), (a != 0).argmax(axis=1)] > 0
+def _lex_greater(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The mask of the rows of a lexicographically greater than those of b."""
+    first = (a != b).argmax(axis=1)
+    rows = np.arange(len(a))
+    return a[rows, first] > b[rows, first]
+
+
+def _self_dual(mu: Coset) -> bool:
+    """-mu = mu mod L, so that x -> -x maps each shell of mu + L onto itself."""
+    return all((2 * x).denominator == 1 for x in mu)
+
+
+@lru_cache(maxsize=64)
+def _orthogonal_roots(lat: Lattice) -> np.ndarray:
+    """The rows r_1 .. r_k: mutually orthogonal roots (Q(r) = 1) of L, chosen
+    greedily in lexicographic order among those whose first nonzero entry
+    is positive, so that no other such root is orthogonal to all of them."""
+    a = _shell(lat, None, 1)[1]
+    a = a[_lex_greater(a, -a)]
+    gram = a @ np.array(lat.gram, dtype=np.int64) @ a.T  # entries (r, r') in [-2, 2]
+    chosen: list[int] = []
+    for i in range(len(a)):
+        if not gram[i, chosen].any():
+            chosen.append(i)
+    roots = a[chosen]
+    roots.flags.writeable = False
+    return roots
+
+
+def _root_fold(lat: Lattice, mu: Coset, a: np.ndarray):
+    """(rows, exps): the rows of the shell a = delta*x multiplied in place of
+    all of it, each standing for 2^exp rows; see inner_product_histogram."""
+    r = _orthogonal_roots(lat)
+    p = a @ (np.array(lat.gram, dtype=np.int64) @ r.T)  # delta (x, r_j)
+    canonical = (p >= 0).all(axis=1)
+    a, p = a[canonical], p[canonical]
+    exps = np.count_nonzero(p, axis=1)
+    if not _self_dual(mu):
+        return a, exps
+    iota = p @ r - a  # delta iota(x), the A-canonical row of -x
+    fixed = (a == iota).all(axis=1)
+    keep = _lex_greater(a, iota) | fixed & a.any(axis=1)
+    return a[keep], (exps - fixed)[keep]
 
 
 def _exact_float(bound: int):
@@ -607,10 +652,29 @@ def _exact_float(bound: int):
     raise OverflowError("inner products too large for an exact float64 histogram")
 
 
-@lru_cache(maxsize=64)
-def inner_product_histogram(lat: Lattice, mu1: Coset, m1, mu2: Coset, m2):
+def _count_products(f1: np.ndarray, f2: np.ndarray, table: np.ndarray, shift: int) -> None:
+    """Adds to ``table``, shifted left by ``shift``, the np.bincount of the
+    entries of f1 @ f2 plus (len(table) - 1) // 2, in row chunks of at most
+    _CHUNK entries."""
+    step = max(1, _CHUNK // max(1, f2.shape[1]))
+    for start in range(0, len(f1), step):
+        w = f1[start : start + step] @ f2
+        w += (len(table) - 1) // 2  # off W: off in every digit
+        w = w.astype(np.int64).ravel()  # frees the float chunk before counting
+        table += np.bincount(w, minlength=len(table)) << shift
+
+
+def inner_product_histogram(lat: Lattice, mu1, m1, mu2, m2):
     """Read-only histogram {(x1, x2): count} of bilinear values over all pairs
-    with Q(x1) = m1, Q(x2) = m2 in the given cosets.
+    with Q(x1) = m1, Q(x2) = m2 in the given cosets (None, or any sequence
+    representing the coset)."""
+    return _histogram(lat, _coset_tuple(lat, mu1), Fraction(m1), _coset_tuple(lat, mu2),
+                      Fraction(m2))
+
+
+@lru_cache(maxsize=64)
+def _histogram(lat: Lattice, mu1: Coset, m1: Fraction, mu2: Coset, m2: Fraction):
+    """inner_product_histogram on canonical cosets, cached.
 
     With the shells as integer rows A1 = delta1*x1 and A2 = delta2*x2, the
     entries of A1 (A2 G)^T are delta1*delta2*(x1, x2).  They are formed by
@@ -636,42 +700,69 @@ def inner_product_histogram(lat: Lattice, mu1: Coset, m1, mu2: Coset, m2):
     exact float32 integers, and one np.bincount per chunk of at most _CHUNK
     entries fills a table of nb^k bins.  Each digit's counts are the axis
     sum of the (nb,)*k reshaped table over the other digits; their total
-    counts each padding column once per row of R1 at v = 0, so npad |R1| is
-    subtracted from bin off.  k is the largest with nb^k <= _TABLE (2^17),
-    nb^k <= |R1| |R2| (so a tiny histogram does not fill a large table) and
-    B W + nb^k < 2^24, and k = 1 when nb = 1 or k = 2 fails; k = 1 is
-    the plain product, in float32 or float64 as above, where each entry
-    value + off lies in [0, nb) with nb <= 2^20 and so stays exact.
+    counts each padding column once per row of R1 at v = 0, so npad times
+    the weight of R1 is subtracted from bin off.  k is the largest with
+    nb^k <= _TABLE (2^17), nb^k <= |R1| |R2| (so a tiny histogram does not
+    fill a large table) and B W + nb^k < 2^24, and k = 1 when nb = 1 or
+    k = 2 fails; k = 1 is the plain product, in float32 or float64 as
+    above, where each entry value + off lies in [0, nb) with nb <= 2^20 and
+    so stays exact.
 
-    Sign folding: when -mu_i = mu_i mod L, x_i -> -x_i maps shell i onto
-    itself, S_i = P_i + (-P_i) + Z_i with P_i the rows whose first nonzero
-    entry is positive and Z_i the zero row (z_i = |Z_i| is 1 when m_i = 0,
-    else 0).  Only the rows R_i (P_i on a folded side, S_i otherwise) are
-    multiplied, giving K(v) = #{(r1, r2) in R1 x R2 : (r1, r2) = v}, and
+    Folding: only the rows R_i are multiplied, and the rest of each shell
+    S_i is read off them by isometries of L that map S_i onto itself.  A
+    root r (Q(r) = 1, (r, r) = 2) gives the reflection s_r(x) = x - (x, r) r,
+    an isometry of L; for x in L' the product (x, r) is an integer, so s_r
+    fixes every coset of L'/L and maps every shell onto itself, and the row
+    histogram h_x(v) = #{x2 in S2 : (x, x2) = v} is constant on each orbit.
+    The reflections in the orthogonal roots r_1 .. r_k of _orthogonal_roots
+    commute and s_j changes only the sign of (x, r_j), so the group A they
+    generate is (Z/2)^k, and each A-orbit holds 2^n(x) rows, n(x) =
+    #{j : (x, r_j) != 0}, exactly one of them with every (x, r_j) >= 0.
+    When -mu_i = mu_i mod L, x -> -x maps S_i onto itself too, with
+    h_-x(v) = h_x(-v); iota(x) = -x + sum_j (x, r_j) r_j is the A-canonical
+    row of -x, and x - iota(x) changes sign under x -> iota(x).  So R1 is:
+
+    - without that sign symmetry, the A-canonical rows x, of weight 2^n(x);
+    - with it, the A-canonical rows with x - iota(x) lexicographically
+      positive, of weight 2^n(x), and those with iota(x) = x != 0, whose
+      orbit is its own negative, of weight 2^(n(x) - 1).
+
+    With no roots (k = 0) the latter are the rows whose first nonzero entry
+    is positive, of weight 1.  R2 is P2, the rows of S2 whose first nonzero
+    entry is positive, when -mu_2 = mu_2, and S2 otherwise.  Every weight is
+    a power of 2, so the rows of each weight 2^e run through the packed
+    product on their own and their bincounts are added shifted left by e,
+    giving K(v) = sum of the weights of the pairs (r1, r2) in R1 x R2 with
+    (r1, r2) = v.  With Z_i the zero row (z_i = |Z_i| is 1 when m_i = 0,
+    else 0), which lies in a shell only when it is all of it, then
 
         H(v) = f (K(v) + K(-v)) + [v = 0] (z1 |S2| + z2 (|S1| - z1))
 
-    with f = 2 when both sides fold and 1 when one does; with neither,
-    H = K.  Both folded, the zero term is 2 z1 |P2| + z2 |S1|.
+    with f = 2 when both sides are sign-symmetric and 1 when one is; with
+    neither, H = K.  Both sign-symmetric, the zero term is 2 z1 |P2| + z2 |S1|.
+
+    Every product of the fold is exact in wrapping int64: |delta (x, r_j)|
+    <= 2 delta sqrt(m1) by Cauchy-Schwarz, below 2^63 under the first test,
+    and iota(x) is a row of S1.
     """
     d1, a1 = _shell(lat, mu1, m1)
     d2, a2 = _shell(lat, mu2, m2)
     if not len(a1) or not len(a2):
         return MappingProxyType({})
-    m1, m2 = Fraction(m1), Fraction(m2)
     g = np.array(lat.gram, dtype=np.int64)
     a2g = a2 @ g  # G is symmetric; int64 wraps, so this is exact if it fits
     off = math.isqrt(math.floor(4 * (d1 * d2) ** 2 * m1 * m2))
-    # first test: |(x2, e_i)|^2 <= 2 m2 G_ii (Cauchy-Schwarz) keeps A2 G in int64
-    if 2 * m2 * d2 * d2 * int(g.diagonal().max()) >= 2 ** 126 or 2 * off + 1 > _CHUNK:
+    # first test: |(x_i, e_j)|^2 <= 2 m_i G_jj (Cauchy-Schwarz) keeps A2 G and
+    # the root products delta1 (x1, r) in int64
+    if 2 * max(m1 * d1 * d1, m2 * d2 * d2) * int(g.diagonal().max()) >= 2 ** 126 or (
+        2 * off + 1 > _CHUNK
+    ):
         raise OverflowError("inner products too large for an exact float64 histogram")
     bound = int(np.abs(a1).max()) * int(np.abs(a2g).max()) * lat.rank
     dtype = _exact_float(bound)
-    p1, p2 = _positive_rows(lat, mu1, a1), _positive_rows(lat, mu2, a2)
-    z1 = 0 if p1 is None else len(a1) - 2 * int(np.count_nonzero(p1))
-    z2 = 0 if p2 is None else len(a2) - 2 * int(np.count_nonzero(p2))
-    r1 = a1 if p1 is None else a1[p1]
-    r2g = a2g if p2 is None else a2g[p2]
+    fold1, fold2 = _self_dual(mu1), _self_dual(mu2)
+    r1, e1 = _root_fold(lat, mu1, a1)
+    r2g = a2g[_lex_greater(a2, -a2)] if fold2 else a2g
     nb, k = 2 * off + 1, 1  # k: base-nb digits per product entry
     while nb > 1 and (size := nb ** (k + 1)) <= min(_TABLE, len(r1) * len(r2g)) and (
         bound * (size - 1) // (nb - 1) + size < 2 ** 24
@@ -680,25 +771,25 @@ def inner_product_histogram(lat: Lattice, mu1: Coset, m1, mu2: Coset, m2):
     cols = -(-len(r2g) // k)
     npad = k * cols - len(r2g)
     y = np.pad(r2g, ((0, npad), (0, 0))).reshape(k, cols, lat.rank)
-    f1, f2 = r1.astype(dtype), np.tensordot(nb ** np.arange(k), y, 1).T.astype(dtype)
+    f2 = np.tensordot(nb ** np.arange(k), y, 1).T.astype(dtype)
     table = np.zeros(nb ** k, dtype=np.int64)
-    step = max(1, _CHUNK // max(1, cols))
-    for start in range(0, len(r1), step):
-        w = f1[start : start + step] @ f2
-        w += (nb ** k - 1) // 2  # off W: off in every digit
-        w = w.astype(np.int64).ravel()  # frees the float32 chunk before counting
-        table += np.bincount(w, minlength=len(table))
+    for e in sorted(set(e1.tolist())):
+        _count_products(r1[e1 == e].astype(dtype), f2, table, e)
     digits = table.reshape((nb,) * k)
     bins = sum(digits.sum(axis=tuple(i for i in range(k) if i != j)) for j in range(k))
-    bins[off] -= npad * len(r1)
-    if p1 is not None or p2 is not None:
+    bins[off] -= npad * int((1 << e1).sum())
+    if fold1 or fold2:
         bins += bins[::-1]  # numpy buffers the overlapping reversed view
-    if p1 is not None and p2 is not None:
+    if fold1 and fold2:
         bins *= 2
+    z1, z2 = int(m1 == 0), int(m2 == 0)
     bins[off] += z1 * len(a2) + z2 * (len(a1) - z1)
     return MappingProxyType(
         {Fraction(int(i) - off, d1 * d2): int(bins[i]) for i in np.flatnonzero(bins)}
     )
+
+
+inner_product_histogram.cache_info = _histogram.cache_info  # the statistics of its cache
 
 
 def rep_number_genus2(lat: Lattice, cosets, t) -> int:
@@ -717,6 +808,5 @@ def rep_number_genus2(lat: Lattice, cosets, t) -> int:
         raise ValueError(f"cosets must be None or a pair of cosets, got {len(cosets)}")
     if not _is_psd_2x2(t):
         return 0
-    mu1, mu2 = (_coset_tuple(lat, mu) for mu in cosets)
-    hist = inner_product_histogram(lat, mu1, t[0][0], mu2, t[1][1])
+    hist = inner_product_histogram(lat, cosets[0], t[0][0], cosets[1], t[1][1])
     return hist.get(2 * t[0][1], 0)

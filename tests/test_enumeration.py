@@ -386,23 +386,21 @@ class TestGenus2:
         mu1, mu2 = df.cosets[i1], df.cosets[i2]
         m1, m2 = df.q_table[mu1] + k1, df.q_table[mu2] + k2
         v1, v2 = brute_vectors(lat, mu1, m1), brute_vectors(lat, mu2, m2)
-        for mu, m, fold in ((mu1, m1, folds[0]), (mu2, m2, folds[1])):
-            a = enumeration._shell(lat, mu, m)[1]
-            assert (enumeration._positive_rows(lat, mu, a) is not None) == fold
+        assert (enumeration._self_dual(mu1), enumeration._self_dual(mu2)) == folds
         self._check_direct(lat, mu1, m1, v1, mu2, m2, v2)
 
     # (lattice, coset 1, k1, coset 2, k2, digits k per float32 entry); the
     # table nb^k stays within |R1| |R2| products, and "+" is a direct sum
     PACKED_CASES = [
-        ("A2", 0, 1, 0, 1, 1),  # both sides folded; 3 x 3 products < 25 bins
-        ("D4", 0, 1, 0, 2, 3),  # both sides folded; 12 rows in 3 groups of 4
-        ("A2", 1, 0, 1, 0, 1),  # 3-torsion, unfolded; 3 x 3 products < 13^2 bins
-        ("A2", 1, 1, 2, 1, 1),  # 3-torsion, unfolded; 3 x 3 products < 49^2 bins
+        ("A2", 0, 1, 0, 1, 1),  # both sides folded; 2 x 3 products < 25 bins
+        ("D4", 0, 1, 0, 2, 2),  # both sides folded; 5 x 12 products, 12 rows in 2 groups of 6
+        ("A2", 1, 0, 1, 0, 1),  # 3-torsion, root-folded only; 2 x 3 products < 13^2 bins
+        ("A2", 1, 1, 2, 1, 1),  # 3-torsion, root-folded only; 2 x 3 products < 49^2 bins
         ("A3", 3, 2, 0, 0, 1),  # m2 = 0: the single bin forces k = 1
-        ("D4", 1, 1, 3, 1, 1),  # cosets with 1/2 entries; 16 x 16 products < 25^2 bins
+        ("D4", 1, 1, 3, 1, 1),  # cosets with 1/2 entries; 4 x 16 products < 25^2 bins
         ("A1+A3", 0, 1, 0, 2, 2),  # both sides folded; 15 rows padded to 16
-        ("A1+D4", 0, 1, 0, 1, 3),  # both sides folded; 13 rows padded to 15
-        ("A2+D4", 0, 1, 0, 2, 4),  # both sides folded
+        ("A1+D4", 0, 1, 0, 1, 2),  # both sides folded; 13 rows padded to 14
+        ("A2+D4", 0, 1, 0, 2, 3),  # both sides folded; 7 x 84 products < 5^4 bins
     ]
 
     @pytest.mark.parametrize("name,i1,k1,i2,k2,k", PACKED_CASES)
@@ -423,11 +421,95 @@ class TestGenus2:
             return out
 
         monkeypatch.setattr(np, "bincount", spy)
-        hist = inner_product_histogram.__wrapped__(lat, mu1, m1, mu2, m2)
+        hist = enumeration._histogram.__wrapped__(lat, mu1, m1, mu2, m2)
         monkeypatch.undo()
         assert tables and set(tables) == {nb ** k}
         assert nb ** k <= 2 ** 17
         assert dict(hist) == dict(Counter(lat.bilinear(x, y) for x in v1 for y in v2))
+
+    # (lattice, orthogonal roots k): below k = rank, -1 is not in the group A
+    # of their reflections; in D4+A1 it is, and every coset is its own negative
+    ROOT_FOLD_CASES = [("A2", 1), ("A3", 2), ("A2+A2", 2), ("A1+A3", 3), ("D4+A1", 5)]
+
+    @pytest.mark.parametrize("name,k", ROOT_FOLD_CASES)
+    def test_root_fold_matches_direct_pair_count(self, name, k):
+        lat = direct_sum(*map(named_lattice, name.split("+")))
+        assert len(enumeration._orthogonal_roots(lat)) == k
+        df = discriminant_form(lat)
+        g = np.array(lat.gram, dtype=np.int64)
+        den = math.lcm(*(x.denominator for mu in df.cosets for x in mu))
+        shells = {}
+        for mu in df.cosets:
+            for j in range(3):  # j = 0 includes the zero shell of the zero coset
+                m = df.q_table[mu] + j
+                rows = [[int(x * den) for x in v] for v in brute_vectors(lat, mu, m)]
+                shells[mu, m] = np.array(rows, dtype=np.int64).reshape(-1, lat.rank)
+        for (mu1, m1), x1 in shells.items():
+            for (mu2, m2), x2 in shells.items():
+                values, counts = np.unique(x1 @ g @ x2.T, return_counts=True)
+                direct = {F(int(v), den * den): int(c) for v, c in zip(values, counts)}
+                assert dict(enumeration._histogram.__wrapped__(lat, mu1, m1, mu2, m2)) == direct
+
+    @pytest.mark.parametrize("gram", [
+        ((4, -2), (-2, 4)),  # A2(2)
+        ((4, -2, 0, 0), (-2, 4, -2, -2), (0, -2, 4, 0), (0, -2, 0, 4)),  # D4(2)
+    ])
+    def test_root_free_fold_keeps_the_sign_fold_rows(self, gram):
+        # no roots: the rows whose first nonzero entry is positive where -mu = mu,
+        # every row elsewhere, each of weight 1
+        lat = new_lattice(gram)
+        assert len(enumeration._orthogonal_roots(lat)) == 0
+        df = discriminant_form(lat)
+        for mu in df.cosets:
+            for j in range(2):
+                a = enumeration._shell(lat, mu, df.q_table[mu] + j)[1]
+                rows, exps = enumeration._root_fold(lat, mu, a)
+                kept = a.tolist()
+                if all(2 * x in (0, 1) for x in mu):
+                    kept = [x for x in kept if next((c for c in x if c), 0) > 0]
+                assert rows.tolist() == kept
+                assert not exps.any()
+
+    def test_e8_cup_histograms_multiply_1101_rows(self, monkeypatch):
+        # the sign fold alone multiplies half of each first shell: 19200 rows
+        multiplied = []
+        count_products = enumeration._count_products
+
+        def spy(f1, *args):
+            multiplied.append(len(f1))
+            return count_products(f1, *args)
+
+        monkeypatch.setattr(enumeration, "_count_products", spy)
+        e8 = named_lattice("E8")
+        zero = discriminant_form(e8).cosets[0]
+        r = [1, 240, 2160, 6720, 17520]
+        for t1 in range(5):
+            for t2 in range(t1, 5):
+                hist = enumeration._histogram.__wrapped__(e8, zero, F(t1), zero, F(t2))
+                assert sum(hist.values()) == r[t1] * r[t2]
+        assert sum(multiplied) == 1101
+
+    def test_one_shell_entry_per_coset(self):
+        a2 = named_lattice("A2")
+        enumeration._shell_rows.cache_clear()
+        shells = [enumeration._shell(a2, mu, 2) for mu in (None, (F(0), F(0)), [3, F(-2)])]
+        info = enumeration._shell_rows.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert all(s is shells[0] for s in shells)
+
+    def test_histogram_takes_any_coset_spelling(self):
+        a2 = named_lattice("A2")
+        same = [inner_product_histogram(a2, c1, 1, c2, 1)
+                for c1, c2 in ((None, None), ([0, 0], [0, 0]), ((F(0), F(0)), (1, -1)))]
+        assert all(h is same[0] for h in same)
+        assert dict(same[0]) == {-2: 6, -1: 12, 1: 12, 2: 6}
+        with pytest.raises(TypeError):
+            same[0][F(0)] = 1
+        df = discriminant_form(a2)
+        mu = df.cosets[1]
+        m = df.q_table[mu]
+        hist = inner_product_histogram(a2, list(mu), m, [x + 1 for x in mu], m)
+        assert hist is inner_product_histogram(a2, mu, m, mu, m)
 
     def test_histogram_float32_guard(self, monkeypatch):
         # the skewed A1+A1 of the float64 guard test below, at 2^24: B = c^2
@@ -444,7 +526,7 @@ class TestGenus2:
         zero = (F(0), F(0))
         for e in (c, c + 2):
             lat = new_lattice([[2, e], [e, e * e // 2 + 2]])
-            hist = inner_product_histogram.__wrapped__(lat, zero, 1, zero, 1)
+            hist = enumeration._histogram.__wrapped__(lat, zero, 1, zero, 1)
             assert dict(hist) == {-2: 4, 0: 8, 2: 4}
         assert chosen == [np.float32, np.float64]
         assert exact_float(2 ** 24 - 1) is np.float32
