@@ -6,7 +6,9 @@ JSON of theta_qseries(lat, T).to_json_dict() and of rep_number(lat, lam, m)
 for every coset lam of L'/L and the first few norms m on its grid
 q(lam) + Z.  Theta series are glued at every rank; rep_number walks below
 rank 8 and glues from it on, and the corpus has ranks 1 to 8, so both count
-routes feed the digest.  Exits 1 unless the digest equals the recorded one.
+routes feed the digest.  Then rep_number at a few large norms on cosets with
+2 lam in L (the walk's largest balls) feeds it too.  Exits 1 unless the
+digest equals the recorded one.
 
     PYTHONPATH=src python scripts/theta_sweep.py
 """
@@ -14,11 +16,12 @@ routes feed the digest.  Exits 1 unless the digest equals the recorded one.
 import hashlib
 import json
 import sys
+from fractions import Fraction
 
 from cycletheta.enumeration import rep_number, theta_qseries
 from cycletheta.quadlattice import direct_sum, discriminant_form, named_lattice, new_lattice
 
-EXPECTED = "51f536f061c985671c4360280306b23f3530f2ee75fedf2e91a4f6ace9a5cbc7"
+EXPECTED = "7658743a5105a2a2902b56d6c9d3e9a5ff422b193c36f94c19acc690e43266df"
 
 # a rank-7 Gram with glue group of order 4 (from the seeded skewed corpus of
 # the gluing tests)
@@ -36,12 +39,25 @@ CORPUS = [
     ("A2+A2+A2+A1", 8, 3), (SKEWED_7, 8, 3),
 ]
 
+HALF = Fraction(1, 2)
+# (lattice, coset with 2 lam in L, norm above q(lam)) for rep_number; A1+A1 at
+# q + 500 = 2001/4 has no vector (2001 = 3 * 23 * 29 is no sum of two squares)
+LARGE_BALLS = [
+    ("D4", (0, 0, 0, 0), 200), ("D4", (0, 0, 0, 0), 600), ("D4", (0, 0, HALF, HALF), 200),
+    ("A1+A1", (HALF, 0), 500), ("A1+A1", (HALF, 0), 501), ("D4+A2", (0, 0, 0, 0, 0, 0), 30),
+]
+
+
+def _lattice(name):
+    if isinstance(name, str):
+        return direct_sum(*(named_lattice(n) for n in name.split("+")))
+    return new_lattice(name)
+
 
 def main() -> int:
     digest = hashlib.sha256()
     for name, truncation, norms in CORPUS:
-        lat = (direct_sum(*(named_lattice(n) for n in name.split("+")))
-               if isinstance(name, str) else new_lattice(name))
+        lat = _lattice(name)
         df = discriminant_form(lat)
         counts = [[str(lam), str(df.q_table[lam] + k), rep_number(lat, lam, df.q_table[lam] + k)]
                   for lam in df.cosets for k in range(norms)]
@@ -51,8 +67,14 @@ def main() -> int:
             "rep_number": counts,
         }
         digest.update(json.dumps(record, sort_keys=True).encode())
+    for name, lam, k in LARGE_BALLS:
+        lat = _lattice(name)
+        m = discriminant_form(lat).q(lam) + k
+        record = {"lattice": name, "coset": str(lam), "norm": str(m),
+                  "rep_number": rep_number(lat, lam, m)}
+        digest.update(json.dumps(record, sort_keys=True).encode())
     got = digest.hexdigest()
-    print(f"{len(CORPUS)} theta series, sha256 {got}")
+    print(f"{len(CORPUS)} theta series, {len(LARGE_BALLS)} large balls, sha256 {got}")
     if got != EXPECTED:
         print(f"expected sha256 {EXPECTED}", file=sys.stderr)
         return 1

@@ -64,7 +64,9 @@ class NotStabilized(RuntimeError):
 
 @lru_cache(maxsize=1024)
 def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n (B_1 = -1/2)."""
+    """Bernoulli number B_n (B_1 = -1/2) for n >= 0."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return Fraction(1)
     if n == 1:
@@ -97,8 +99,10 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def sigma(k: int, n: int) -> int:
-    """Divisor power sum sigma_k(n) = sum_{d | n} d^k, 0 for n < 1: the
-    product over p^e || n of 1 + p^k + ... + p^(ke)."""
+    """Divisor power sum sigma_k(n) = sum_{d | n} d^k for k >= 0, 0 for
+    n < 1: the product over p^e || n of 1 + p^k + ... + p^(ke)."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     if n < 1:
         return 0
     return math.prod(sum(p ** (k * i) for i in range(e + 1)) for p, e in _factorize(n))
@@ -325,6 +329,8 @@ def generalized_bernoulli(n: int, disc: int) -> Fraction:
 
     where S_j = sum_{a=1}^{f} chi(a) a^j is summed in integers, so the loop
     over a does no rational arithmetic."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if disc % 4 not in (0, 1) or not disc or _fundamental_decomposition(disc) != (disc, 1):
         raise ValueError(f"{disc} is not a fundamental discriminant or 1")
     f = abs(disc)

@@ -27,17 +27,15 @@ arithmetic (fixed denominators are cleared once per lattice and coset), so
 the output is exact and byte-for-byte deterministic.  The frontier is
 int64 when a bound proved once per (lattice, coset, budget) keeps every
 intermediate value below 2^62, and Python ints (dtype=object) otherwise;
-both run the same code.  A walk that only counts covers half the ball of a
-coset with 2 mu in L, which x -> -x maps onto itself, and weights what it
-counts.  Genus-2 counts come from inner-product histograms over pairs of
-shells.  A shell is the set of vectors of one norm in one coset, kept as a
-cached int64 array of integer-scaled rows built straight from the walker's
-offsets.  The pair products run through float32 or float64 BLAS under a
-proved exactness bound and are counted with np.bincount, so they stay
-exact.  The first shell is multiplied by one row per orbit of the
-reflections in orthogonal roots (and of x -> -x where the coset is its own
-negative), weighted by the orbit's size, and the second, when closed under
-x -> -x, by half its rows.
+both run the same code.  Genus-2 counts come from inner-product histograms
+over pairs of shells.  A shell is the set of vectors of one norm in one
+coset, kept as a cached int64 array of integer-scaled rows built straight
+from the walker's offsets.  The pair products run through float32 or
+float64 BLAS under a proved exactness bound and are counted with
+np.bincount, so they stay exact.  The first shell is multiplied by one row
+per orbit of the reflections in orthogonal roots (and of x -> -x where the
+coset is its own negative), weighted by the orbit's size, and the second,
+when closed under x -> -x, by half its rows.
 """
 from __future__ import annotations
 
@@ -225,18 +223,8 @@ def _descend(data, b_init: int, leaf, offsets: bool) -> None:
     below.  Every t in the range leaves c_i t^2 <= b, so no row goes over
     budget and rows drop out only through empty ranges.  The frontier is
     walked depth first in chunks of at most _FRONTIER_ROWS rows, so memory
-    stays bounded by a few chunks per level; leaf(b, cen, off, weight) is
-    called on every chunk with levels n-1 .. 1 fixed, and counts each of
-    its rows ``weight`` times.
-
-    Sign fold: without offsets the leaf can only count, and when 2 mu is in
-    Z^n, y -> -y maps the ball of mu + Z^n onto itself.  The descent then
-    walks the half y_top >= 0 of the top level n-1 (when n >= 2) and
-    never expands y_top < 0: the rows with y_top > 0 carry weight 2, and
-    the slice y_top = 0 weight 1.  That slice exists only when mu_top is
-    integral (it is empty when mu_top = 1/2), and as y_top = 0 changes
-    neither the budget nor the centres it is the root row itself, one level
-    down.  Every other walk carries weight 1.
+    stays bounded by a few chunks per level; leaf(b, cen, off) is called on
+    every chunk with levels n-1 .. 1 fixed.
 
     Exactness: a row whose coordinates j >= i are fixed has
     sum_{k>=i} d_k z_k^2 <= 2M with 2M = b_init / (l0 delta^4), and real
@@ -264,12 +252,11 @@ def _descend(data, b_init: int, leaf, offsets: bool) -> None:
     dtype = np.int64 if exact64 else object
     u = np.array(u_hat, dtype=dtype)
 
-    def expand(level: int, b, cen, off, positive: bool = False):
+    def expand(level: int, b, cen, off):
         ci = c_hat[level]
         base = mu_base[level] + cen[:, level]
         s = _isqrt(b // ci)
-        # the least v with t >= -s, or with t > 0; t(lo - 1) <= 0 <= s keeps counts >= 0
-        lo = (-base) // d2 + 1 if positive else -((s + base) // d2)
+        lo = -((s + base) // d2)  # the least v with t >= -s
         counts = ((s - base) // d2 + 1 - lo).astype(np.int64)
         ends = np.cumsum(counts)
         total = int(ends[-1])
@@ -285,23 +272,15 @@ def _descend(data, b_init: int, leaf, offsets: bool) -> None:
                 child[:, level] = v
             yield b[row] - ci * t * t, cen[row, :level] + y[:, None] * u[:level, level], child
 
-    def walk(level: int, chunk, weight: int):
+    def walk(level: int, chunk):
         if not level:
-            leaf(*chunk, weight)
+            leaf(*chunk)
             return
         for child in expand(level, *chunk):
-            walk(level - 1, child, weight)
+            walk(level - 1, child)
 
-    top = n - 1
-    root = (np.array([b_init], dtype=dtype), np.zeros((1, n), dtype),
-            np.zeros((1, n), dtype) if offsets else None)
-    if offsets or not top or any(2 * b % d2 for b in mu_base):
-        walk(top, root, 1)
-        return
-    if mu_base[top] % d2 == 0:
-        walk(top - 1, root, 1)  # y_top = 0 leaves the budget and the centres as they are
-    for child in expand(top, *root, positive=True):
-        walk(top - 1, child, 2)
+    walk(n - 1, (np.array([b_init], dtype=dtype), np.zeros((1, n), dtype),
+                 np.zeros((1, n), dtype) if offsets else None))
 
 
 def _walk_target(lat: Lattice, mu: Coset, m: Fraction, collect: bool):
@@ -312,8 +291,6 @@ def _walk_target(lat: Lattice, mu: Coset, m: Fraction, collect: bool):
     level-0 leaf of the descent solves the residual c0 t^2 == B_hat exactly
     instead of scanning: B_hat divisible by c0, the quotient a perfect
     square s^2, and t = +-s congruent to the level-0 centre mod delta^2.
-    The count alone carries no offsets, so on a coset with 2 mu in L it
-    comes from the sign-folded half ball (see _descend).
     """
     data = _scaled_data(lat, mu)
     n, delta, l0, _, c_hat, mu_base, q_mu, _ = data
@@ -327,7 +304,7 @@ def _walk_target(lat: Lattice, mu: Coset, m: Fraction, collect: bool):
     found: list[np.ndarray] = []
     count = 0
 
-    def solve(b, cen, off, weight):
+    def solve(b, cen, off):
         nonlocal count
         base = mu_base[0] + cen[:, 0]
         q = b // c0
@@ -341,7 +318,7 @@ def _walk_target(lat: Lattice, mu: Coset, m: Fraction, collect: bool):
                 rows[:, 0] = num[ok] // d2
                 found.append(rows)
             else:
-                count += weight * int(np.count_nonzero(ok))
+                count += int(np.count_nonzero(ok))
 
     _descend(data, int(b_init), solve, collect)
     if not collect:
@@ -798,8 +775,14 @@ def rep_number_genus2(lat: Lattice, cosets, t) -> int:
     ``t`` is a symmetric 2x2 matrix (diagonal integral, off-diagonal
     half-integral); the count is 0 whenever t is not positive semidefinite.
     """
+    try:
+        rows = tuple(tuple(Fraction(x) for x in row) for row in t)
+    except TypeError:
+        rows = ()
+    if len(rows) != 2 or any(len(row) != 2 for row in rows):
+        raise ValueError(f"t must be a 2x2 matrix of rationals, got {t!r}")
     _require_positive_definite(lat)
-    t = tuple(tuple(Fraction(x) for x in row) for row in t)
+    t = rows
     if t[0][1] != t[1][0]:
         raise ValueError("t must be symmetric")
     if cosets is None:

@@ -363,10 +363,10 @@ class DiscriminantForm(_ReadOnly):
         return tuple(Fraction(x) % 1 for x in lam)
 
     def neg(self, lam: Coset) -> Coset:
-        return tuple((-x) % 1 for x in lam)
+        return tuple((-x) % 1 for x in self._key(lam))
 
     def add(self, lam: Coset, mu: Coset) -> Coset:
-        return tuple((x + y) % 1 for x, y in zip(lam, mu))
+        return tuple((x + y) % 1 for x, y in zip(self._key(lam), self._key(mu)))
 
     def index(self, lam: Coset) -> int:
         return self._index[self._key(lam)]
@@ -379,7 +379,7 @@ class DiscriminantForm(_ReadOnly):
 
     def b(self, lam: Coset, mu: Coset) -> Fraction:
         """Bilinear form b(lam, mu) = Q(lam+mu) - Q(lam) - Q(mu) mod 1."""
-        return self._lat.bilinear(lam, mu) % 1
+        return self._lat.bilinear(self._key(lam), self._key(mu)) % 1
 
     def coset_label(self, lam: Coset) -> str:
         return "(" + ",".join(str(x) for x in lam) + ")"
@@ -395,7 +395,7 @@ def discriminant_form(lat: Lattice) -> DiscriminantForm:
 
 def disc_b(df: DiscriminantForm, lam, mu) -> Fraction:
     """b(lam, mu) in [0, 1); symmetric and bi-additive."""
-    return df.b(df.reduce(lam), df.reduce(mu))
+    return df.b(lam, mu)
 
 
 def gauss_sum(df: DiscriminantForm) -> complex:

@@ -196,6 +196,14 @@ class TestEisensteinK:
         assert generalized_bernoulli(1, -4) == F(-1, 2)
         assert generalized_bernoulli(2, 1) == F(1, 6)
 
+    @pytest.mark.parametrize("call", [lambda: bernoulli(-2), lambda: bernoulli(-1),
+                                      lambda: generalized_bernoulli(-1, 1),
+                                      lambda: generalized_bernoulli(-3, -4)],
+                             ids=["B_-2", "B_-1", "B_-1,chi_1", "B_-3,chi_-4"])
+    def test_negative_index_is_refused(self, call):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            call()
+
     @pytest.mark.parametrize("disc", [6, 0, 2, -1, 9, -12, 16, 20, 45])
     def test_generalized_bernoulli_rejects_non_fundamental(self, disc):
         with pytest.raises(ValueError, match=f"{disc} is not a fundamental discriminant or 1"):
@@ -417,6 +425,11 @@ class TestSigma:
     def test_nonpositive_argument(self):
         assert sigma(3, 0) == 0
         assert sigma(1, -6) == 0
+
+    def test_negative_power_is_refused(self):
+        # k < 0 gives rational divisor sums, and sigma returns ints
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            sigma(-1, 6)
 
 
 def brute_density_counts(lat, p, m, k_max):

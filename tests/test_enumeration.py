@@ -295,6 +295,12 @@ class TestGenus2:
         assert rep_number_genus2(a1, [half, half], t) == 2
         assert rep_number_genus2(a1, None, ((1, 1), (1, 1))) == 2
 
+    @pytest.mark.parametrize("t", [None, 5, ((1,),), ((1, 0), (0,)), ((1, 2, 3), (4, 5, 6)),
+                                   ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, None), (0, 1))])
+    def test_t_must_be_a_2x2_matrix(self, t):
+        with pytest.raises(ValueError, match="t must be a 2x2 matrix"):
+            rep_number_genus2(named_lattice("A2"), None, t)
+
     def test_transpose_symmetry(self):
         lat = named_lattice("A2")
         from cycletheta.quadlattice import discriminant_form
@@ -618,39 +624,28 @@ class TestClassicalFormulas:
                         assert c == conv, (lam1, lam2, m)
 
 
-class TestHalvedWalk:
-    """Counting walks fold x -> -x on cosets with 2 mu in L: the leaf sees the
-    y_top > 0 half with weight 2 and the y_top = 0 slice with weight 1."""
+class TestCountingWalk:
+    """Counting walks, and the glued theta series, against the box scan on
+    cosets with 2 mu in L (x -> -x maps their balls onto themselves) and on
+    one without."""
 
-    # (lattice, coset, norms checked, leaf weights the descent must use)
+    # (lattice, coset, norms checked)
     CASES = [
-        ("D4", (0, 0, F(1, 2), F(1, 2)), 2, {2}),  # top coordinate 1/2: no zero slice
-        ("D4", (0, 0, 0, 0), 2, {1, 2}),  # the zero coset has a zero slice
-        ("A1+A1", (0, F(1, 2)), 4, {2}),
-        ("A1+A1", (F(1, 2), 0), 4, {1, 2}),
-        ("A2", (F(1, 3), F(2, 3)), 4, {1}),  # 3-torsion: the unfolded walk
+        ("D4", (0, 0, F(1, 2), F(1, 2)), 2),
+        ("D4", (0, 0, 0, 0), 2),
+        ("A1+A1", (0, F(1, 2)), 4),
+        ("A1+A1", (F(1, 2), 0), 4),
+        ("A2", (F(1, 3), F(2, 3)), 4),  # 3-torsion: 2 mu is not in L
     ]
 
-    @pytest.mark.parametrize("name,mu,norms,weights", CASES)
-    def test_counts_match_box_scan(self, monkeypatch, name, mu, norms, weights):
+    @pytest.mark.parametrize("name,mu,norms", CASES)
+    def test_counts_match_box_scan(self, name, mu, norms):
         a1 = named_lattice("A1")
         lat = direct_sum(a1, a1) if name == "A1+A1" else named_lattice(name)
         mu = tuple(F(x) for x in mu)
-        seen = set()
-        descend = enumeration._descend
-
-        def spy(data, b_init, leaf, offsets):
-            def recording_leaf(b, cen, off, weight):
-                seen.add(weight)
-                leaf(b, cen, off, weight)
-
-            descend(data, b_init, recording_leaf, offsets)
-
-        monkeypatch.setattr(enumeration, "_descend", spy)
         q = discriminant_form(lat).q_table[mu]
         brute = [len(brute_vectors(lat, mu, q + k)) for k in range(norms)]
         assert [rep_number(lat, mu, q + k) for k in range(norms)] == brute
-        assert seen == weights
         th = theta_qseries.__wrapped__(lat, q + norms)
         assert [c for _, c in th.component(mu)] == brute
 

@@ -143,6 +143,26 @@ class TestDiscB:
                     rhs = (df.q(df.add(lam, mu)) - df.q(lam) - df.q(mu)) % 1
                     assert lhs == rhs
 
+    @pytest.mark.parametrize("call", [
+        lambda df: disc_b(df, (F(1, 3),), (F(1, 3),)),
+        lambda df: df.b((F(1, 3),), (F(1, 2),)),
+        lambda df: df.b((F(1, 2),), (F(1, 3),)),
+        lambda df: df.add((F(1, 3),), (0,)),
+        lambda df: df.add((0,), (F(1, 3),)),
+        lambda df: df.neg((F(1, 3),)),
+    ], ids=["disc_b", "b-left", "b-right", "add-left", "add-right", "neg"])
+    def test_non_coset_is_refused(self, call):
+        # 1/3 is no coset of A1' / A1 = {0, 1/2}, as q and index already say
+        df = discriminant_form(named_lattice("A1"))
+        with pytest.raises(ValueError, match="is not a coset of the dual lattice"):
+            call(df)
+
+    def test_unreduced_cosets_are_accepted(self):
+        df = discriminant_form(named_lattice("A1"))
+        assert df.add((F(3, 2),), (F(-1, 2),)) == (F(0),)
+        assert df.neg((F(-1, 2),)) == (F(1, 2),)
+        assert disc_b(df, (F(3, 2),), (F(1, 2),)) == F(1, 2)
+
 
 class TestGaussSum:
     def test_trivial(self):
