@@ -99,11 +99,14 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def sigma(k: int, n: int) -> int:
-    """Divisor power sum sigma_k(n) = sum_{d | n} d^k for k >= 0, 0 for
-    n < 1: the product over p^e || n of 1 + p^k + ... + p^(ke)."""
+    """Divisor power sum sigma_k(n) = sum_{d | n} d^k for k >= 0 and n >= 1:
+    the product over p^e || n of 1 + p^k + ... + p^(ke).  sigma_k(0) = 0, the
+    q-expansion convention; a negative n is refused."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if n < 1:
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if n == 0:
         return 0
     return math.prod(sum(p ** (k * i) for i in range(e + 1)) for p, e in _factorize(n))
 

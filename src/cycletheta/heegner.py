@@ -18,7 +18,10 @@ The classes are found two ways, by level:
 * N > 1: _stable_classes, the one height-doubling loop.  Each round groups
   the forms of a bounded box by the exact class key _gamma0_key (reduced
   form R, Aut(R)-orbit on P^1(Z/N)); the bound doubles until two rounds
-  give the same classes, else BoundNotStabilized.
+  give the same classes, else BoundNotStabilized.  The rounds are
+  incremental: each walks only the forms its box adds, by the box walker
+  _box_forms, which steps the admissible residues b mod 2a (found once per
+  a) instead of scanning b, so every form is reduced and keyed once.
 
 orbit_cross_check runs _stable_classes on both residue families r, -r at
 once against heegner_cycle.  At N = 1 it compares reduced_forms against
@@ -161,27 +164,46 @@ def _congruence_solvable(n: int, r: int, d: int) -> bool:
     return (r * r + d) % (4 * n) == 0
 
 
-def forms_with_disc(n: int, r: int, d: int, height_bound: int) -> list[BinaryForm]:
-    """All [a, b, c] with b^2 - 4ac = -d, N | a, b = r mod 2N and
-    0 < a <= A, 0 < c <= A, sorted by (a, b, c).  For each a the scan steps
-    b through its residue class with b^2 <= 4aA - d and keeps the b with
-    4a | b^2 + d, so that c = (b^2 + d)/4a lies in [1, A]."""
-    if n < 1 or d <= 0:
-        raise ValueError("need N >= 1 and d > 0")
+def _box_forms(n: int, r: int, d: int, lo: int, hi: int, roots: dict):
+    """Yield, in no fixed order, the triples (a, b, c) with b^2 - 4ac = -d,
+    N | a, b = r mod 2N, a, c > 0 and lo < max(a, c) <= hi.
+
+    The test 4a | b^2 + d depends on b mod 2a only, and 2N | 2a, so the
+    admissible b are a few residues mod 2a: for a = kN they are found once,
+    among the k candidates r + 2Nj of one period, and kept in roots[a] for
+    later calls with the same (N, r, d).  Each residue then steps by 2a
+    through |b| <= isqrt(4a hi - d), so that c <= hi; when a <= lo it keeps
+    only b^2 > 4a lo - d, so that c > lo."""
     if not _congruence_solvable(n, r, d):
-        return []
-    out = []
+        return
     r2n = r % (2 * n)
-    for a in range(n, height_bound + 1, n):
-        b2_max = 4 * a * height_bound - d
+    for a in range(n, hi + 1, n):
+        b2_max = 4 * a * hi - d
         if b2_max < 0:
             continue
         b_max = math.isqrt(b2_max)
-        for b in range(-b_max + (r2n + b_max) % (2 * n), b_max + 1, 2 * n):
-            c, rest = divmod(b * b + d, 4 * a)
-            if not rest:
-                out.append(BinaryForm(a, b, c, n, r2n))
-    return out
+        a2, a4 = 2 * a, 4 * a
+        res = roots.get(a)
+        if res is None:
+            res = roots[a] = [b for b in range(r2n, a2, 2 * n) if (b * b + d) % a4 == 0]
+        gap = a4 * lo - d if a <= lo else -1
+        first = math.isqrt(gap) + 1 if gap >= 0 else 0  # the least |b| kept
+        neg_last = -max(first, 1)
+        for s in res:
+            for b in range(first + (s - first) % a2, b_max + 1, a2):
+                yield a, b, (b * b + d) // a4
+            for b in range(-b_max + (s + b_max) % a2, neg_last + 1, a2):
+                yield a, b, (b * b + d) // a4
+
+
+def forms_with_disc(n: int, r: int, d: int, height_bound: int) -> list[BinaryForm]:
+    """All [a, b, c] with b^2 - 4ac = -d, N | a, b = r mod 2N and
+    0 < a <= A, 0 < c <= A, sorted by (a, b, c): the walk of _box_forms
+    from height 0 to A."""
+    if n < 1 or d <= 0:
+        raise ValueError("need N >= 1 and d > 0")
+    r2n = r % (2 * n)
+    return [BinaryForm(*t, n, r2n) for t in sorted(_box_forms(n, r2n, d, 0, height_bound, {}))]
 
 
 def _move_t(t: tuple[int, int, int], k: int = 1) -> tuple[int, int, int]:
@@ -208,25 +230,29 @@ def _mul2(m1, m2):
 
 def _reduce_sl2(t: tuple[int, int, int]):
     """Reduce a positive form; returns (reduced_triple, g) with form.g = reduced,
-    where the action is y -> transpose(g) y g on Gram matrices."""
+    where the action is y -> transpose(g) y g on Gram matrices.  g = ((p, q),
+    (r, s)) is carried as four ints: g T^k = ((p, pk + q), (r, rk + s)) and
+    g S = ((q, -p), (s, -r)) for S = ((0, -1), (1, 0))."""
     a, b, c = t
     if a <= 0 or b * b - 4 * a * c >= 0:
         raise ValueError(f"{t} is not a positive definite form")
-    g = ((1, 0), (0, 1))
+    p, q, r, s = 1, 0, 0, 1
     while True:
         if not (-a < b <= a):
             k = (a - b) // (2 * a)
             a, b, c = _move_t((a, b, c), k)
-            g = _mul2(g, ((1, k), (0, 1)))
+            q += p * k
+            s += r * k
             continue
         if a > c or (a == c and b < 0):
             a, b, c = c, -b, a
-            g = _mul2(g, ((0, -1), (1, 0)))
+            p, q, r, s = q, -p, s, -r
             continue
-        return (a, b, c), g
+        return (a, b, c), ((p, q), (r, s))
 
 
-def _automorphs(t: tuple[int, int, int]):
+@lru_cache(maxsize=1024)
+def _automorphs(t: tuple[int, int, int]) -> tuple:
     """All g in SL2(Z) with transpose(g) y g = y, via the primitive part."""
     a, b, c = t
     if a <= 0 or b * b - 4 * a * c >= 0:
@@ -247,7 +273,7 @@ def _automorphs(t: tuple[int, int, int]):
                     (tt - b0 * u) // 2, -c0 * u),
                     (a0 * u, (tt + b0 * u) // 2),
                 ))
-    return sols
+    return tuple(sols)
 
 
 def _transporters(t1, t2):
@@ -320,22 +346,31 @@ def _gamma0_key(t: tuple[int, int, int], n: int, points):
 
 def _stable_classes(n: int, families, d: int) -> list[tuple[int, int, int]]:
     """The _canonical_key-least form of each Gamma_0(N)-class met by the
-    forms of the residue families, in _canonical_key order: the box is
-    walked in that order and each form filed under its _gamma0_key.  The
-    height bound doubles until two rounds agree (at most 10)."""
+    forms of the residue families, in _canonical_key order.
+
+    Round k covers the box max(a, c) <= A_k, A_k = 2^k max(d, 4N, 8), but
+    walks only its new forms, A_{k-1} < max(a, c) <= A_k, on the per-a
+    residues of _box_forms kept from earlier rounds.  Each new form is
+    reduced and keyed once, by _gamma0_key, and the one dict of least forms
+    per key lives across rounds, so each round's classes are those of its
+    whole box.  The search stops when two rounds agree (at most 10)."""
     points = _P1Points(n)
-    bound = max(d, 4 * n, 8)
+    roots = {r: {} for r in families}
+    least: dict = {}
+    lo, hi = 0, max(d, 4 * n, 8)
     prev = None
     for _round in range(10):
-        box = (f.triple() for r in families for f in forms_with_disc(n, r, d, bound))
-        least: dict = {}
-        for t in sorted(box, key=_canonical_key):
-            least.setdefault(_gamma0_key(t, n, points), t)
-        reps = list(least.values())
+        for r in families:
+            for t in _box_forms(n, r, d, lo, hi, roots[r]):
+                key = _gamma0_key(t, n, points)
+                old = least.get(key)
+                if old is None or _canonical_key(t) < _canonical_key(old):
+                    least[key] = t
+        reps = sorted(least.values(), key=_canonical_key)
         if reps == prev:
             return reps
         prev = reps
-        bound *= 2
+        lo, hi = hi, 2 * hi
     raise BoundNotStabilized(f"no stable partition for N = {n}, r in {families}, d = {d}")
 
 

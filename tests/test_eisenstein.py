@@ -422,9 +422,13 @@ class TestSigma:
             for n in range(1, n_max + 1):
                 assert sigma(k, n) == sum(d ** k for d in divisors[n]), (k, n)
 
-    def test_nonpositive_argument(self):
+    def test_zero_argument(self):
+        # the q-expansion convention: the constant term has no divisor sum
         assert sigma(3, 0) == 0
-        assert sigma(1, -6) == 0
+
+    def test_negative_argument_is_refused(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            sigma(1, -6)
 
     def test_negative_power_is_refused(self):
         # k < 0 gives rational divisor sums, and sigma returns ints

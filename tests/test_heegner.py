@@ -5,11 +5,17 @@ from fractions import Fraction as F
 
 import pytest
 
+from cycletheta import heegner
 from cycletheta.eisenstein import hurwitz, reduced_forms
 from cycletheta.heegner import (
     BinaryForm,
+    BoundNotStabilized,
+    _box_forms,
+    _canonical_key,
+    _families,
     _gamma0_key,
     _P1Points,
+    _stable_classes,
     forms_with_disc,
     gamma0_classes,
     gamma0_equivalent,
@@ -139,6 +145,77 @@ class TestGamma0Classes:
                 if volume != hurwitz(d) * roots:
                     failing.add((n, d))
         assert failing == {(21, 83), (27, 107), (27, 155), (27, 179)}
+
+
+def rewalk_classes(n, families, d):
+    # the search before rounds became incremental: every round re-walks the
+    # whole box, sorts it by _canonical_key and files each form under its key
+    points = _P1Points(n)
+    bound = max(d, 4 * n, 8)
+    prev = None
+    for _round in range(10):
+        box = (f.triple() for r in families for f in forms_with_disc(n, r, d, bound))
+        least = {}
+        for t in sorted(box, key=_canonical_key):
+            least.setdefault(_gamma0_key(t, n, points), t)
+        reps = list(least.values())
+        if reps == prev:
+            return reps
+        prev = reps
+        bound *= 2
+    raise AssertionError("the re-walk did not stabilize")
+
+
+class TestIncrementalSearch:
+    def test_matches_rewalk(self):
+        for n in range(2, 13):
+            for d in range(1, 121):
+                for r in range(2 * n):
+                    if (r * r + d) % (4 * n):
+                        continue
+                    for families in ([r], _families(n, r)):
+                        assert _stable_classes(n, families, d) == rewalk_classes(n, families, d), \
+                            (n, families, d)
+
+    @pytest.mark.parametrize("n,d", [(21, 83), (27, 107), (27, 155), (27, 179)])
+    def test_pinned_coprime_drops_stay(self, n, d):
+        for r in range(2 * n):
+            if (r * r + d) % (4 * n) == 0:
+                assert _stable_classes(n, (r,), d) == rewalk_classes(n, (r,), d), r
+
+    @pytest.mark.parametrize("n,r,d", [(18, 0, 72), (22, 14, 68)])
+    def test_pinned_forms_without_class_stay(self, n, r, d):
+        for families in ([r], _families(n, r)):
+            assert _stable_classes(n, families, d) == rewalk_classes(n, families, d)
+
+    def test_rounds_partition_the_box(self):
+        for n, r, d in [(2, 1, 7), (6, 1, 23), (11, 3, 7), (12, 4, 32), (18, 0, 72)]:
+            roots, seen = {}, set()
+            lo, hi = 0, max(d, 4 * n, 8)
+            for _round in range(5):
+                new = list(_box_forms(n, r, d, lo, hi, roots))
+                assert len(set(new)) == len(new)
+                assert seen.isdisjoint(new), (n, r, d, lo, hi)
+                assert all(lo < max(a, c) <= hi for a, _, c in new)
+                seen.update(new)
+                lo, hi = hi, 2 * hi
+            assert sorted(seen) == [f.triple() for f in forms_with_disc(n, r, d, lo)]
+
+    def test_raises_when_rounds_never_agree(self, monkeypatch):
+        # a fresh key per form makes every round add classes, so no two
+        # rounds agree and the search gives up after its 10 rounds
+        keyed = []
+
+        def fresh_key(t, n, points):
+            keyed.append(t)
+            return object()
+
+        monkeypatch.setattr(heegner, "_gamma0_key", fresh_key)
+        n, r, d = 2, 1, 7
+        with pytest.raises(BoundNotStabilized):
+            _stable_classes(n, (r,), d)
+        last = 2 ** 9 * max(d, 4 * n, 8)
+        assert sorted(keyed) == [f.triple() for f in forms_with_disc(n, r, d, last)]
 
 
 class TestStabilizers:
