@@ -7,7 +7,7 @@ throughout.
 
 The re-exported names load their defining module on first access (PEP 562),
 so importing the package, or a numpy-free layer of it, does not import
-numpy; only ``enumeration`` and ``weilrep`` do.
+numpy; only ``enumeration`` does.
 """
 
 import importlib

@@ -8,9 +8,10 @@ results (Heegner classes, density reports, theta series) are cached under
 digest of the package's own source files, so an entry written by other code
 never matches; cache writes are atomic (write-temp-then-rename).
 
-Only theta (on a cache miss), weilrep and verify load numpy: the numpy layers
-(enumeration, weilrep) are imported inside the commands and suites that compute
-with them, so the other commands and every disk-cache hit start without it.
+Only theta (on a cache miss) and verify load numpy: the one numpy layer,
+enumeration, is imported inside the commands and suites that compute with it,
+so the other commands, weilrep included, and every disk-cache hit start
+without it.
 """
 
 from __future__ import annotations

@@ -4,15 +4,15 @@ A Cyc is a canonical element of Q(zeta_N): its Fraction coefficients in the
 power basis 1, zeta, ..., zeta^(deg-1), deg = phi(N), so equality is an exact
 coefficient comparison.  Since Phi_N is monic, every power zeta^k reduces to
 integer coefficients; _zeta_power reads them from one cached integer table
-(_power_table), which Cyc products and the vectorised reduction of the Weil
-representation (weilrep) share.  Square roots of positive integers are
-built from quadratic Gauss sums, which puts sqrt(|D|) inside Q(zeta_N) for
-the N of root_order_for.
+(_power_table), which Cyc products and the reduction of each distinct entry
+of a Weil-representation product (weilrep) share.  Square roots of positive
+integers are built from quadratic Gauss sums, which puts sqrt(|D|) inside
+Q(zeta_N) for the N of root_order_for.
 
 Cyc arithmetic is schoolbook and per element.  It builds sqrt(|D|), the
 scalars of the relation checks and the printed entries of a
-Weil-representation matrix; matrix products run on integer arrays in
-weilrep, not on Cyc.
+Weil-representation matrix; matrix products run on Python integers packed
+by Kronecker substitution in weilrep, not on Cyc.
 """
 
 from __future__ import annotations

@@ -513,7 +513,13 @@ def vectors_with_norm(lat: Lattice, mu, m) -> list[tuple[Fraction, ...]]:
 
 def rep_number(lat: Lattice, mu, m) -> int:
     """Number of x in mu + L with Q(x) = m: the exact-solve walk below
-    _GLUE_RANK, and from it on the last of the glued counts below m + 1."""
+    _GLUE_RANK, and from it on the last of the glued counts below m + 1.
+
+    From rank _GLUE_RANK (8) on, the glued route builds the dense series of
+    every norm below m + 1, so its time and memory grow with m: an
+    m near 2^50 is out of reach there, although the walk would list the few
+    vectors of that norm.
+    """
     mu_t = _coset_tuple(lat, mu)
     if lat.rank < _GLUE_RANK:
         return _walk_target(lat, mu_t, m, collect=False)

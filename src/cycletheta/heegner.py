@@ -88,15 +88,6 @@ class BinaryForm:
     def disc(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
-    @property
-    def in_q_set(self) -> bool:
-        """Membership in Q_{N,r,d}: N | a and b = r mod 2N."""
-        return self.a % self.n == 0 and (self.b - self.r) % (2 * self.n) == 0
-
-    @property
-    def in_q_plus(self) -> bool:
-        return self.in_q_set and self.a > 0
-
     def triple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
 
@@ -117,10 +108,6 @@ class CMPoint:
     def float_approx(self) -> complex:
         z = self.value
         return complex(float(f"{z.real:.12g}"), float(f"{z.imag:.12g}"))
-
-    def exact_parts(self) -> tuple[Fraction, Fraction, int]:
-        """(re, im_coeff, d): z = re + im_coeff * sqrt(d) * i, exactly."""
-        return (Fraction(-self.b, 2 * self.a), Fraction(1, 2 * self.a), self.d)
 
 
 @dataclass(frozen=True)

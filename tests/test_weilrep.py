@@ -1,11 +1,14 @@
 import copy
 import dataclasses
+import math
 import time
 from fractions import Fraction as F
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycletheta import weilrep
 from cycletheta.cyclotomic import Cyc, root_order_for, sqrt_as_cyclotomic
@@ -161,10 +164,10 @@ class TestOracle:
         for word in WORDS:
             m = rho_word(df, word)
             assert m.den > 0
-            assert np.gcd.reduce(m.coeffs, axis=None, initial=m.den) == 1
+            assert math.gcd(m.den, *chain.from_iterable(chain.from_iterable(m.coeffs))) == 1
         braid, ss = rho_word(df, "STSTST"), rho_word(df, "SS")
         assert braid.den == ss.den
-        assert np.array_equal(braid.coeffs, ss.coeffs)
+        assert braid.coeffs == ss.coeffs
         assert hash(braid) == hash(ss)
 
     @pytest.mark.parametrize("name", CORPUS + SUMS)
@@ -186,8 +189,13 @@ class TestExactArithmetic:
     def test_cached_generators_are_read_only(self):
         df = df_of("A2")
         for gen in (rho_S(df), rho_T(df)):
-            with pytest.raises(ValueError):
-                gen.coeffs[0, 0, 0] = 7
+            assert all(type(x) is int for row in gen.coeffs for e in row for x in e)
+            with pytest.raises(TypeError):
+                gen.coeffs[0] = gen.coeffs[1]
+            with pytest.raises(TypeError):
+                gen.coeffs[0][0] = (7, 0, 0, 0, 0, 0, 0, 0)
+            with pytest.raises(TypeError):
+                gen.coeffs[0][0][0] = 7
             assert type(gen.entries) is tuple
             assert all(type(row) is tuple for row in gen.entries)
         assert rho_S(df).den == df.order
@@ -195,7 +203,7 @@ class TestExactArithmetic:
     def test_cached_values_reject_assignment(self):
         df = df_of("A2")
         s, sqrt2 = rho_S(df), sqrt_as_cyclotomic(2, 8)
-        s_coeffs, sqrt2_c = s.coeffs.copy(), sqrt2.c
+        s_coeffs, sqrt2_c = s.coeffs, sqrt2.c
         for obj, attr, value in [(s, "den", 5), (s, "coeffs", s_coeffs), (s, "root_order", 8),
                                  (sqrt2, "c", (0, 0, 0, 0)), (sqrt2, "n", 16)]:
             with pytest.raises(AttributeError, match="read-only"):
@@ -203,7 +211,7 @@ class TestExactArithmetic:
             with pytest.raises(AttributeError, match="read-only"):
                 delattr(obj, attr)
         assert rho_S(df) is s and (s.den, s.root_order) == (df.order, 24)
-        assert np.array_equal(s.coeffs, s_coeffs)
+        assert s.coeffs is s_coeffs
         assert sqrt_as_cyclotomic(2, 8) is sqrt2 and sqrt2.c == sqrt2_c and sqrt2.n == 8
         assert sqrt2 * sqrt2 == Cyc.from_rational(8, 2)
 
@@ -222,39 +230,48 @@ class TestExactArithmetic:
         assert WeilRepMatrix.identity(again) == WeilRepMatrix.identity(df_of("A2"))
 
     @pytest.mark.parametrize("c", [2 ** 31 + 1, 2 ** 32 + 1])
-    def test_beyond_int64_takes_object_route(self, c, monkeypatch):
-        # the square of (2^31 + 1) I stays below 2^63 and runs in int64;
-        # 2^64 + 2^33 + 1 would wrap in int64, so the product of
-        # (2^32 + 1) I with itself must run in Python ints
-        dtypes = set()
-        matmul = weilrep._exact_matmul
-
-        def spy(a, b, bound):
-            out = matmul(a, b, bound)
-            dtypes.add(out.dtype)
-            return out
-
-        monkeypatch.setattr(weilrep, "_exact_matmul", spy)
-        df = df_of("A1")
-        m = WeilRepMatrix.identity(df).scale(Cyc.from_rational(8, c))
+    def test_coefficients_past_int64_are_exact(self, c):
+        # (2^31 + 1)^2 is below 2^63, (2^32 + 1)^2 = 2^64 + 2^33 + 1 is past it
+        m = WeilRepMatrix.identity(df_of("A1")).scale(Cyc.from_rational(8, c))
         assert (m @ m).entries == oracle_matmul(m.entries, m.entries)
         assert (m @ m).entries[1][1] == Cyc.from_rational(8, c * c)
-        if c * c < 2 ** 63:
-            assert dtypes == {np.dtype(np.int64)}
-        else:
-            assert np.dtype(object) in dtypes
 
-    def test_row_sum_beyond_int64_takes_object_route(self):
-        # each entry of a fits int64, but the row sum 2^63 that bounds the
-        # product does not, and neither does the product entry 2^63
+    def test_row_sums_past_int64_are_exact(self):
+        # each entry of a fits int64, but the row sum 2^63 and the product
+        # entry 2^63 do not
+        df = df_of("A1")
+        a = WeilRepMatrix(df, [[(2 ** 62, 0, 0, 0)] * 2, [(0, 0, 0, 0)] * 2])
+        b = WeilRepMatrix(df, [[(1, 0, 0, 0)] * 2] * 2)
+        assert (a @ b).entries == oracle_matmul(a.entries, b.entries)
+        assert (a @ b).entries[0][0] == Cyc.from_rational(8, 2 ** 63)
+
+    def test_constructor_stores_python_ints(self):
+        # numpy integers are converted: a product of them neither wraps nor warns
         df = df_of("A1")
         a = np.zeros((2, 2, 4), dtype=np.int64)
-        a[0, :, 0] = 2 ** 62
-        b = np.zeros((2, 2, 4), dtype=np.int64)
-        b[:, :, 0] = 1
-        a_m = WeilRepMatrix(df, a)
-        b_m = WeilRepMatrix(df, b)
-        assert (a_m @ b_m).entries[0][0] == Cyc.from_rational(8, 2 ** 63)
+        a[:, :, 0] = 2 ** 62
+        m = WeilRepMatrix(df, a, np.int64(2))
+        assert all(type(x) is int for row in m.coeffs for e in row for x in e)
+        assert type(m.den) is int and (m.den, m.coeffs[0][0]) == (1, (2 ** 61, 0, 0, 0))
+        assert (m @ m).entries[0][0] == Cyc.from_rational(8, 2 ** 123)
+        assert m == WeilRepMatrix(df, a.tolist(), 2)
+
+    @pytest.mark.parametrize("coeffs, den", [
+        (np.zeros((2, 2, 4)), 1),  # float dtype
+        ([[(0, 0, 0, 0), (0.5, 0, 0, 0)], [(0, 0, 0, 0)] * 2], 1),
+        ([[(0, 0, 0, 0), (F(1, 2), 0, 0, 0)], [(0, 0, 0, 0)] * 2], 1),
+        ([[(1, 0, 0, 0)] * 2] * 2, 1.0),
+        ([[(1, 0, 0, 0)] * 2] * 2, 0),
+        ([[(1, 0, 0, 0)] * 2] * 2, -3),
+        ([[(1, 0, 0, 0)] * 2], 1),  # one row
+        ([[(1, 0, 0, 0)] * 3] * 2, 1),  # three columns
+        ([[(1, 0, 0)] * 2] * 2, 1),  # three coefficients
+        (np.zeros((2, 2), dtype=np.int64), 1),  # no coefficient axis
+    ], ids=["float-array", "float", "fraction", "float-den", "zero-den", "negative-den",
+            "one-row", "three-columns", "three-coefficients", "2d-array"])
+    def test_constructor_rejects_bad_input(self, coeffs, den):
+        with pytest.raises(ValueError):
+            WeilRepMatrix(df_of("A1"), coeffs, den)
 
     def test_scale_by_c_then_inverse_round_trips(self):
         m = rho_S(df_of("A2"))
@@ -265,6 +282,72 @@ class TestExactArithmetic:
         assert m.scale(c).scale(c_inv) == m
         with pytest.raises(ValueError):
             m.scale(Cyc.one(2 * n))
+
+
+# Forms of every size up to 9 whose root order is 8 or 24, the two fields
+# the packing is checked over.
+PACKING_FORMS = ["U", "A1", "A1+A1", "A1+A1+A1", "A2", "A1+A2", "A2+A2"]
+BIG = 2 ** 70
+
+
+def oracle_conjugate(z):
+    acc = Cyc.zero(z.n)
+    for k, c in enumerate(z.c):
+        acc = acc + Cyc.root(z.n, -k).scale(c)
+    return acc
+
+
+@st.composite
+def cyclotomic_matrices(draw, df):
+    """A matrix over df with coefficients up to +-2^70 and a random den; its
+    entries are drawn from a pool, so some repeat as in a Weil matrix."""
+    n = len(df.cosets)
+    deg = len(Cyc.zero(root_order_for(df.level, df.order)).c)
+    coeff = st.integers(-BIG, BIG) | st.integers(-2, 2)
+    pool = draw(st.lists(st.tuples(*[coeff] * deg), min_size=1, max_size=n * n))
+    row = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+    return WeilRepMatrix(df, draw(st.lists(row, min_size=n, max_size=n)), draw(st.integers(1, 12)))
+
+
+class TestPacking:
+    """The Kronecker-packed product, dagger and scale against the schoolbook
+    Cyc oracle, over Q(zeta_8) and Q(zeta_24)."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_matches_schoolbook(self, data):
+        df = df_of(data.draw(st.sampled_from(PACKING_FORMS)))
+        n_root = root_order_for(df.level, df.order)
+        assert n_root in (8, 24)
+        a = data.draw(cyclotomic_matrices(df))
+        b = data.draw(cyclotomic_matrices(df))
+        assert (a @ b).entries == oracle_matmul(a.entries, b.entries)
+        assert a.dagger().entries == tuple(
+            tuple(oracle_conjugate(a.entries[j][i]) for j in range(a.size)) for i in range(a.size))
+        c = Cyc(n_root, data.draw(st.lists(st.fractions(max_denominator=9).map(
+            lambda x: x * BIG), min_size=len(a.entries[0][0].c), max_size=len(a.entries[0][0].c))))
+        assert a.scale(c).entries == tuple(tuple(e * c for e in row) for row in a.entries)
+
+    @pytest.mark.parametrize("name", ["A1+A1+A1", "A2+A2"])
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1)])
+    def test_partial_sum_at_the_width_bound(self, name, signs):
+        # every coefficient +-h: the coefficient of zeta^(d-1) in each entry
+        # of the unreduced product is +-n d h^2, the bound M itself.  For the
+        # largest h with M < 2^144, M needs all 144 bits of 18 whole bytes,
+        # so its digit fits only with a 19th byte for the sign.
+        df = df_of(name)
+        n, deg = len(df.cosets), len(Cyc.zero(root_order_for(df.level, df.order)).c)
+        for h in (BIG, math.isqrt((2 ** 144 - 1) // (n * deg))):
+            a, b = (WeilRepMatrix(df, [[(sign * h,) * deg] * n] * n) for sign in signs)
+            assert (a @ b).entries == oracle_matmul(a.entries, b.entries)
+
+    def test_zero_factor(self):
+        # M counts a zero factor's height as 1, so the width still holds
+        # every coefficient of the other factor
+        df = df_of("A2")
+        zero = WeilRepMatrix(df, [[(0,) * 8] * 3] * 3)
+        big = WeilRepMatrix(df, [[(-BIG,) * 8] * 3] * 3)
+        assert zero @ big == zero and big @ zero == zero
 
 
 class TestRelations:
@@ -298,9 +381,10 @@ class TestRelations:
     def test_flipped_fourier_exponent_breaks_unitarity(self, monkeypatch):
         df = copy.copy(df_of("A2"))
         s = rho_S(df)
-        coeffs = s.coeffs.copy()
-        coeffs[1, 2] = s.conjugate().coeffs[1, 2]  # not real, so this changes it
-        assert not np.array_equal(coeffs, s.coeffs)
+        conj = s.conjugate().coeffs[1][2]  # not real, so this changes it
+        coeffs = tuple(tuple(conj if (i, j) == (1, 2) else e for j, e in enumerate(row))
+                       for i, row in enumerate(s.coeffs))
+        assert coeffs != s.coeffs
         flipped = WeilRepMatrix(df, coeffs, s.den)
         monkeypatch.setattr(weilrep, "rho_S", lambda _: flipped)
         assert not verify_relations(df, raise_on_failure=False).unitary_s
