@@ -15,7 +15,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "quadlattice": ("DiscriminantForm", "Lattice", "direct_sum", "disc_b", "discriminant_form",
+    "quadlattice": ("DiscriminantForm", "Lattice", "direct_sum", "discriminant_form",
                     "gauss_sum", "named_lattice", "new_lattice"),
     "enumeration": ("VectorValuedQSeries", "rep_number", "rep_number_genus2", "theta_qseries",
                     "vectors_with_norm"),

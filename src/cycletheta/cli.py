@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import tempfile
-import time
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -123,7 +122,7 @@ class ResultCache:
         return payload if isinstance(payload, dict) else None
 
     def put(self, key: str, payload: dict) -> None:
-        entry = {"key": key, "payload": payload, "created_at": time.time()}
+        entry = {"key": key, "payload": payload}
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:

@@ -48,8 +48,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .quadlattice import (Coset, Lattice, _block_reduce, _rational_pivot, discriminant_form,
-                          new_lattice, smith_normal_form)
+from .quadlattice import (Coset, Lattice, _block_reduce, _dual_image, _rational_pivot,
+                          discriminant_form, new_lattice, smith_normal_form)
 
 __all__ = [
     "NotPositiveDefinite",
@@ -155,10 +155,7 @@ def _coset_norm(lat: Lattice, mu: Coset) -> Fraction:
     """q(mu) = Q(mu) mod 1; raises ValueError unless mu is in the dual lattice."""
     if len(mu) != lat.rank:
         raise ValueError(f"a coset of {len(mu)} coordinates on a lattice of rank {lat.rank}")
-    g_mu = [sum(g * x for g, x in zip(row, mu)) for row in lat.gram]
-    if any(y.denominator != 1 for y in g_mu):
-        raise ValueError(f"{mu} is not a coset of the dual lattice")
-    return sum(x * y for x, y in zip(mu, g_mu)) / 2 % 1
+    return sum(x * y for x, y in zip(mu, _dual_image(lat, mu))) / 2 % 1
 
 
 @lru_cache(maxsize=256)

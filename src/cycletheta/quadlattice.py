@@ -1,7 +1,9 @@
 """Integral even quadratic lattices, their duals, and discriminant forms.
 
-All structural data is exact: Gram matrices are Python integers, coset
-representatives are tuples of fractions.Fraction, and determinant and
+All structural data is exact: Gram matrices are Python integers, a coset of
+L'/L is held internally as integer coordinates in Smith form, shown as a
+tuple of fractions.Fraction with one denominator e (the exponent of L'/L),
+with q and b as integers over 2e^2 and e^2, and determinant and
 signature come from _block_reduce, the one block LDL^T reduction over Q
 that also serves square completion and the p-adic Jordan splitting (no
 eigenvalues, no floating point).  The only float-valued function here is
@@ -13,9 +15,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from types import MappingProxyType
 
 __all__ = [
@@ -29,7 +33,6 @@ __all__ = [
     "named_lattice",
     "direct_sum",
     "discriminant_form",
-    "disc_b",
     "gauss_sum",
     "smith_normal_form",
     "BUILTIN_GRAMS",
@@ -213,8 +216,7 @@ def smith_normal_form(a) -> tuple[list[list[int]], list[list[int]], list[list[in
     S is diagonal with d_i | d_{i+1}, U and V unimodular.
     """
     m = [list(map(int, row)) for row in a]
-    n_rows = len(m)
-    n_cols = len(m[0])
+    n_rows, n_cols = len(m), len(m[0])
     u = [[int(i == j) for j in range(n_rows)] for i in range(n_rows)]
     v = [[int(i == j) for j in range(n_cols)] for i in range(n_cols)]
 
@@ -222,61 +224,35 @@ def smith_normal_form(a) -> tuple[list[list[int]], list[list[int]], list[list[in
         m[i] = [x - q * y for x, y in zip(m[i], m[j])]
         u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
-    def col_op(i, j, q):  # col i -= q * col j
-        for row in m:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
     t = 0
-    size = min(n_rows, n_cols)
-    while t < size:
-        # find entry of smallest absolute value in the remaining block
-        best = None
-        for i in range(t, n_rows):
-            for j in range(t, n_cols):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    while t < min(n_rows, n_cols):
+        # swap the first entry of least absolute value in the remaining block to (t, t)
+        cells = [(i, j) for i in range(t, n_rows) for j in range(t, n_cols) if m[i][j]]
+        if not cells:
             break
-        i, j = best
-        if i != t:
-            swap_rows(t, i)
-        if j != t:
-            swap_cols(t, j)
+        i, j = min(cells, key=lambda c: abs(m[c[0]][c[1]]))
+        m[t], m[i], u[t], u[i] = m[i], m[t], u[i], u[t]
+        for row in m + v:
+            row[t], row[j] = row[j], row[t]
         dirty = False
         for i in range(t + 1, n_rows):
             q = m[i][t] // m[t][t]
             if q:
                 row_op(i, t, q)
-            if m[i][t]:
-                dirty = True
+            dirty |= m[i][t] != 0
         for j in range(t + 1, n_cols):
             q = m[t][j] // m[t][t]
-            if q:
-                col_op(j, t, q)
-            if m[t][j]:
-                dirty = True
+            if q:  # col j -= q * col t
+                for row in m + v:
+                    row[j] -= q * row[t]
+            dirty |= m[t][j] != 0
         if dirty:
             continue
         # enforce divisibility d_t | remaining entries
-        bad = next(
-            ((i, j) for i in range(t + 1, n_rows) for j in range(t + 1, n_cols)
-             if m[i][j] % m[t][t] != 0),
-            None,
-        )
+        bad = next((i for i in range(t + 1, n_rows) for j in range(t + 1, n_cols)
+                    if m[i][j] % m[t][t] != 0), None)
         if bad is not None:
-            row_op(t, bad[0], -1)  # row t += row bad[0]
+            row_op(t, bad, -1)  # row t += row bad
             continue
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
@@ -300,13 +276,33 @@ class _ReadOnly:
         raise AttributeError(f"{type(self).__name__}.{name} is read-only")
 
 
-class DiscriminantForm(_ReadOnly):
-    """The finite quadratic module L'/L with Q: L'/L -> Q/Z.
+def _dual_image(lat: Lattice, lam) -> list[int]:
+    """G lam for lam in lattice coordinates, an integer vector exactly when
+    lam lies in the dual lattice L' = G^-1 Z^n.  Raises ValueError naming
+    lam otherwise, and when lam does not have rank coordinates."""
+    lam = tuple(lam)
+    vec = tuple(map(Fraction, lam))
+    y = [sum(map(operator.mul, row, vec)) for row in lat.gram]
+    if len(vec) != lat.rank or any(t.denominator != 1 for t in y):
+        raise ValueError(f"{lam} is not a coset of the dual lattice")
+    return [int(t) for t in y]
 
-    Cosets are represented canonically by dual vectors (in lattice-basis
-    coordinates) with entries reduced into [0, 1).  The coset ordering is
-    the sorted order of those tuples and is the index order used by the
-    Weil representation matrices.
+
+class DiscriminantForm(_ReadOnly):
+    """The finite quadratic module D = L'/L with Q: D -> Q/Z, as the sum of
+    the Z/s_i over the Smith invariants s_i > 1 of U G V = S = diag(s_i).
+
+    x -> c = U G x mod s maps L' onto that sum with kernel L: x is in L'
+    exactly when y = G x is integral, and in L exactly when y is in
+    G Z^n = U^-1 S V^-1 Z^n = U^-1 S Z^n, that is when U y = 0 mod s.  As
+    U G (V S^-1 c) = c, x = V S^-1 c mod L.  With e = max s_i, the coset c
+    is N / e with N = e V S^-1 c mod e, and W = e^2 S^-1 V^T G V S^-1 is
+    integral with Q(x) = c^T W c / 2e^2 and b(x, x') = c^T W c' / e^2.
+
+    ``cosets`` lists the N / e as tuples of Fractions, sorted: the index
+    order of the Weil matrices.  index, neg, add, q and b take any
+    representative: a canonical coset costs one dict lookup, any other
+    goes through G lam (_dual_image).
     """
 
     def __init__(self, lat: Lattice):
@@ -314,72 +310,78 @@ class DiscriminantForm(_ReadOnly):
         self.order = abs(lat.det)
         self.sig8 = (lat.signature[0] - lat.signature[1]) % 8
 
-        n = lat.rank
-        # U G V = S gives G^-1 U^-1 = V S^-1: the dual basis images of the
-        # Smith basis are the columns of V divided by the invariants s_i
-        s, _u, v = smith_normal_form(lat.gram)
-        gens: list[tuple[Coset, int]] = []
-        for i in range(n):
-            d = s[i][i]
-            if abs(d) > 1:
-                gens.append((tuple(Fraction(v[r][i], d) % 1 for r in range(n)), abs(d)))
-        self.generators: tuple[tuple[Coset, int], ...] = tuple(gens)
+        n, g = lat.rank, lat.gram
+        s, u, v = smith_normal_form(g)
+        kept = [i for i in range(n) if s[i][i] > 1]
+        self._mods = mods = tuple(s[i][i] for i in kept)
+        e = max(mods, default=1)
+        self._u = [u[i] for i in kept]
+        scaled = [[v[r][i] * (e // s[i][i]) for i in kept] for r in range(n)]  # e V S^-1
+        g_scaled = [[sum(map(operator.mul, row, col)) for col in zip(*scaled)] for row in g]
+        self._w = [[sum(map(operator.mul, a, b)) for b in zip(*g_scaled)] for a in zip(*scaled)]
+        self._e2 = e * e
 
-        # enumerate the full group
-        cosets = {tuple(Fraction(0) for _ in range(n))}
-        for vec, d in gens:
-            new = set()
-            for base in cosets:
-                cur = base
-                for _ in range(d):
-                    new.add(cur)
-                    cur = tuple((x + y) % 1 for x, y in zip(cur, vec))
-            cosets = new
-        if len(cosets) != self.order:
-            raise LatticeError(
-                f"discriminant group enumeration mismatch: {len(cosets)} != {self.order}"
-            )
-        self.cosets: tuple[Coset, ...] = tuple(sorted(cosets))
-        self._index = {c: i for i, c in enumerate(self.cosets)}
+        keyed = sorted((tuple(sum(map(operator.mul, row, c)) % e for row in scaled), c)
+                       for c in product(*map(range, mods)))
+        frac = [Fraction(j, e) for j in range(e)]
+        self.cosets: tuple[Coset, ...] = tuple(tuple(map(frac.__getitem__, num))
+                                               for num, _ in keyed)
+        self._coord = dict(zip(self.cosets, (c for _, c in keyed)))
+        if not len(keyed) == len(self._coord) == self.order:
+            raise LatticeError("discriminant group enumeration mismatch: "
+                               f"{len(self._coord)} != {self.order}")
+        self._at = {c: i for i, (_, c) in enumerate(keyed)}
 
         # read-only: discriminant_form is cached, so one instance is shared
-        q_table = {lam: lat.quadratic(lam) % 1 for lam in self.cosets}
+        q_num = [self._pair(c, c) % (2 * e * e) for _, c in keyed]
+        q_frac = {t: Fraction(t, 2 * e * e) for t in set(q_num)}
+        q_table = dict(zip(self.cosets, map(q_frac.__getitem__, q_num)))
         self.q_table: MappingProxyType[Coset, Fraction] = MappingProxyType(q_table)
+        self.level = math.lcm(1, *(q.denominator for q in q_frac.values()))
+        units = [tuple(int(i == j) for j in range(len(mods))) for i in range(len(mods))]
+        self.generators: tuple[tuple[Coset, int], ...] = tuple(
+            (self.cosets[self._at[c]], m) for c, m in zip(units, mods))
 
-        self.level = math.lcm(1, *(q.denominator for q in q_table.values()))
-
-        for lam in self.cosets:
-            if q_table[lam] != q_table[self.neg(lam)]:
+        for (_, c), t in zip(keyed, q_num):
+            if t != q_num[self._at[self._neg(c)]]:
                 raise LatticeError("q(lambda) != q(-lambda); broken group structure")
 
     @property
     def lattice(self) -> Lattice:
         return self._lat
 
-    def q(self, lam: Coset) -> Fraction:
-        return self.q_table[self._key(lam)]
+    def _c(self, lam) -> tuple[int, ...]:
+        """The coordinates c of the coset of lam."""
+        try:
+            return self._coord[lam]
+        except (KeyError, TypeError):
+            pass
+        y = _dual_image(self._lat, lam)
+        return tuple(sum(map(operator.mul, row, y)) % m for row, m in zip(self._u, self._mods))
 
-    def reduce(self, lam) -> Coset:
-        return tuple(Fraction(x) % 1 for x in lam)
+    def _pair(self, c, d) -> int:
+        """c^T W d: 2e^2 Q(x) when d = c, e^2 b(x, x') mod e^2."""
+        return sum(x * sum(map(operator.mul, row, d)) for x, row in zip(c, self._w))
 
-    def neg(self, lam: Coset) -> Coset:
-        return tuple((-x) % 1 for x in self._key(lam))
+    def _neg(self, c) -> tuple[int, ...]:
+        return tuple(-x % m for x, m in zip(c, self._mods))
 
-    def add(self, lam: Coset, mu: Coset) -> Coset:
-        return tuple((x + y) % 1 for x, y in zip(self._key(lam), self._key(mu)))
+    def index(self, lam) -> int:
+        return self._at[self._c(lam)]
 
-    def index(self, lam: Coset) -> int:
-        return self._index[self._key(lam)]
+    def q(self, lam) -> Fraction:
+        return self.q_table[self.cosets[self.index(lam)]]
 
-    def _key(self, lam) -> Coset:
-        key = self.reduce(lam)
-        if key not in self._index:
-            raise ValueError(f"{tuple(lam)} is not a coset of the dual lattice")
-        return key
+    def neg(self, lam) -> Coset:
+        return self.cosets[self._at[self._neg(self._c(lam))]]
 
-    def b(self, lam: Coset, mu: Coset) -> Fraction:
+    def add(self, lam, mu) -> Coset:
+        c = zip(self._c(lam), self._c(mu), self._mods)
+        return self.cosets[self._at[tuple((x + y) % m for x, y, m in c)]]
+
+    def b(self, lam, mu) -> Fraction:
         """Bilinear form b(lam, mu) = Q(lam+mu) - Q(lam) - Q(mu) mod 1."""
-        return self._lat.bilinear(self._key(lam), self._key(mu)) % 1
+        return Fraction(self._pair(self._c(lam), self._c(mu)) % self._e2, self._e2)
 
     def coset_label(self, lam: Coset) -> str:
         return "(" + ",".join(str(x) for x in lam) + ")"
@@ -391,11 +393,6 @@ class DiscriminantForm(_ReadOnly):
 @lru_cache(maxsize=64)
 def discriminant_form(lat: Lattice) -> DiscriminantForm:
     return DiscriminantForm(lat)
-
-
-def disc_b(df: DiscriminantForm, lam, mu) -> Fraction:
-    """b(lam, mu) in [0, 1); symmetric and bi-additive."""
-    return df.b(lam, mu)
 
 
 def gauss_sum(df: DiscriminantForm) -> complex:

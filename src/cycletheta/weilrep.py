@@ -241,12 +241,16 @@ class WeilRepMatrix(_ReadOnly):
 
     def entry_strings(self) -> list[list[str]]:
         """Exact display: each entry as '(cyclotomic)/sqrt(D)' when that is
-        the cleaner form, else as a plain cyclotomic polynomial in z."""
-        d = self.df.order
-        sqrt_d = sqrt_as_cyclotomic(d, self.root_order) if d > 1 else None
+        the cleaner form, else as a plain cyclotomic polynomial in z.  Works on
+        the integer numerators; a Cyc is built only to print an entry."""
+        n, den, d = self.root_order, self.den, self.df.order
+        sqrt_d = [int(x) for x in sqrt_as_cyclotomic(d, n).c] if d > 1 else None
+
+        def as_cyc(e):
+            return Cyc(n, [Fraction(x, den) for x in e])
 
         def monomial(e):
-            nz = [(k, a) for k, a in enumerate(e.c) if a]
+            nz = [(k, Fraction(a, den)) for k, a in enumerate(e) if a]
             if len(nz) != 1:
                 return None
             k, a = nz[0]
@@ -256,17 +260,14 @@ class WeilRepMatrix(_ReadOnly):
             return f"{head}z^{k}" if k > 1 else f"{head}z"
 
         def shown(e):
-            if e.is_zero:
-                return "0"
             m = monomial(e)
-            if m is not None or sqrt_d is None:
-                return m or repr(e)
-            scaled = e * sqrt_d
-            ms = monomial(scaled)
-            return f"{ms}/sqrt({d})" if ms is not None else f"({scaled!r})/sqrt({d})"
+            if m is None and sqrt_d is not None and any(e):
+                scaled = _times(e, sqrt_d, n)
+                return f"{monomial(scaled) or f'({as_cyc(scaled)!r})'}/sqrt({d})"
+            return m or repr(as_cyc(e))
 
-        text = {e: shown(e) for e in set(chain.from_iterable(self.entries))}
-        return [[text[e] for e in row] for row in self.entries]
+        text = {e: shown(e) for e in self._distinct}
+        return [[text[e] for e in row] for row in self.coeffs]
 
 
 def _diagonal(df: DiscriminantForm, exps) -> WeilRepMatrix:

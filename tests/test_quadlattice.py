@@ -1,15 +1,17 @@
 import cmath
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cycletheta.quadlattice import (
+    BUILTIN_GRAMS,
     Degenerate,
+    DiscriminantForm,
     NotEven,
     NotSymmetric,
-    disc_b,
     discriminant_form,
     direct_sum,
     gauss_sum,
@@ -121,36 +123,36 @@ class TestDiscB:
         df = discriminant_form(named_lattice("A2"))
         zero = df.cosets[0]
         for mu in df.cosets:
-            assert disc_b(df, zero, mu) == 0
+            assert df.b(zero, mu) == 0
 
     def test_a1(self):
         df = discriminant_form(named_lattice("A1"))
         half = (F(1, 2),)
-        assert disc_b(df, half, half) == F(1, 2)
+        assert df.b(half, half) == F(1, 2)
 
     def test_a2_generator(self):
         # b(g, g) = 2 Q(g) = 2/3 for the A2 generator
         df = discriminant_form(named_lattice("A2"))
         g = df.generators[0][0]
-        assert disc_b(df, g, g) == F(2, 3)
+        assert df.b(g, g) == F(2, 3)
 
     def test_polarization(self):
         for name in CORPUS:
             df = discriminant_form(named_lattice(name))
             for lam in df.cosets:
                 for mu in df.cosets:
-                    lhs = disc_b(df, lam, mu)
+                    lhs = df.b(lam, mu)
                     rhs = (df.q(df.add(lam, mu)) - df.q(lam) - df.q(mu)) % 1
                     assert lhs == rhs
 
     @pytest.mark.parametrize("call", [
-        lambda df: disc_b(df, (F(1, 3),), (F(1, 3),)),
+        lambda df: df.b((F(1, 3),), (F(1, 3),)),
         lambda df: df.b((F(1, 3),), (F(1, 2),)),
         lambda df: df.b((F(1, 2),), (F(1, 3),)),
         lambda df: df.add((F(1, 3),), (0,)),
         lambda df: df.add((0,), (F(1, 3),)),
         lambda df: df.neg((F(1, 3),)),
-    ], ids=["disc_b", "b-left", "b-right", "add-left", "add-right", "neg"])
+    ], ids=["b-both", "b-left", "b-right", "add-left", "add-right", "neg"])
     def test_non_coset_is_refused(self, call):
         # 1/3 is no coset of A1' / A1 = {0, 1/2}, as q and index already say
         df = discriminant_form(named_lattice("A1"))
@@ -161,7 +163,7 @@ class TestDiscB:
         df = discriminant_form(named_lattice("A1"))
         assert df.add((F(3, 2),), (F(-1, 2),)) == (F(0),)
         assert df.neg((F(-1, 2),)) == (F(1, 2),)
-        assert disc_b(df, (F(3, 2),), (F(1, 2),)) == F(1, 2)
+        assert df.b((F(3, 2),), (F(1, 2),)) == F(1, 2)
 
 
 class TestGaussSum:
@@ -271,7 +273,7 @@ class TestProperties:
         cosets = list(df.cosets)
         lam = data.draw(st.sampled_from(cosets))
         mu = data.draw(st.sampled_from(cosets))
-        assert disc_b(df, lam, mu) == disc_b(df, mu, lam)
+        assert df.b(lam, mu) == df.b(mu, lam)
 
 
 def _cofactor_det(g) -> int:
@@ -339,6 +341,55 @@ class TestBlockReduction:
         negative = _sign_changes([(-1) ** k * x for k, x in enumerate(c)])
         assert lat.det == det
         assert lat.signature == (positive, negative)
+
+
+def _mod1(v):
+    return tuple(x % 1 for x in v)
+
+
+def _closure_form(lat):
+    """The discriminant form by the route independent of Smith coordinates:
+    close the Smith generators V e_i / s_i under addition mod 1 as tuples
+    of Fractions, and evaluate Q on each coset with Lattice.quadratic."""
+    n = lat.rank
+    s, _, v = smith_normal_form(lat.gram)
+    gens = tuple((tuple(F(v[r][i], s[i][i]) % 1 for r in range(n)), s[i][i])
+                 for i in range(n) if s[i][i] > 1)
+    cosets = {(F(0),) * n}
+    for vec, d in gens:
+        cosets = {tuple((x + k * y) % 1 for x, y in zip(base, vec))
+                  for base in cosets for k in range(d)}
+    assert len(cosets) == abs(lat.det)
+    cosets = sorted(cosets)
+    q = {lam: lat.quadratic(lam) % 1 for lam in cosets}
+    return gens, cosets, q, math.lcm(1, *(x.denominator for x in q.values()))
+
+
+class TestSmithCoordinates:
+    @settings(max_examples=120, deadline=None)
+    @given(even_symmetric_matrices(), st.randoms(use_true_random=False))
+    @example(BUILTIN_GRAMS["U"], random.Random(0))  # |D| = 1: the zero coset alone
+    @example(BUILTIN_GRAMS["E8"], random.Random(0))
+    def test_matches_the_fraction_closure(self, g, rng):
+        assume(len(g) <= 5 and 0 < abs(_cofactor_det(g)) <= 3000)
+        lat = new_lattice(g)
+        df = DiscriminantForm(lat)
+        gens, cosets, q, level = _closure_form(lat)
+        assert df.cosets == tuple(cosets)
+        assert list(df.q_table.items()) == list(q.items())
+        assert df.level == level
+        assert df.generators == gens
+        for _ in range(8):
+            lam, mu = rng.choice(cosets), rng.choice(cosets)
+            for shift in (False, True):
+                if shift:  # unreduced representatives: lam + an integer vector
+                    lam = tuple(x + rng.randint(-3, 3) for x in lam)
+                    mu = tuple(x + rng.randint(-3, 3) for x in mu)
+                assert df.index(lam) == cosets.index(_mod1(lam))
+                assert df.neg(lam) == _mod1(-x for x in lam)
+                assert df.add(lam, mu) == _mod1(x + y for x, y in zip(lam, mu))
+                assert df.b(lam, mu) == lat.bilinear(lam, mu) % 1
+                assert df.q(lam) == lat.quadratic(lam) % 1
 
 
 class TestSmith:
