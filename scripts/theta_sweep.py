@@ -21,14 +21,19 @@ from fractions import Fraction
 from cycletheta.enumeration import rep_number, theta_qseries
 from cycletheta.quadlattice import direct_sum, discriminant_form, named_lattice, new_lattice
 
-EXPECTED = "7658743a5105a2a2902b56d6c9d3e9a5ff422b193c36f94c19acc690e43266df"
+EXPECTED = "67393043247a0fc7edd910a5e1fcbd82efbbe352e683afa1080e440b133f742e"
 
-# a rank-7 Gram with glue group of order 4 (from the seeded skewed corpus of
-# the gluing tests)
+# rank-7 Grams with glue groups of order 4 and 10 (|D| = 48), from the seeded
+# skewed corpus of the gluing tests
 SKEWED_7 = (
     (2, -1, 1, 2, -1, 3, 1), (-1, 2, -3, 0, -1, -4, 2), (1, -3, 6, -3, 2, 7, -5),
     (2, 0, -3, 8, -1, -1, 6), (-1, -1, 2, -1, 4, 0, 0), (3, -4, 7, -1, 0, 12, -6),
     (1, 2, -5, 6, 0, -6, 12),
+)
+SKEWED_7_GLUE_10 = (
+    (4, -3, 4, 4, -5, 1, 0), (-3, 4, -4, -2, 1, 1, -1), (4, -4, 6, 1, -3, 0, 1),
+    (4, -2, 1, 10, -5, 2, 1), (-5, 1, -3, -5, 16, -4, 7), (1, 1, 0, 2, -4, 4, 0),
+    (0, -1, 1, 1, 7, 0, 8),
 )
 
 # (lattice, theta truncation, norms per coset for rep_number)
@@ -36,7 +41,7 @@ CORPUS = [
     ("A1", 30, 8), ("A2", 20, 8), ("A3", 12, 6), ("D4", 12, 6), ("E8", 16, 12),
     ("A1+A1", 20, 6), ("A2+A2", 10, 4), ("A2+A2+A2", 8, 3), ("D4+A2", 8, 3),
     ("A1+A1+A1+A1+A1+A1+A1+A1", 5, 3), ("E8", 24, 0), ("D4+A1", 12, 4),
-    ("A2+A2+A2+A1", 8, 3), (SKEWED_7, 8, 3),
+    ("A2+A2+A2+A1", 8, 3), (SKEWED_7, 8, 3), (SKEWED_7_GLUE_10, 8, 3),
 ]
 
 HALF = Fraction(1, 2)

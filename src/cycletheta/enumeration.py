@@ -5,10 +5,11 @@ Counts come from gluing and lists from walking.  Every count below a bound
 (theta_qseries, and rep_number from rank _GLUE_RANK on) is glued (Conway-
 Sloane, SPLAG ch. 4).  L contains L1 + L2 with finite index, L1 the span of
 the first n // 2 basis vectors and L2 = L meet L1^perp, LLL-reduced; each
-coset lam + L is the union of the products (g1 + L1) x (g2 + L2) over the
-glue group L / (L1 + L2), so its theta series is the sum of the products of
-the half series, convolved exactly.  Each half is glued again down to rank
-1, where L = (g) and the counts have a closed form in Python ints.
+coset c + L is the union of the products (c1 + L1) x (c2 + L2) over the
+glue group L / (L1 + L2), all in the integer Smith coordinates of
+DiscriminantForm, so its theta series is the sum of the products of the
+half series, convolved exactly.  Each half is glued again down to rank 1,
+where L = (g) and the counts have a closed form in Python ints.
 
 Vectors come from one Fincke-Pohst descent (_descend) over the successive
 square completion of the Gram matrix.  It works level by level on a numpy
@@ -40,6 +41,7 @@ when closed under x -> -x, by half its rows.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,8 +50,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .quadlattice import (Coset, Lattice, _block_reduce, _dual_image, _rational_pivot,
-                          discriminant_form, new_lattice, smith_normal_form)
+from .quadlattice import (Coset, Lattice, _block_reduce, _pair, _rational_pivot, _smith,
+                          _smith_coords, discriminant_form, new_lattice, smith_normal_form)
 
 __all__ = [
     "NotPositiveDefinite",
@@ -137,25 +139,9 @@ def _square_completion(lat: Lattice):
         raise NotPositiveDefinite("square completion hit a nonpositive pivot")
     us = tuple(tuple(prow[0][j] / ds[i] if j > i else Fraction(0) for j in range(n))
                for i, (_, prow) in enumerate(steps))
-    g_inv = _inverse(lat.gram)
-    return ds, us, tuple(g_inv[j][j] for j in range(n))
-
-
-def _inverse(a) -> list[list[Fraction]]:
-    """The inverse over Q of a nonsingular integer matrix: U A V = S gives
-    A^-1 = V S^-1 U."""
-    s, u, v = smith_normal_form(a)
-    n = len(a)
-    return [[sum(Fraction(v[i][t] * u[t][j], s[t][t]) for t in range(n)) for j in range(n)]
-            for i in range(n)]
-
-
-@lru_cache(maxsize=1024)
-def _coset_norm(lat: Lattice, mu: Coset) -> Fraction:
-    """q(mu) = Q(mu) mod 1; raises ValueError unless mu is in the dual lattice."""
-    if len(mu) != lat.rank:
-        raise ValueError(f"a coset of {len(mu)} coordinates on a lattice of rank {lat.rank}")
-    return sum(x * y for x, y in zip(mu, _dual_image(lat, mu))) / 2 % 1
+    s, u, v = smith_normal_form(lat.gram)  # U G V = S gives G^-1 = V S^-1 U
+    return ds, us, tuple(sum(Fraction(v[j][t] * u[t][j], s[t][t]) for t in range(n))
+                         for j in range(n))
 
 
 @lru_cache(maxsize=256)
@@ -170,7 +156,7 @@ def _scaled_data(lat: Lattice, mu: Coset):
     G^-1.  Raises ValueError unless mu is in the dual lattice.
     """
     _require_positive_definite(lat)
-    q_mu = _coset_norm(lat, mu)
+    q_mu = Fraction(*_norm_num(lat, _smith_coords(lat, mu)))
     n = lat.rank
     ds, us, g_inv = _square_completion(lat)
     delta = math.lcm(
@@ -382,69 +368,74 @@ def _lll(dot, basis) -> list[list[int]]:
     return b
 
 
-def _add_mod1(x, y) -> Coset:
-    return tuple((a + b) % 1 for a, b in zip(x, y))
-
-
 @lru_cache(maxsize=64)
 def _glue(lat: Lattice):
-    """The split of L into L1 + L2 and its glue group, once per lattice.
+    """The split of L into L1 + L2 and its glue group, once per lattice, on
+    the Smith coordinates of quadlattice._smith at every level.
 
-    With k = n // 2, L1 is spanned by e_0 .. e_{k-1} (Gram G[:k, :k]) and
-    L2 = L meet L1^perp is the integer kernel of G[:k, :]: the last n - k
-    columns of V in U G[:k, :] V = S, as G[:k, :k] is nonsingular, reduced
-    by _lll into rows r_j.  Returns (l1, l2, project, glue).  project(x) is
-    the coordinate vector z of x in the basis e_0 .. e_{k-1}, r_0, ...: the
-    first k coordinates z1 and the rest z2 split x orthogonally, so x in L'
-    gives z1 in L1', z2 in L2' and Q(x) = Q1(z1) + Q2(z2).  glue is the image
-    of L in L1'/L1 x L2'/L2 as vectors z mod 1, the group generated by the
-    images of e_k .. e_{n-1} (e_i with i < k maps to 0); it has order
-    [L : L1 + L2], and each coset lam + L is the disjoint union over h in
-    glue of (z(lam) + h) + (L1 + L2).
+    With k = n // 2, L1 is spanned by e_0 .. e_{k-1} (Gram G1 = G[:k, :k])
+    and L2 = L meet L1^perp is the integer kernel of G[:k, :]: the last
+    n - k columns of V in U G[:k, :] V = S, as G1 is nonsingular, reduced
+    by _lll into the rows r_j of R.  Returns (l1, l2, split, glue).
+
+    The split map: x in L' is z1 + z2 with z_i in the span of L_i, and they
+    are orthogonal, so Q(x) = Q1(z1) + Q2(z2).  With y = G x integral,
+    (e_i, z1) = (e_i, x) = y_i for i < k and (r_j, z2) = (r_j, x) = r_j . y,
+    so z1 lies in L1' with c1 = U1 y[:k] mod s1 and z2 in L2' with
+    c2 = U2 R y mod s2: (c1, c2) = P y, P the rows of U1 (zero-padded) and
+    of U2 R.  On the coset c, x = V S^-1 c + v with v in Z^n, so y = Y c +
+    G v with Y = G V S^-1, and (c1, c2) = P Y c + P G v.  split pairs each
+    row of P Y with its modulus; glue, the image of L, is generated by the
+    columns k .. n-1 of P G (e_i with i < k lies in L1 and maps to 0) and
+    has kernel L1 + L2, so its order is [L : L1 + L2], and c + L is the
+    disjoint union over h in glue of (c1 + L1) x (c2 + L2), (c1, c2) =
+    P Y c + h.
     """
     _require_positive_definite(lat)
     g, n = lat.gram, lat.rank
     k = n // 2
     _, _, v = smith_normal_form(g[:k])
     rows = _lll(lat.bilinear, [[v[i][j] for i in range(n)] for j in range(k, n)])
-    c_inv = _inverse([[r[i] for r in rows] for i in range(k, n)])
-
-    def project(x) -> Coset:
-        z2 = [sum(c * y for c, y in zip(row, x[k:])) for row in c_inv]
-        return tuple(x[i] - sum(z * r[i] for z, r in zip(z2, rows)) for i in range(k)) + tuple(z2)
-
-    glue = {tuple(Fraction(0) for _ in range(n))}
-    for i in range(k, n):
-        gen = project([int(j == i) for j in range(n)])
-        for base in list(glue):
-            cur = _add_mod1(base, gen)
-            while cur not in glue:
-                glue.add(cur)
-                cur = _add_mod1(cur, gen)
     l1 = new_lattice([row[:k] for row in g[:k]])
     l2 = new_lattice([[lat.bilinear(x, y) for y in rows] for x in rows])
-    return l1, l2, project, tuple(sorted(glue))
+    (mods1, u1), (mods2, u2) = _smith(l1)[:2], _smith(l2)[:2]
+    mods = mods1 + mods2
+    p = [row + (0,) * (n - k) for row in u1]
+    p += [[sum(a * r[i] for a, r in zip(row, rows)) for i in range(n)] for row in u2]
+    pg, py = ([tuple(sum(map(operator.mul, row, col)) for col in zip(*m)) for row in p]
+              for m in (g, _smith(lat)[5]))
+    glue = {(0,) * len(mods)}
+    for gen in list(zip(*pg))[k:]:
+        for cur in list(glue):
+            while (cur := tuple((a + b) % m for a, b, m in zip(cur, gen, mods))) not in glue:
+                glue.add(cur)
+    return l1, l2, tuple(zip(py, mods)), tuple(sorted(glue))
 
 
-def _counts(lat: Lattice, mu: Coset, bound: Fraction, memo: dict) -> list[int]:
-    """Counts of vectors y in mu + L with Q(y) = q(mu) + k, for every
-    k = 0, 1, ... with q(mu) + k < bound: in closed form at rank 1, glued
-    at every other rank.  ``memo`` holds the counts found so far under this
-    bound, keyed by (lattice, coset), so every half coset is counted once."""
-    if (lat, mu) not in memo:
-        memo[lat, mu] = (_line_counts(lat, mu, bound) if lat.rank == 1
-                         else _glued_counts(lat, mu, bound, memo))
-    return memo[lat, mu]
+def _norm_num(lat: Lattice, c) -> tuple[int, int]:
+    """(a, 2e^2) with q(c) = a / 2e^2 and 0 <= a < 2e^2 (quadlattice._smith)."""
+    _, _, e, _, w, _ = _smith(lat)
+    return _pair(w, c, c) % (2 * e * e), 2 * e * e
 
 
-def _line_counts(lat: Lattice, mu: Coset, bound: Fraction) -> list[int]:
-    """The counts of _counts at rank 1.  With L = (g) and mu = j / g, the
-    vectors are y = z / g with z = j mod g, of norm z^2 / 2g; as g is even,
-    z^2 = j^2 mod 2g, so with r = j^2 mod 2g the vector lands at index
-    (z^2 - r) / 2g of the grid r / 2g + Z.  The loop runs over those z in
-    Python ints, so Gram entries of any size stay exact."""
-    g = lat.gram[0][0]
-    j = int(mu[0] * g)
+def _counts(lat: Lattice, c, bound: Fraction, memo: dict) -> list[int]:
+    """Counts of vectors y in x + L with Q(y) = q(x) + k < bound, k >= 0, x
+    the coset with Smith coordinates c: in closed form at rank 1, glued at
+    every other rank.  ``memo`` keys the counts found so far under this
+    bound by (lattice, c), so every half coset is counted once."""
+    if (lat, c) not in memo:
+        memo[lat, c] = (_line_counts(lat, c, bound) if lat.rank == 1
+                        else _glued_counts(lat, c, bound, memo))
+    return memo[lat, c]
+
+
+def _line_counts(lat: Lattice, c, bound: Fraction) -> list[int]:
+    """The counts of _counts at rank 1.  With L = (g) and c = (j,), x = j / g
+    and the vectors are y = z / g with z = j mod g, of norm z^2 / 2g; as g
+    is even, z^2 = j^2 mod 2g, so with r = j^2 mod 2g the vector lands at
+    index (z^2 - r) / 2g of the grid r / 2g + Z.  The loop runs over those z
+    in Python ints, so Gram entries of any size stay exact."""
+    g, j = lat.gram[0][0], c[0]
     r = j * j % (2 * g)
     counts = [0] * max(0, math.ceil(bound - Fraction(r, 2 * g)))
     if counts:
@@ -454,15 +445,17 @@ def _line_counts(lat: Lattice, mu: Coset, bound: Fraction) -> list[int]:
     return counts
 
 
-def _glued_counts(lat: Lattice, mu: Coset, bound: Fraction, memo: dict) -> list[int]:
+def _glued_counts(lat: Lattice, c, bound: Fraction, memo: dict) -> list[int]:
     """The counts of _counts from the split of _glue.
 
-    mu + L is the disjoint union over h in the glue of (g1 + L1) x (g2 + L2)
-    with (g1, g2) = z(mu) + h mod 1.  With a and b the counts of those two
-    cosets on their grids q1(g1) + Z and q2(g2) + Z, the count at the norm
-    q(mu) + t is the sum over h of the a_i b_j with i + j + s = t, where
-    s = q1(g1) + q2(g2) - q(mu) is 0 or 1.  Norms are nonnegative, so the
-    half counts below ``bound`` give every term below it.
+    The coset c + L is the disjoint union over h in the glue of the
+    (c1 + L1) x (c2 + L2) with (c1, c2) = split(c) + h.  With a and b the
+    counts of those two cosets on their grids q1(c1) + Z and q2(c2) + Z,
+    the count at the norm q(c) + t is the sum over h of the a_i b_j with
+    i + j + s = t.  Each q lies in [0, 1), so the integer
+    s = q1(c1) + q2(c2) - q(c) is 1 exactly when q1 + q2 >= 1, tested on
+    their numerators over 2e1^2 and 2e2^2, and 0 otherwise.  Norms are
+    nonnegative, so the half counts below ``bound`` give every term below it.
 
     Exactness: only the terms with sum(a) * sum(b) > 0 are convolved, so
     every a_i and b_j, and every entry and partial sum of the convolutions
@@ -470,35 +463,36 @@ def _glued_counts(lat: Lattice, mu: Coset, bound: Fraction, memo: dict) -> list[
     of sum(a) * sum(b) over those terms.  When that total is below 2^63 the
     convolutions run in int64, and otherwise in Python ints (dtype=object).
     """
-    q = _coset_norm(lat, mu)
-    grid = max(0, math.ceil(bound - q))
+    grid = max(0, math.ceil(bound - Fraction(*_norm_num(lat, c))))
     if not grid:
         return []
-    l1, l2, project, glue = _glue(lat)
-    k = l1.rank
-    z = project(mu)
+    l1, l2, split, glue = _glue(lat)
+    k = len(_smith(l1)[0])
+    base = [sum(map(operator.mul, row, c)) for row, _ in split]
     terms = []
     for h in glue:
-        g = _add_mod1(z, h)
-        g1, g2 = g[:k], g[k:]
-        s = int(_coset_norm(l1, g1) + _coset_norm(l2, g2) - q)
+        z = tuple((b + x) % m for b, x, (_, m) in zip(base, h, split))
+        c1, c2 = z[:k], z[k:]
+        (a1, d1), (a2, d2) = _norm_num(l1, c1), _norm_num(l2, c2)
+        s = int(a1 * d2 + a2 * d1 >= d1 * d2)
         if s >= grid:
             continue
-        a, b = _counts(l1, g1, bound, memo), _counts(l2, g2, bound, memo)
+        a, b = _counts(l1, c1, bound, memo), _counts(l2, c2, bound, memo)
         if sum(a) * sum(b):
             terms.append((a, b, s))
     dtype = np.int64 if sum(sum(a) * sum(b) for a, b, _ in terms) < 2 ** 63 else object
     out = np.zeros(grid, dtype)
     for a, b, s in terms:
-        c = np.convolve(np.array(a, dtype), np.array(b, dtype))[: grid - s]
-        out[s : s + len(c)] += c
+        conv = np.convolve(np.array(a, dtype), np.array(b, dtype))[: grid - s]
+        out[s : s + len(conv)] += conv
     return out.tolist()
 
 
 def _coset_tuple(lat: Lattice, mu) -> Coset:
-    return tuple(Fraction(x) % 1 for x in mu) if mu is not None else tuple(
-        Fraction(0) for _ in range(lat.rank)
-    )
+    mu = (0,) * lat.rank if mu is None else tuple(mu)
+    if len(mu) != lat.rank:
+        raise ValueError(f"a coset of {len(mu)} coordinates on a lattice of rank {lat.rank}")
+    return tuple(Fraction(x) % 1 for x in mu)
 
 
 def vectors_with_norm(lat: Lattice, mu, m) -> list[tuple[Fraction, ...]]:
@@ -521,11 +515,10 @@ def rep_number(lat: Lattice, mu, m) -> int:
     if lat.rank < _GLUE_RANK:
         return _walk_target(lat, mu_t, m, collect=False)
     _require_positive_definite(lat)
-    m = Fraction(m)
-    q = _coset_norm(lat, mu_t)
-    if m < 0 or (m - q).denominator != 1:
+    m, c = Fraction(m), _smith_coords(lat, mu_t)
+    if m < 0 or (m - Fraction(*_norm_num(lat, c))).denominator != 1:
         return 0
-    return _glued_counts(lat, mu_t, m + 1, {})[-1]
+    return _glued_counts(lat, c, m + 1, {})[-1]
 
 
 @lru_cache(maxsize=32)
@@ -540,14 +533,12 @@ def theta_qseries(lat: Lattice, truncation) -> VectorValuedQSeries:
     bound = Fraction(truncation)
     if bound < 0:
         raise ValueError(f"truncation must be >= 0, got {bound}")
-    df = discriminant_form(lat)
-    components: dict[Coset, tuple[tuple[Fraction, int], ...]] = {}
-    memo: dict = {}
-    for lam in df.cosets:
-        e = df.q_table[lam]
-        components[lam] = tuple(
-            (e + k, c) for k, c in enumerate(_counts(lat, lam, bound, memo))
-        )
+    df, memo = discriminant_form(lat), {}
+    # the exponents q + k below bound, built once per distinct q
+    grids = {q: [q + k for k in range(max(0, math.ceil(bound - q)))]
+             for q in set(df.q_table.values())}
+    components = {lam: tuple(zip(grids[q], _counts(lat, df._c(lam), bound, memo)))
+                  for lam, q in df.q_table.items()}
     return VectorValuedQSeries(
         weight=Fraction(lat.rank, 2),
         level_denominator=df.level,

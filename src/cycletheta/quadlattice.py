@@ -276,16 +276,39 @@ class _ReadOnly:
         raise AttributeError(f"{type(self).__name__}.{name} is read-only")
 
 
-def _dual_image(lat: Lattice, lam) -> list[int]:
-    """G lam for lam in lattice coordinates, an integer vector exactly when
-    lam lies in the dual lattice L' = G^-1 Z^n.  Raises ValueError naming
-    lam otherwise, and when lam does not have rank coordinates."""
+@lru_cache(maxsize=256)
+def _smith(lat: Lattice):
+    """DiscriminantForm's Smith data, read by gluing too: the s_i > 1, the
+    rows of U, e, e V S^-1, W and Y = G V S^-1 = U^-1 at those indices.  It
+    builds no coset list, so a huge |D| stays cheap."""
+    n, g = lat.rank, lat.gram
+    s, u, v = smith_normal_form(g)
+    kept = [i for i in range(n) if s[i][i] > 1]
+    mods = tuple(s[i][i] for i in kept)
+    e = max(mods, default=1)
+    scaled = [[v[r][i] * (e // s[i][i]) for i in kept] for r in range(n)]
+    g_scaled = [[sum(map(operator.mul, row, col)) for col in zip(*scaled)] for row in g]
+    w = tuple(tuple(sum(map(operator.mul, a, b)) for b in zip(*g_scaled)) for a in zip(*scaled))
+    y = tuple(tuple(x // e for x in row) for row in g_scaled)
+    return mods, tuple(tuple(u[i]) for i in kept), e, tuple(map(tuple, scaled)), w, y
+
+
+def _smith_coords(lat: Lattice, lam) -> tuple[int, ...]:
+    """c = U G lam mod s for lam in lattice coordinates, where G lam is
+    integral exactly when lam lies in L' = G^-1 Z^n.  Raises ValueError
+    naming lam otherwise, and when lam does not have rank coordinates."""
     lam = tuple(lam)
     vec = tuple(map(Fraction, lam))
     y = [sum(map(operator.mul, row, vec)) for row in lat.gram]
     if len(vec) != lat.rank or any(t.denominator != 1 for t in y):
         raise ValueError(f"{lam} is not a coset of the dual lattice")
-    return [int(t) for t in y]
+    mods, u = _smith(lat)[:2]
+    return tuple(int(sum(map(operator.mul, row, y))) % m for row, m in zip(u, mods))
+
+
+def _pair(w, c, d) -> int:
+    """c^T W d: with W of _smith, 2e^2 Q(x) when d = c, e^2 b(x, x') mod e^2."""
+    return sum(x * sum(map(operator.mul, row, d)) for x, row in zip(c, w))
 
 
 class DiscriminantForm(_ReadOnly):
@@ -302,7 +325,7 @@ class DiscriminantForm(_ReadOnly):
     ``cosets`` lists the N / e as tuples of Fractions, sorted: the index
     order of the Weil matrices.  index, neg, add, q and b take any
     representative: a canonical coset costs one dict lookup, any other
-    goes through G lam (_dual_image).
+    goes through G lam (_smith_coords).
     """
 
     def __init__(self, lat: Lattice):
@@ -310,40 +333,35 @@ class DiscriminantForm(_ReadOnly):
         self.order = abs(lat.det)
         self.sig8 = (lat.signature[0] - lat.signature[1]) % 8
 
-        n, g = lat.rank, lat.gram
-        s, u, v = smith_normal_form(g)
-        kept = [i for i in range(n) if s[i][i] > 1]
-        self._mods = mods = tuple(s[i][i] for i in kept)
-        e = max(mods, default=1)
-        self._u = [u[i] for i in kept]
-        scaled = [[v[r][i] * (e // s[i][i]) for i in kept] for r in range(n)]  # e V S^-1
-        g_scaled = [[sum(map(operator.mul, row, col)) for col in zip(*scaled)] for row in g]
-        self._w = [[sum(map(operator.mul, a, b)) for b in zip(*g_scaled)] for a in zip(*scaled)]
-        self._e2 = e * e
-
-        keyed = sorted((tuple(sum(map(operator.mul, row, c)) % e for row in scaled), c)
-                       for c in product(*map(range, mods)))
+        mods, _, e, scaled, w, _ = _smith(lat)
+        self._mods, self._w, self._e2 = mods, w, e * e
+        self._radix = [math.prod(mods[i + 1:]) for i in range(len(mods))]
+        coords = list(product(*map(range, mods)))
+        keyed = sorted((tuple(sum(map(operator.mul, row, c)) % e for row in scaled), p)
+                       for p, c in enumerate(coords))
         frac = [Fraction(j, e) for j in range(e)]
         self.cosets: tuple[Coset, ...] = tuple(tuple(map(frac.__getitem__, num))
                                                for num, _ in keyed)
-        self._coord = dict(zip(self.cosets, (c for _, c in keyed)))
+        self._coord = dict(zip(self.cosets, (coords[p] for _, p in keyed)))
         if not len(keyed) == len(self._coord) == self.order:
             raise LatticeError("discriminant group enumeration mismatch: "
                                f"{len(self._coord)} != {self.order}")
-        self._at = {c: i for i, (_, c) in enumerate(keyed)}
+        self._at = [0] * len(keyed)
+        for i, (_, p) in enumerate(keyed):
+            self._at[p] = i
 
         # read-only: discriminant_form is cached, so one instance is shared
-        q_num = [self._pair(c, c) % (2 * e * e) for _, c in keyed]
+        q_num = [_pair(w, coords[p], coords[p]) % (2 * e * e) for _, p in keyed]
+        del coords, keyed  # freed before the q tables: about 50 MB at |D| = 4e5
         q_frac = {t: Fraction(t, 2 * e * e) for t in set(q_num)}
         q_table = dict(zip(self.cosets, map(q_frac.__getitem__, q_num)))
         self.q_table: MappingProxyType[Coset, Fraction] = MappingProxyType(q_table)
         self.level = math.lcm(1, *(q.denominator for q in q_frac.values()))
-        units = [tuple(int(i == j) for j in range(len(mods))) for i in range(len(mods))]
-        self.generators: tuple[tuple[Coset, int], ...] = tuple(
-            (self.cosets[self._at[c]], m) for c, m in zip(units, mods))
+        self.generators: tuple[tuple[Coset, int], ...] = tuple(  # unit i sits at radix i
+            (self.cosets[self._at[r]], m) for r, m in zip(self._radix, mods))
 
-        for (_, c), t in zip(keyed, q_num):
-            if t != q_num[self._at[self._neg(c)]]:
+        for c, t in zip(self._coord.values(), q_num):
+            if t != q_num[self._index(self._neg(c))]:
                 raise LatticeError("q(lambda) != q(-lambda); broken group structure")
 
     @property
@@ -355,33 +373,31 @@ class DiscriminantForm(_ReadOnly):
         try:
             return self._coord[lam]
         except (KeyError, TypeError):
-            pass
-        y = _dual_image(self._lat, lam)
-        return tuple(sum(map(operator.mul, row, y)) % m for row, m in zip(self._u, self._mods))
+            return _smith_coords(self._lat, lam)
 
-    def _pair(self, c, d) -> int:
-        """c^T W d: 2e^2 Q(x) when d = c, e^2 b(x, x') mod e^2."""
-        return sum(x * sum(map(operator.mul, row, d)) for x, row in zip(c, self._w))
+    def _index(self, c) -> int:
+        """The index of c, listed at c's place in the itertools.product order."""
+        return self._at[sum(map(operator.mul, c, self._radix))]
 
     def _neg(self, c) -> tuple[int, ...]:
         return tuple(-x % m for x, m in zip(c, self._mods))
 
     def index(self, lam) -> int:
-        return self._at[self._c(lam)]
+        return self._index(self._c(lam))
 
     def q(self, lam) -> Fraction:
         return self.q_table[self.cosets[self.index(lam)]]
 
     def neg(self, lam) -> Coset:
-        return self.cosets[self._at[self._neg(self._c(lam))]]
+        return self.cosets[self._index(self._neg(self._c(lam)))]
 
     def add(self, lam, mu) -> Coset:
         c = zip(self._c(lam), self._c(mu), self._mods)
-        return self.cosets[self._at[tuple((x + y) % m for x, y, m in c)]]
+        return self.cosets[self._index(tuple((x + y) % m for x, y, m in c))]
 
     def b(self, lam, mu) -> Fraction:
         """Bilinear form b(lam, mu) = Q(lam+mu) - Q(lam) - Q(mu) mod 1."""
-        return Fraction(self._pair(self._c(lam), self._c(mu)) % self._e2, self._e2)
+        return Fraction(_pair(self._w, self._c(lam), self._c(mu)) % self._e2, self._e2)
 
     def coset_label(self, lam: Coset) -> str:
         return "(" + ",".join(str(x) for x in lam) + ")"

@@ -1,15 +1,17 @@
 import dataclasses
 import math
+import operator
 import random
 import time
 from collections import Counter
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cycletheta import enumeration
+from cycletheta import enumeration, quadlattice
 from cycletheta.enumeration import (
     NotPositiveDefinite,
     inner_product_histogram,
@@ -77,7 +79,7 @@ def brute_vectors(lat, mu, m):
 def walk_counts(lat, lam, bound):
     """The oracle of the glued counts: one exact-solve walk per norm on the
     grid q(lam) + Z below bound.  The walk shares no code with gluing."""
-    q = enumeration._coset_norm(lat, lam)
+    q = lat.quadratic(lam) % 1
     return [enumeration._walk_target(lat, lam, q + k, False)
             for k in range(max(0, math.ceil(bound - q)))]
 
@@ -677,6 +679,17 @@ def _lattice(name):
     return direct_sum(*(named_lattice(n) for n in name.split("+")))
 
 
+def _seeded_skewed_corpus():
+    """The 12 seeded skewed Grams of rank 6-8 with |det| <= 64."""
+    rng = random.Random(20261019)
+    lats = []
+    while len(lats) < 12:
+        lat = new_lattice(_skewed_gram(rng.choice, rng.randint(6, 8)))
+        if abs(lat.det) <= 64:
+            lats.append(lat)
+    return lats
+
+
 class TestGluing:
     """The glued counts against the oracle: the exact-solve walk, one norm
     at a time."""
@@ -703,14 +716,35 @@ class TestGluing:
                 assert rep_number(lat, lam, m) == enumeration._walk_target(lat, lam, m, False)
 
     def test_seeded_corpus_matches_walk(self):
-        rng = random.Random(20261019)
-        cases = 0
-        while cases < 12:
-            lat = new_lattice(_skewed_gram(rng.choice, rng.randint(6, 8)))
-            if abs(lat.det) > 64:
-                continue
-            cases += 1
+        for lat in _seeded_skewed_corpus():
             self.assert_matches_walk(lat, F(7, 2))
+
+    @pytest.mark.parametrize("name", ["seeded", "E8", "D4", "A2+A2+A2", "wide"])
+    def test_glue_invariants(self, name):
+        # L1 + L2 < L < L' < L1' + L2' with [L : L1 + L2] = [L1' + L2' : L'] =
+        # |H|, so |D1| |D2| = |H|^2 |D|; the pairs of the |D| cosets are then
+        # |D| |H| distinct elements of D1 x D2, at every level of the recursion;
+        # "wide" is the |D| = 2^17 - 1 lattice of the object-route test below
+        lats = (_seeded_skewed_corpus() if name == "seeded" else
+                [new_lattice([[2, 1], [1, 2 ** 16]])] if name == "wide" else [_lattice(name)])
+        while lats:
+            lat = lats.pop()
+            if lat.rank == 1:
+                continue
+            l1, l2, split, glue = enumeration._glue(lat)
+            mods, mods1, mods2 = (quadlattice._smith(x)[0] for x in (lat, l1, l2))
+            d, h = math.prod(mods), len(glue)
+            assert d == abs(lat.det) and len(set(glue)) == h
+            assert math.prod(mods1) * math.prod(mods2) == h * h * d
+            assert [m for _, m in split] == list(mods1 + mods2)
+            # the pairs of the coset c are split(c) + h for h in the glue
+            pairs = [tuple((sum(map(operator.mul, row, c)) + x) % m
+                           for (row, m), x in zip(split, g))
+                     for c in product(*map(range, mods)) for g in glue]
+            assert len(pairs) == len(set(pairs)) == d * h
+            assert all(type(x) is int and 0 <= x < m
+                       for pair in pairs for x, m in zip(pair, mods1 + mods2))
+            lats += [l1, l2]
 
     @pytest.mark.parametrize("name,bound,order,ranks", [
         ("D4", 12, 3, {4, 2, 1}), ("A2+A2+A2", 6, 2, {6, 3, 2, 1}),
@@ -753,9 +787,9 @@ class TestGluing:
         monkeypatch.setattr(enumeration, "_line_counts", line_spy)
         assert len(enumeration._glue(lat)[3]) == 2
         det = 2 ** 17 - 1
-        for c in (0, 1, 2, 5, det - 1):
-            lam = (F(-c, det) % 1, F(2 * c, det) % 1)
-            glued = enumeration._counts(lat, lam, 3, {})
+        for t in (0, 1, 2, 5, det - 1):
+            lam = (F(-t, det) % 1, F(2 * t, det) % 1)
+            glued = enumeration._counts(lat, quadlattice._smith_coords(lat, lam), 3, {})
             assert glued == walk_counts(lat, lam, 3)
             assert sum(glued) > 0
         assert halves == {((2,),), ((2 ** 18 - 2,),)}
@@ -765,10 +799,11 @@ class TestGluing:
     def test_rank_1_closed_form_matches_walk(self, g):
         lat = new_lattice([[g]])
         for j in sorted({0, 1, 2, g // 2, g - 1}):
-            lam = (F(j, g),)
-            q = enumeration._coset_norm(lat, lam)
+            lam, c = (F(j, g),), (j % g,)  # at rank 1 the Smith coordinate is j
+            assert quadlattice._smith_coords(lat, lam) == c
+            q = lat.quadratic(lam) % 1
             for bound in (q, q + F(1, 2), q + 1, q + 7, 40):
-                counts = enumeration._counts(lat, lam, bound, {})
+                counts = enumeration._counts(lat, c, bound, {})
                 assert counts == walk_counts(lat, lam, bound), (j, bound)
 
     def test_convolution_beyond_int64(self, monkeypatch):
@@ -776,7 +811,7 @@ class TestGluing:
         # one convolution; counts of 2^62 put its entries past int64
         monkeypatch.setattr(enumeration, "_counts", lambda lat, mu, bound, memo: [2 ** 62] * 3)
         lat = _lattice("A1+A1+A1+A1+A1+A1+A1+A1")
-        zero = tuple(F(0) for _ in range(8))
+        zero = (0,) * 8  # Smith coordinates of the zero coset of (Z/2)^8
         assert enumeration._glued_counts(lat, zero, 3, {}) == [2 ** 124, 2 ** 125, 3 * 2 ** 124]
 
     def test_e8_e8(self):
