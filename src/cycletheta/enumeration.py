@@ -537,8 +537,8 @@ def theta_qseries(lat: Lattice, truncation) -> VectorValuedQSeries:
     # the exponents q + k below bound, built once per distinct q
     grids = {q: [q + k for k in range(max(0, math.ceil(bound - q)))]
              for q in set(df.q_table.values())}
-    components = {lam: tuple(zip(grids[q], _counts(lat, df._c(lam), bound, memo)))
-                  for lam, q in df.q_table.items()}
+    components = {lam: tuple(zip(grids[q], _counts(lat, c, bound, memo)))
+                  for (lam, q), c in zip(df.q_table.items(), df._coords)}
     return VectorValuedQSeries(
         weight=Fraction(lat.rank, 2),
         level_denominator=df.level,

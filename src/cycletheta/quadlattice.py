@@ -323,9 +323,8 @@ class DiscriminantForm(_ReadOnly):
     integral with Q(x) = c^T W c / 2e^2 and b(x, x') = c^T W c' / e^2.
 
     ``cosets`` lists the N / e as tuples of Fractions, sorted: the index
-    order of the Weil matrices.  index, neg, add, q and b take any
-    representative: a canonical coset costs one dict lookup, any other
-    goes through G lam (_smith_coords).
+    order of the Weil matrices, with their c in ``_coords``.  index, neg,
+    add, q and b read the c of any representative by G lam (_smith_coords).
     """
 
     def __init__(self, lat: Lattice):
@@ -334,7 +333,7 @@ class DiscriminantForm(_ReadOnly):
         self.sig8 = (lat.signature[0] - lat.signature[1]) % 8
 
         mods, _, e, scaled, w, _ = _smith(lat)
-        self._mods, self._w, self._e2 = mods, w, e * e
+        self._mods, self._w, self._e = mods, w, e
         self._radix = [math.prod(mods[i + 1:]) for i in range(len(mods))]
         coords = list(product(*map(range, mods)))
         keyed = sorted((tuple(sum(map(operator.mul, row, c)) % e for row in scaled), p)
@@ -342,38 +341,31 @@ class DiscriminantForm(_ReadOnly):
         frac = [Fraction(j, e) for j in range(e)]
         self.cosets: tuple[Coset, ...] = tuple(tuple(map(frac.__getitem__, num))
                                                for num, _ in keyed)
-        self._coord = dict(zip(self.cosets, (coords[p] for _, p in keyed)))
-        if not len(keyed) == len(self._coord) == self.order:
-            raise LatticeError("discriminant group enumeration mismatch: "
-                               f"{len(self._coord)} != {self.order}")
+        self._coords = tuple(coords[p] for _, p in keyed)
         self._at = [0] * len(keyed)
         for i, (_, p) in enumerate(keyed):
             self._at[p] = i
 
         # read-only: discriminant_form is cached, so one instance is shared
-        q_num = [_pair(w, coords[p], coords[p]) % (2 * e * e) for _, p in keyed]
+        q_num = [_pair(w, c, c) % (2 * e * e) for c in self._coords]
         del coords, keyed  # freed before the q tables: about 50 MB at |D| = 4e5
         q_frac = {t: Fraction(t, 2 * e * e) for t in set(q_num)}
         q_table = dict(zip(self.cosets, map(q_frac.__getitem__, q_num)))
+        if len(q_table) != self.order:
+            raise LatticeError("discriminant group enumeration mismatch: "
+                               f"{len(q_table)} != {self.order}")
         self.q_table: MappingProxyType[Coset, Fraction] = MappingProxyType(q_table)
         self.level = math.lcm(1, *(q.denominator for q in q_frac.values()))
         self.generators: tuple[tuple[Coset, int], ...] = tuple(  # unit i sits at radix i
             (self.cosets[self._at[r]], m) for r, m in zip(self._radix, mods))
 
-        for c, t in zip(self._coord.values(), q_num):
+        for c, t in zip(self._coords, q_num):
             if t != q_num[self._index(self._neg(c))]:
                 raise LatticeError("q(lambda) != q(-lambda); broken group structure")
 
-    @property
-    def lattice(self) -> Lattice:
-        return self._lat
-
     def _c(self, lam) -> tuple[int, ...]:
         """The coordinates c of the coset of lam."""
-        try:
-            return self._coord[lam]
-        except (KeyError, TypeError):
-            return _smith_coords(self._lat, lam)
+        return _smith_coords(self._lat, lam)
 
     def _index(self, c) -> int:
         """The index of c, listed at c's place in the itertools.product order."""
@@ -397,7 +389,8 @@ class DiscriminantForm(_ReadOnly):
 
     def b(self, lam, mu) -> Fraction:
         """Bilinear form b(lam, mu) = Q(lam+mu) - Q(lam) - Q(mu) mod 1."""
-        return Fraction(_pair(self._w, self._c(lam), self._c(mu)) % self._e2, self._e2)
+        e2 = self._e ** 2
+        return Fraction(_pair(self._w, self._c(lam), self._c(mu)) % e2, e2)
 
     def coset_label(self, lam: Coset) -> str:
         return "(" + ",".join(str(x) for x in lam) + ")"

@@ -5,11 +5,12 @@ Generator matrices follow the standard explicit formulas
     rho(T) = diag(e(Q(lambda))),
     rho(S) = e(-sig/8) |D|^(-1/2) F,    F_{lambda,mu} = e(-b(lambda, mu)),
 
-with entries in Q(zeta_N), N = root_order_for(level, |D|).  Every matrix is
-stored in lowest terms as coeffs / den: coeffs is a tuple of |D| rows of |D|
-entries, each the tuple of the phi(N) integer coefficients of the power
-basis 1, zeta_N, ..., and den is the least positive integer that clears every
-entry.  As |D|^(-1/2) = sqrt|D| / |D|, rho(S) is e(-sig/8) sqrt|D| F over
+with entries in Q(zeta_N), N = root_order_for(level, |D|), and b read off the
+Smith coordinates c, c' of lambda, mu as c^T W c' / e^2 (DiscriminantForm).
+Every matrix is stored in lowest terms as coeffs / den: coeffs is a tuple of
+|D| rows of |D| entries, each the tuple of the phi(N) integer coefficients of
+the power basis 1, zeta_N, ..., and den is the least positive integer that
+clears every entry.  As |D|^(-1/2) = sqrt|D| / |D|, rho(S) is e(-sig/8) sqrt|D| F over
 |D|, with sqrt|D| the Gauss-sum element of sqrt_as_cyclotomic, so nothing
 assumes Milgram's formula.  The format is canonical: two matrices are equal
 exactly when their (den, coeffs) are.
@@ -288,14 +289,14 @@ def rho_T(df: DiscriminantForm) -> WeilRepMatrix:
 def rho_S(df: DiscriminantForm) -> WeilRepMatrix:
     """Normalized finite Fourier transform with phase e(-sig/8): the matrix
     e(-sig/8) sqrt|D| F over |D|."""
-    n_root, level = _root_order(df), df.level
-    # level * lambda is integral, and b(lambda, mu) lies in (1/level) Z, so
-    # level^2 (lambda, mu) is a multiple of level.
-    scaled = [[int(x * level) for x in lam] for lam in df.cosets]
-    images = [[sum(map(operator.mul, v, col)) for col in zip(*df.lattice.gram)] for v in scaled]
+    n_root, e = _root_order(df), df._e
+    # b(lambda, mu) = c^T W c' / e^2 on Smith coordinates, and c^T W c' is a
+    # multiple of e (e mu lies in L); as e | level | N, e(-b) is zeta_N to
+    # the power -(c^T W c' / e) (N / e).
+    images = [[sum(map(operator.mul, row, c)) for row in df._w] for c in df._coords]
     phase = root_exponent(Fraction(-df.sig8, 8), n_root)
-    exps = [[(phase - sum(map(operator.mul, g, mu)) // level * (n_root // level)) % n_root
-             for mu in scaled] for g in images]
+    exps = [[(phase - sum(map(operator.mul, c, wd)) // e * (n_root // e)) % n_root
+             for wd in images] for c in df._coords]
     sqrt_d = [int(x) for x in sqrt_as_cyclotomic(df.order, n_root).c]
     table = _power_table(n_root)
     entry = {k: _times(table[k], sqrt_d, n_root) for k in set(chain.from_iterable(exps))}
@@ -362,7 +363,7 @@ def verify_relations(df: DiscriminantForm, raise_on_failure: bool = True) -> Rel
     terms each one compares two (den, coeffs) pairs."""
     s, t = rho_S(df), rho_T(df)
     identity = WeilRepMatrix.identity(df)
-    rows = [identity.coeffs[df.index(df.neg(lam))] for lam in df.cosets]
+    rows = [identity.coeffs[df._index(df._neg(c))] for c in df._coords]
     negation = WeilRepMatrix._exact(df, rows, 1, {e: e for e in identity._distinct})
     s_squared = negation.scale(Cyc.e(Fraction(-df.sig8, 4), s.root_order))
     ss = s @ s

@@ -190,6 +190,28 @@ class TestEisensteinK:
         assert bernoulli(6) == F(1, 42)
         assert bernoulli(12) == F(-691, 2730)
 
+    def test_bernoulli_matches_the_recursion(self):
+        # the defining recurrence sum_{k <= n} C(n+1, k) B_k = 0, one pass per n
+        table = [F(1)]
+        for n in range(1, 201):
+            table.append(-sum(math.comb(n + 1, k) * table[k] for k in range(n)) / (n + 1))
+        assert [bernoulli(n) for n in range(201)] == table
+
+    def test_bernoulli_past_its_cache(self):
+        # one table per call, so no recursion through the lru cache evicts
+        # entries it still needs
+        bernoulli.cache_clear()
+        assert bernoulli(1030) and bernoulli.cache_info().misses <= 1031
+        # von Staudt-Clausen: B_n + sum of 1/p over primes p with (p - 1) | n is
+        # an integer; and B_2k has the sign (-1)^(k-1)
+        primes = [p for p in range(2, 1032) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        for n in (1028, 1030):
+            b = bernoulli(n)
+            assert (b + sum(F(1, p) for p in primes if n % (p - 1) == 0)).denominator == 1
+            assert (b > 0) == (n // 2 % 2 == 1)
+        assert bernoulli(1031) == 0
+        assert eisenstein_k(1040, 2).coefficients[1][1] == F(-2 * 1040) / bernoulli(1040)
+
     def test_generalized_bernoulli(self):
         # B_{1, chi_-3} = -1/3, B_{1, chi_-4} = -1/2, and chi_1 gives B_n(1)
         assert generalized_bernoulli(1, -3) == F(-1, 3)

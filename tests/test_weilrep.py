@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import math
 import time
 from fractions import Fraction as F
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from cycletheta import weilrep
 from cycletheta.cyclotomic import Cyc, root_order_for, sqrt_as_cyclotomic
-from cycletheta.quadlattice import DiscriminantForm, direct_sum, discriminant_form, named_lattice
+from cycletheta.quadlattice import (DiscriminantForm, direct_sum, discriminant_form, named_lattice,
+                                   new_lattice)
 from cycletheta.weilrep import (
     InsufficientTruncation,
     RelationViolated,
@@ -25,23 +27,35 @@ from cycletheta.weilrep import (
 
 CORPUS = ["A1", "A2", "A3", "D4", "E8", "U", "A1(-1)"]
 SUMS = ["A1+A2", "A3+A1", "A2+A2"]
+# skewed Grams: D is Z/7, Z/5 (indefinite), Z/2 x Z/6, and Z/2^2 x Z/8 of level 2e
+SKEWED = ["[[2,1],[1,4]]", "[[2,3],[3,2]]", "[[4,2],[2,4]]", "[[4,0,2],[0,4,2],[2,2,4]]"]
 WORDS = ["STST", "TSST", "TSTS", "SSTT", "STTS", "sTsT", "StSt", "SSSS", "S^-1S", ""]
 
 
+def lat_of(name):
+    """A "+"-joined sum of named lattices, or a Gram matrix written as JSON."""
+    if name.startswith("["):
+        return new_lattice(json.loads(name))
+    return direct_sum(*(named_lattice(n) for n in name.split("+")))
+
+
 def df_of(name):
-    return discriminant_form(direct_sum(*(named_lattice(n) for n in name.split("+"))))
+    return discriminant_form(lat_of(name))
 
 
-def oracle_generator(df, token):
-    """rho(S), rho(T) or an inverse, entry by entry from the explicit formulas."""
+def oracle_generator(lat, token):
+    """rho(S), rho(T) or an inverse, entry by entry from the explicit formulas,
+    with b and q taken from the Gram matrix on the Fraction cosets (not from
+    the form's Smith pairing W that rho_S reads)."""
+    df = discriminant_form(lat)
     n = root_order_for(df.level, df.order)
     sign = -1 if token.islower() else 1
     if token in "Ss":
         inv_sqrt = sqrt_as_cyclotomic(df.order, n).scale(F(1, df.order))
         phase = Cyc.e(F(-sign * df.sig8, 8), n) * inv_sqrt
-        return [[phase * Cyc.e(-sign * df.b(lam, mu), n) for mu in df.cosets]
+        return [[phase * Cyc.e(-sign * (lat.bilinear(lam, mu) % 1), n) for mu in df.cosets]
                 for lam in df.cosets]
-    return [[Cyc.e(sign * df.q_table[lam], n) if lam == mu else Cyc.zero(n)
+    return [[Cyc.e(sign * (lat.quadratic(lam) % 1), n) if lam == mu else Cyc.zero(n)
              for mu in df.cosets] for lam in df.cosets]
 
 
@@ -62,13 +76,14 @@ def oracle_matmul(a, b):
     return tuple(rows)
 
 
-def oracle_word(df, word):
+def oracle_word(lat, word):
+    df = discriminant_form(lat)
     n = root_order_for(df.level, df.order)
     size = len(df.cosets)
     acc = tuple(tuple(Cyc.one(n) if i == j else Cyc.zero(n) for j in range(size))
                 for i in range(size))
     for token in weilrep._tokenize(word):
-        acc = oracle_matmul(acc, oracle_generator(df, token))
+        acc = oracle_matmul(acc, oracle_generator(lat, token))
     return acc
 
 
@@ -175,12 +190,23 @@ class TestWords:
 
 
 class TestOracle:
-    @pytest.mark.parametrize("name", CORPUS + SUMS)
+    @pytest.mark.parametrize("name", CORPUS + SUMS + SKEWED)
+    def test_generators_match_gram_oracle(self, name):
+        lat = lat_of(name)
+        df = discriminant_form(lat)
+        for token in "STst":
+            expected = tuple(map(tuple, oracle_generator(lat, token)))
+            assert weilrep._generator(df, token).entries == expected
+
+    # the schoolbook words of the |D| = 32 Gram take about 50 s; its generators
+    # are checked above
+    @pytest.mark.parametrize("name", CORPUS + SUMS + SKEWED[:3])
     def test_words_match_schoolbook_product(self, name):
-        df = df_of(name)
+        lat = lat_of(name)
+        df = discriminant_form(lat)
         for word in WORDS:
             m = rho_word(df, word)
-            expected = oracle_word(df, word)
+            expected = oracle_word(lat, word)
             assert m.entries == expected
             assert m.entry_strings() == oracle_entry_strings(df, expected)
 
