@@ -6,8 +6,10 @@ and p-adic representation densities, with exact rational arithmetic
 throughout.
 
 The re-exported names load their defining module on first access (PEP 562),
-so importing the package, or a numpy-free layer of it, does not import
-numpy; only ``enumeration`` does.
+so importing the package or any of its modules does not import numpy; only
+the lattice walker, shells and genus-2 histograms of ``enumeration``
+(``vectors_with_norm``, ``rep_number`` below rank 8, ``rep_number_genus2``)
+import it, when first called.
 """
 
 import importlib

@@ -8,10 +8,11 @@ results (Heegner classes, density reports, theta series) are cached under
 digest of the package's own source files, so an entry written by other code
 never matches; cache writes are atomic (write-temp-then-rename).
 
-Only theta (on a cache miss) and verify load numpy: the one numpy layer,
-enumeration, is imported inside the commands and suites that compute with it,
-so the other commands, weilrep included, and every disk-cache hit start
-without it.
+Only verify's cup suite (alone or in all) loads numpy: enumeration,
+imported inside the commands and suites that compute with it, imports numpy
+only in its walker, shell and genus-2 histogram functions.  Theta series are
+glued on Python ints, so every other command, theta (hit or miss) and
+weilrep included, runs without it.
 """
 
 from __future__ import annotations

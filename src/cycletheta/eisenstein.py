@@ -62,21 +62,46 @@ class NotStabilized(RuntimeError):
 # elementary number theory
 
 
+# B_0 .. B_n for the largest n asked so far, and the last column of the
+# tangent-number triangle below, from which the next one follows
+_BERNOULLI = [Fraction(1), Fraction(-1, 2)]
+_TANGENT_COLUMN: list[int] = []
+
+
+def _tangent_column(column: list[int]) -> list[int]:
+    """Column j = len(column) + 1 of the integer triangle of Brent and Harvey
+    (2011) for the tangent numbers, from column j - 1.
+
+    Row by row, the triangle sets t_j = (j - 1)! for j = 1 .. m, and pass
+    k = 2 .. m sets t_j = (j - k) t_(j-1) + (j - k + 2) t_j for j = k .. m
+    in turn, leaving T_k = t_k.  Entry k of column j is t_j after pass k
+    (k = 1 .. j): it reads entry k of column j - 1 (weighted j - k, so 0 at
+    k = j) and entry k - 1 of column j, so the columns come one at a time,
+    and the last entry of column j is T_j."""
+    j = len(column) + 1
+    out = [math.factorial(j - 1)]
+    for k, prev in zip(range(2, j + 1), column[1:] + [0]):
+        out.append((j - k) * prev + (j - k + 2) * out[-1])
+    return out
+
+
 def _bernoulli_table(n: int) -> list[Fraction]:
-    """B_0, ..., B_n (B_1 = -1/2) with no recursion: B_2k = (-1)^(k-1) 2k T_k
-    / (4^k (4^k - 1)) from the tangent numbers T_k, which the integer
-    recurrence of Brent and Harvey (2011) builds in O(n^2) steps."""
+    """B_0, ..., B_n and perhaps more (B_1 = -1/2) with no recursion: B_2k =
+    (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers T_k.  One
+    table grows on demand by one column of _tangent_column per new B_2k,
+    so a caller walking n upward pays for the largest n once."""
+    global _TANGENT_COLUMN
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    m = n // 2
-    t = [0] + [math.factorial(k - 1) for k in range(1, m + 1)]  # T_k once done
-    for k in range(2, m + 1):
-        for j in range(k, m + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    table = [Fraction(1), Fraction(-1, 2)][:n + 1] + [Fraction(0)] * (n - 1)
-    for k in range(1, m + 1):
-        table[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * t[k], 4 ** k * (4 ** k - 1))
-    return table
+    while len(_BERNOULLI) <= n:
+        if len(_BERNOULLI) % 2:
+            _BERNOULLI.append(Fraction(0))
+        else:
+            k = len(_BERNOULLI) // 2
+            _TANGENT_COLUMN = _tangent_column(_TANGENT_COLUMN)
+            _BERNOULLI.append(Fraction((-1) ** (k - 1) * 2 * k * _TANGENT_COLUMN[-1],
+                                       4 ** k * (4 ** k - 1)))
+    return _BERNOULLI
 
 
 @lru_cache(maxsize=1024)

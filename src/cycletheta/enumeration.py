@@ -9,7 +9,11 @@ coset c + L is the union of the products (c1 + L1) x (c2 + L2) over the
 glue group L / (L1 + L2), all in the integer Smith coordinates of
 DiscriminantForm, so its theta series is the sum of the products of the
 half series, convolved exactly.  Each half is glued again down to rank 1,
-where L = (g) and the counts have a closed form in Python ints.
+where L = (g) and the counts have a closed form in Python ints.  The
+convolutions of a coset are one big-int product by Kronecker substitution
+(_packed_convolution), so the glued counts never import numpy; the walker,
+the shells and the genus-2 histograms below import it inside the functions
+that use it.
 
 Vectors come from one Fincke-Pohst descent (_descend) over the successive
 square completion of the Gram matrix.  It works level by level on a numpy
@@ -25,8 +29,8 @@ with gluing, so it is the oracle of the glued counts in tests.
 
 All bounds and membership tests are carried out in scaled integer
 arithmetic (fixed denominators are cleared once per lattice and coset), so
-the output is exact and byte-for-byte deterministic.  The frontier is
-int64 when a bound proved once per (lattice, coset, budget) keeps every
+the output is exact and byte-for-byte deterministic.  The walker's frontier
+is int64 when a bound proved once per (lattice, coset, budget) keeps every
 intermediate value below 2^62, and Python ints (dtype=object) otherwise;
 both run the same code.  Genus-2 counts come from inner-product histograms
 over pairs of shells.  A shell is the set of vectors of one norm in one
@@ -46,9 +50,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from types import MappingProxyType
-
-import numpy as np
 
 from .quadlattice import (Coset, Lattice, _block_reduce, _pair, _rational_pivot, _smith,
                           _smith_coords, discriminant_form, new_lattice, smith_normal_form)
@@ -172,7 +175,6 @@ def _scaled_data(lat: Lattice, mu: Coset):
 
 
 _FRONTIER_ROWS = 1 << 12  # the most rows one level expansion materialises
-_isqrt_object = np.frompyfunc(math.isqrt, 1, 1)
 
 
 def _isqrt(a: np.ndarray) -> np.ndarray:
@@ -181,8 +183,10 @@ def _isqrt(a: np.ndarray) -> np.ndarray:
     int64 input must stay below 2^62: the float64 root is then off by at
     most one, which the exact integer tests correct, and (s + 1)^2 fits.
     """
+    import numpy as np
+
     if a.dtype == object:
-        return _isqrt_object(a)
+        return np.frompyfunc(math.isqrt, 1, 1)(a)
     s = np.sqrt(a.astype(np.float64)).astype(np.int64)
     s -= s * s > a
     s += (s + 1) * (s + 1) <= a
@@ -221,6 +225,8 @@ def _descend(data, b_init: int, leaf, offsets: bool) -> None:
     frontier is int64; otherwise it holds Python ints (dtype=object).  Both
     run the same code, and only _isqrt differs between them.
     """
+    import numpy as np
+
     n, delta, l0, u_hat, c_hat, mu_base, _, g_inv = data
     d2 = delta * delta
     # mu_base[i] = mu_i * delta^2 is divisible by delta since den(mu_i) | delta
@@ -275,6 +281,8 @@ def _walk_target(lat: Lattice, mu: Coset, m: Fraction, collect: bool):
     instead of scanning: B_hat divisible by c0, the quotient a perfect
     square s^2, and t = +-s congruent to the level-0 centre mod delta^2.
     """
+    import numpy as np
+
     data = _scaled_data(lat, mu)
     n, delta, l0, _, c_hat, mu_base, q_mu, _ = data
     m = Fraction(m)
@@ -418,6 +426,13 @@ def _norm_num(lat: Lattice, c) -> tuple[int, int]:
     return _pair(w, c, c) % (2 * e * e), 2 * e * e
 
 
+def _grid_length(bound: Fraction, a: int, d: int) -> int:
+    """The number of norms a / d + k, k >= 0, below ``bound``: the integer
+    ceiling of bound - a / d on numerators, or 0 when it is negative."""
+    num, den = bound.numerator, bound.denominator
+    return max(0, -((a * den - num * d) // (d * den)))
+
+
 def _counts(lat: Lattice, c, bound: Fraction, memo: dict) -> list[int]:
     """Counts of vectors y in x + L with Q(y) = q(x) + k < bound, k >= 0, x
     the coset with Smith coordinates c: in closed form at rank 1, glued at
@@ -437,7 +452,7 @@ def _line_counts(lat: Lattice, c, bound: Fraction) -> list[int]:
     in Python ints, so Gram entries of any size stay exact."""
     g, j = lat.gram[0][0], c[0]
     r = j * j % (2 * g)
-    counts = [0] * max(0, math.ceil(bound - Fraction(r, 2 * g)))
+    counts = [0] * _grid_length(bound, r, 2 * g)
     if counts:
         top = math.isqrt(r + 2 * g * (len(counts) - 1))  # the largest |z| below bound
         for z in range(j - (j + top) // g * g, top + 1, g):
@@ -455,15 +470,10 @@ def _glued_counts(lat: Lattice, c, bound: Fraction, memo: dict) -> list[int]:
     i + j + s = t.  Each q lies in [0, 1), so the integer
     s = q1(c1) + q2(c2) - q(c) is 1 exactly when q1 + q2 >= 1, tested on
     their numerators over 2e1^2 and 2e2^2, and 0 otherwise.  Norms are
-    nonnegative, so the half counts below ``bound`` give every term below it.
-
-    Exactness: only the terms with sum(a) * sum(b) > 0 are convolved, so
-    every a_i and b_j, and every entry and partial sum of the convolutions
-    (a sum of distinct nonnegative products a_i b_j), is at most the total
-    of sum(a) * sum(b) over those terms.  When that total is below 2^63 the
-    convolutions run in int64, and otherwise in Python ints (dtype=object).
+    nonnegative, so the half counts below ``bound`` give every term below it,
+    and _packed_convolution sums the shifted convolutions over h.
     """
-    grid = max(0, math.ceil(bound - Fraction(*_norm_num(lat, c))))
+    grid = _grid_length(bound, *_norm_num(lat, c))
     if not grid:
         return []
     l1, l2, split, glue = _glue(lat)
@@ -477,15 +487,42 @@ def _glued_counts(lat: Lattice, c, bound: Fraction, memo: dict) -> list[int]:
         s = int(a1 * d2 + a2 * d1 >= d1 * d2)
         if s >= grid:
             continue
-        a, b = _counts(l1, c1, bound, memo), _counts(l2, c2, bound, memo)
-        if sum(a) * sum(b):
-            terms.append((a, b, s))
-    dtype = np.int64 if sum(sum(a) * sum(b) for a, b, _ in terms) < 2 ** 63 else object
-    out = np.zeros(grid, dtype)
-    for a, b, s in terms:
-        conv = np.convolve(np.array(a, dtype), np.array(b, dtype))[: grid - s]
-        out[s : s + len(conv)] += conv
-    return out.tolist()
+        terms.append((_counts(l1, c1, bound, memo), _counts(l2, c2, bound, memo), s))
+    return _packed_convolution(terms, grid)
+
+
+def _packed_convolution(terms, grid: int) -> list[int]:
+    """The first ``grid`` entries of the sum over (a, b, s) in ``terms`` of
+    the convolution of a and b shifted right by s, for lists a and b of
+    nonnegative Python ints, by Kronecker substitution (Harvey, J. Symbolic
+    Comput. 44 (2009)).
+
+    a[:grid - s] and b[:grid - s] are packed into one Python int each, entry
+    i in slot i of wb bytes (the sum of a_i X^i with X = 2^(8 wb)), and
+    their product, shifted left by s slots, is added into one total.  Terms
+    with sum(a) * sum(b) = 0 add nothing and are skipped.
+
+    Exactness: every a_i and b_j of the other terms, every entry of their
+    products and every slot of the total (a sum of distinct products a_i
+    b_j) is at most T, the sum of sum(a) * sum(b) over the terms.  wb is
+    the fewest bytes with T < X, so no slot carries into the next, and the
+    low ``grid`` slots of the total, read back with to_bytes, are the
+    entries.
+    """
+    weights = [sum(a) * sum(b) for a, b, _ in terms]
+    wb = max(1, (sum(weights).bit_length() + 7) // 8)
+
+    def pack(v):
+        return int.from_bytes(b"".join(map(int.to_bytes, v, repeat(wb), repeat("little"))),
+                              "little")
+
+    total = 0
+    for (a, b, s), weight in zip(terms, weights):
+        if weight:
+            total += pack(a[: grid - s]) * pack(b[: grid - s]) << 8 * wb * s
+    raw = (total & (1 << 8 * wb * grid) - 1).to_bytes(wb * grid, "little")
+    slots = (raw[i : i + wb] for i in range(0, wb * grid, wb))
+    return list(map(int.from_bytes, slots, repeat("little")))
 
 
 def _coset_tuple(lat: Lattice, mu) -> Coset:
@@ -557,6 +594,8 @@ def _shell(lat: Lattice, mu, m):
 
 @lru_cache(maxsize=32)
 def _shell_rows(lat: Lattice, mu: Coset, m: Fraction):
+    import numpy as np
+
     delta = math.lcm(1, *(x.denominator for x in mu))
     base = [int(x * delta) for x in mu]
     a = (_walk_target(lat, mu, m, collect=True) * delta + base).astype(np.int64)
@@ -570,6 +609,8 @@ _TABLE = 1 << 17  # the most bins nb^k of a digit-packed bincount table
 
 def _lex_greater(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The mask of the rows of a lexicographically greater than those of b."""
+    import numpy as np
+
     first = (a != b).argmax(axis=1)
     rows = np.arange(len(a))
     return a[rows, first] > b[rows, first]
@@ -585,6 +626,8 @@ def _orthogonal_roots(lat: Lattice) -> np.ndarray:
     """The rows r_1 .. r_k: mutually orthogonal roots (Q(r) = 1) of L, chosen
     greedily in lexicographic order among those whose first nonzero entry
     is positive, so that no other such root is orthogonal to all of them."""
+    import numpy as np
+
     a = _shell(lat, None, 1)[1]
     a = a[_lex_greater(a, -a)]
     gram = a @ np.array(lat.gram, dtype=np.int64) @ a.T  # entries (r, r') in [-2, 2]
@@ -600,6 +643,8 @@ def _orthogonal_roots(lat: Lattice) -> np.ndarray:
 def _root_fold(lat: Lattice, mu: Coset, a: np.ndarray):
     """(rows, exps): the rows of the shell a = delta*x multiplied in place of
     all of it, each standing for 2^exp rows; see inner_product_histogram."""
+    import numpy as np
+
     r = _orthogonal_roots(lat)
     p = a @ (np.array(lat.gram, dtype=np.int64) @ r.T)  # delta (x, r_j)
     canonical = (p >= 0).all(axis=1)
@@ -616,6 +661,8 @@ def _root_fold(lat: Lattice, mu: Coset, a: np.ndarray):
 def _exact_float(bound: int):
     """float32 when every integer up to ``bound`` is exact in it, else
     float64 when it is exact there; OverflowError beyond both."""
+    import numpy as np
+
     if bound < 2 ** 24:
         return np.float32
     if bound < 2 ** 53:
@@ -627,6 +674,8 @@ def _count_products(f1: np.ndarray, f2: np.ndarray, table: np.ndarray, shift: in
     """Adds to ``table``, shifted left by ``shift``, the np.bincount of the
     entries of f1 @ f2 plus (len(table) - 1) // 2, in row chunks of at most
     _CHUNK entries."""
+    import numpy as np
+
     step = max(1, _CHUNK // max(1, f2.shape[1]))
     for start in range(0, len(f1), step):
         w = f1[start : start + step] @ f2
@@ -716,6 +765,8 @@ def _histogram(lat: Lattice, mu1: Coset, m1: Fraction, mu2: Coset, m2: Fraction)
     <= 2 delta sqrt(m1) by Cauchy-Schwarz, below 2^63 under the first test,
     and iota(x) is a row of S1.
     """
+    import numpy as np
+
     d1, a1 = _shell(lat, mu1, m1)
     d2, a2 = _shell(lat, mu2, m2)
     if not len(a1) or not len(a2):

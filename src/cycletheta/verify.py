@@ -7,8 +7,9 @@ evaluation with tolerance 1e-9 and prints its truncation tail bounds.
 Reports are deterministic: cases are listed in canonical input order and
 serialize to byte-identical JSON on repeated runs.
 
-The one numpy layer, enumeration, and weilrep are imported inside the suites
-that use them, so reading SUITES loads neither numpy nor them.
+Enumeration and weilrep are imported inside the suites that use them, so
+reading SUITES loads neither of them; of the suites only cup, through the
+genus-2 histograms, loads numpy.
 """
 
 from __future__ import annotations

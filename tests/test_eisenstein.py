@@ -212,6 +212,38 @@ class TestEisensteinK:
         assert bernoulli(1031) == 0
         assert eisenstein_k(1040, 2).coefficients[1][1] == F(-2 * 1040) / bernoulli(1040)
 
+    def test_bernoulli_table_grows_once(self, monkeypatch):
+        # walking n upward builds each column of the tangent-number triangle
+        # once, the work of one table of the largest n, and the values are
+        # those of the row-by-row recurrence over a table of 600
+        columns = []
+        tangent_column = eisenstein._tangent_column
+
+        def spy(column):
+            columns.append(len(column) + 1)
+            return tangent_column(column)
+
+        monkeypatch.setattr(eisenstein, "_tangent_column", spy)
+        monkeypatch.setattr(eisenstein, "_BERNOULLI", [F(1), F(-1, 2)])
+        monkeypatch.setattr(eisenstein, "_TANGENT_COLUMN", [])
+        bernoulli.cache_clear()
+        walked = [bernoulli(n) for n in range(601)]
+        assert columns == list(range(1, 301))
+        t = [0] + [math.factorial(k - 1) for k in range(1, 301)]
+        for k in range(2, 301):
+            for j in range(k, 301):
+                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+        table = [F(1), F(-1, 2)] + [F(0)] * 599
+        for k in range(1, 301):
+            table[2 * k] = F((-1) ** (k - 1) * 2 * k * t[k], 4 ** k * (4 ** k - 1))
+        assert walked == table
+        # the table never shrinks: smaller n build nothing, and n = 602 one column
+        bernoulli.cache_clear()
+        assert bernoulli(10) == F(5, 66) and generalized_bernoulli(12, 1) == F(-691, 2730)
+        assert columns == list(range(1, 301))
+        bernoulli(602)
+        assert columns == list(range(1, 302))
+
     def test_generalized_bernoulli(self):
         # B_{1, chi_-3} = -1/3, B_{1, chi_-4} = -1/2, and chi_1 gives B_n(1)
         assert generalized_bernoulli(1, -3) == F(-1, 3)

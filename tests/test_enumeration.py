@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import operator
 import random
@@ -690,6 +691,23 @@ def _seeded_skewed_corpus():
     return lats
 
 
+@st.composite
+def convolution_terms(draw):
+    """(terms, grid) for _packed_convolution: a few (a, b, s) with entries
+    past 2^64, and half the time one more term that puts the total
+    sum(a) sum(b) over the terms on a slot boundary, 2^(8 wb) - 1 or 2^(8 wb)."""
+    grid = draw(st.integers(min_value=1, max_value=10))
+    entries = st.lists(st.integers(min_value=0, max_value=2 ** 80), min_size=1, max_size=8)
+    shifts = st.integers(min_value=0, max_value=grid - 1)
+    terms = draw(st.lists(st.tuples(entries, entries, shifts), max_size=3))
+    total = sum(sum(a) * sum(b) for a, b, _ in terms)
+    if draw(st.booleans()):
+        wb = max(1, -(-total.bit_length() // 8)) + draw(st.integers(min_value=0, max_value=2))
+        boundary = (1 << 8 * wb) - draw(st.sampled_from([0, 1]))
+        terms.append(([boundary - total], [1], draw(shifts)))
+    return terms, grid
+
+
 class TestGluing:
     """The glued counts against the oracle: the exact-solve walk, one norm
     at a time."""
@@ -813,6 +831,26 @@ class TestGluing:
         lat = _lattice("A1+A1+A1+A1+A1+A1+A1+A1")
         zero = (0,) * 8  # Smith coordinates of the zero coset of (Z/2)^8
         assert enumeration._glued_counts(lat, zero, 3, {}) == [2 ** 124, 2 ** 125, 3 * 2 ** 124]
+
+    @settings(max_examples=200, deadline=None)
+    @given(convolution_terms())
+    def test_packed_convolution_matches_schoolbook(self, case):
+        terms, grid = case
+        want = [0] * grid
+        for a, b, s in terms:
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    if i + j + s < grid:
+                        want[i + j + s] += x * y
+        assert enumeration._packed_convolution(terms, grid) == want
+
+    @pytest.mark.parametrize("nbytes", [1, 2, 8, 9])
+    def test_packed_convolution_on_a_slot_boundary(self, nbytes):
+        # one entry holds the whole total: 2^(8 wb) - 1 fills wb bytes, and
+        # 2^(8 wb) needs one more
+        for total in ((1 << 8 * nbytes) - 1, 1 << 8 * nbytes):
+            terms = [([total, 0], [1], 1), ([0], [0, 5], 0)]
+            assert enumeration._packed_convolution(terms, 3) == [0, total, 0]
 
     def test_e8_e8(self):
         # theta of E8 + E8 is E8 = 1 + 480 sum sigma_7(m) q^m, and the square
@@ -944,3 +982,29 @@ class TestProperties:
         for coset, pairs in th.components.items():
             if not any(coset):
                 assert pairs[0] == (F(0), 1)
+
+
+class TestNumpyLayers:
+    """Only the walker, the shells and the genus-2 histograms load numpy; the
+    glued counts run on Python ints."""
+
+    @pytest.mark.parametrize("code, value, loads_numpy", [
+        ("[[str(e), c] for e, c in theta_qseries(d4, 3).component((0, 0, F(1, 2), F(1, 2)))]",
+         [["1/2", 8], ["3/2", 32], ["5/2", 48]], False),
+        ("rep_number(direct_sum(e8, e8), None, 2)", 61920, False),
+        ("[[str(x) for x in v] for v in vectors_with_norm(named_lattice('A2'), None, 1)]",
+         [["-1", "-1"], ["-1", "0"], ["0", "-1"], ["0", "1"], ["1", "0"], ["1", "1"]], True),
+        ("sorted([str(v), c] for v, c in inner_product_histogram(d4, None, 1, None, 1).items())",
+         [["-1", 192], ["-2", 24], ["0", 144], ["1", 192], ["2", 24]], True),
+    ], ids=["theta", "rep_number-rank-16", "vectors_with_norm", "histogram"])
+    def test_only_walks_load_numpy(self, fresh_python, code, value, loads_numpy):
+        proc = fresh_python("-c", (
+            "import json, sys\n"
+            "from fractions import Fraction as F\n"
+            "from cycletheta.enumeration import *\n"
+            "from cycletheta.quadlattice import direct_sum, named_lattice\n"
+            "d4, e8 = named_lattice('D4'), named_lattice('E8')\n"
+            "before = 'numpy' in sys.modules\n"
+            f"print(json.dumps([before, {code}, 'numpy' in sys.modules]))"))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [False, value, loads_numpy]
