@@ -1,18 +1,18 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-A Cyc is a canonical element of Q(zeta_N): its Fraction coefficients in the
-power basis 1, zeta, ..., zeta^(deg-1), deg = phi(N), so equality is an exact
-coefficient comparison.  Since Phi_N is monic, every power zeta^k reduces to
-integer coefficients; _zeta_power reads them from one cached integer table
-(_power_table), which Cyc products and the reduction of each distinct entry
-of a Weil-representation product (weilrep) share.  Square roots of positive
-integers are built from quadratic Gauss sums, which puts sqrt(|D|) inside
-Q(zeta_N) for the N of root_order_for.
+A Cyc is a canonical element of Q(zeta_N): integer numerators num in the
+power basis 1, zeta, ..., zeta^(deg-1), deg = phi(N), over den, the least
+positive integer that clears them (c reads the Fraction coefficients), so
+equality compares (den, num) exactly.  Since Phi_N is monic, zeta^k reduces
+to integers, read from one cached table (_power_table).  _reduced is the one
+reduction and _times the one product of Q(zeta_N): Cyc products and the
+entrywise work of Weil-representation matrices (weilrep) both call them.
+Square roots of positive integers are built from quadratic Gauss sums,
+which puts sqrt(|D|) inside Q(zeta_N) for the N of root_order_for.
 
-Cyc arithmetic is schoolbook and per element.  It builds sqrt(|D|), the
-scalars of the relation checks and the printed entries of a
-Weil-representation matrix; matrix products run on Python integers packed
-by Kronecker substitution in weilrep, not on Cyc.
+Cyc builds sqrt(|D|), the scalars of the relation checks and the printed
+entries of a Weil-representation matrix; matrix products run on Python
+integers packed by Kronecker substitution in weilrep, not on Cyc.
 """
 
 from __future__ import annotations
@@ -80,6 +80,27 @@ def _zeta_power(n: int, k: int) -> tuple[int, ...]:
     return _power_table(n)[k % n]
 
 
+def _reduced(poly, n: int) -> tuple[int, ...]:
+    """sum_t poly[t] zeta^t in the power basis of Q(zeta_n), for a poly of
+    at least phi(n) terms (zeta^t is basis vector t below that)."""
+    table = _power_table(n)
+    out = poly[:len(table[0])]
+    for t in range(len(out), len(poly)):
+        if poly[t]:
+            out = [o + poly[t] * z for o, z in zip(out, table[t % n])]
+    return tuple(out)
+
+
+def _times(e, c, n: int) -> tuple[int, ...]:
+    """The product of two power-basis coefficient sequences, reduced."""
+    prod = [0] * (len(e) + len(c) - 1)
+    for x, ex in enumerate(e):
+        if ex:
+            for y, cy in enumerate(c):
+                prod[x + y] += ex * cy
+    return _reduced(prod, n)
+
+
 def root_exponent(q, n: int) -> int:
     """The k mod n with e(q) = zeta_n^k, for a rational q whose denominator divides n."""
     q = Fraction(q)
@@ -89,29 +110,42 @@ def root_exponent(q, n: int) -> int:
 
 
 class Cyc(_ReadOnly):
-    """An element of Q(zeta_N) in reduced power-basis form, read-only
-    (sqrt_as_cyclotomic caches its results)."""
+    """An element of Q(zeta_N) as num / den in lowest terms, built from its
+    phi(N) rational coefficients; read-only (sqrt_as_cyclotomic caches it)."""
 
-    __slots__ = ("n", "c")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, coeffs):
-        deg = len(cyclotomic_poly(n)) - 1
-        c = tuple(Fraction(x) for x in coeffs)
+        c, deg = tuple(map(Fraction, coeffs)), len(cyclotomic_poly(n)) - 1
         if len(c) != deg:
             raise ValueError(f"expected {deg} coefficients for Q(zeta_{n})")
+        den = math.lcm(*(x.denominator for x in c))  # lowest terms, as each x is
+        self._set(n, tuple(x.numerator * (den // x.denominator) for x in c), den)
+
+    @classmethod
+    def _exact(cls, n: int, num: tuple[int, ...], den: int = 1) -> "Cyc":
+        """num / den, for phi(n) Python ints num and den >= 1."""
+        z = cls.__new__(cls)
+        g = math.gcd(den, *num)
+        z._set(n, tuple(x // g for x in num) if g > 1 else num, den // g)
+        return z
+
+    def _set(self, n: int, num: tuple[int, ...], den: int) -> None:
         # a fresh instance has nothing to guard: skip the hasattr check
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "c", c)
+        for name, value in zip(self.__slots__, (n, num, den)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def c(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     @staticmethod
     def zero(n: int) -> "Cyc":
-        deg = len(cyclotomic_poly(n)) - 1
-        return Cyc(n, (Fraction(0),) * deg)
+        return Cyc._exact(n, (0,) * (len(cyclotomic_poly(n)) - 1))
 
     @staticmethod
     def from_rational(n: int, q) -> "Cyc":
-        deg = len(cyclotomic_poly(n)) - 1
-        return Cyc(n, (Fraction(q),) + (Fraction(0),) * (deg - 1))
+        return Cyc.root(n, 0).scale(q)
 
     @staticmethod
     def one(n: int) -> "Cyc":
@@ -120,7 +154,7 @@ class Cyc(_ReadOnly):
     @staticmethod
     def root(n: int, k: int) -> "Cyc":
         """zeta_n^k = e(k/n)."""
-        return Cyc(n, _zeta_power(n, k))
+        return Cyc._exact(n, _zeta_power(n, k))
 
     @staticmethod
     def e(q, n: int) -> "Cyc":
@@ -133,50 +167,39 @@ class Cyc(_ReadOnly):
 
     def __add__(self, other: "Cyc") -> "Cyc":
         self._check(other)
-        return Cyc(self.n, tuple(a + b for a, b in zip(self.c, other.c)))
+        a, b = self.den, other.den
+        return Cyc._exact(self.n, tuple(x * b + y * a for x, y in zip(self.num, other.num)), a * b)
 
     def __sub__(self, other: "Cyc") -> "Cyc":
-        self._check(other)
-        return Cyc(self.n, tuple(a - b for a, b in zip(self.c, other.c)))
+        return self + -other
 
     def __neg__(self) -> "Cyc":
-        return Cyc(self.n, tuple(-a for a in self.c))
+        return Cyc._exact(self.n, tuple(-x for x in self.num), self.den)
 
     def scale(self, q) -> "Cyc":
         q = Fraction(q)
-        return Cyc(self.n, tuple(q * a for a in self.c))
+        return Cyc._exact(self.n, tuple(q.numerator * x for x in self.num), q.denominator * self.den)
 
     def __mul__(self, other: "Cyc") -> "Cyc":
         self._check(other)
-        deg = len(self.c)
-        prod = [Fraction(0)] * (2 * deg - 1)
-        for i, a in enumerate(self.c):
-            if a:
-                for j, b in enumerate(other.c):
-                    if b:
-                        prod[i + j] += a * b
-        out = [Fraction(0)] * deg
-        for k, coeff in enumerate(prod):
-            if coeff:
-                for i, b in enumerate(_zeta_power(self.n, k)):
-                    out[i] += coeff * b
-        return Cyc(self.n, tuple(out))
+        return Cyc._exact(self.n, _times(self.num, other.num, self.n), self.den * other.den)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.c)
+        return not any(self.num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cyc):
             return NotImplemented
-        return self.n == other.n and self.c == other.c
+        return self.n == other.n and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.n, self.c))
+        return hash((self.n, self.den, self.num))
 
     def to_complex(self) -> complex:
+        # x / den is correctly rounded, as float(Fraction(x, den)) is
         z = cmath.exp(2j * cmath.pi / self.n)
-        return sum(float(a) * z ** i for i, a in enumerate(self.c) if a)
+        return sum(x / self.den * z ** i for i, x in enumerate(self.num) if x)
 
     def __repr__(self):
         if self.is_zero:

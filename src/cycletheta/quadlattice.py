@@ -83,7 +83,7 @@ class Lattice:
 
     def quadratic(self, x) -> Fraction:
         """Q(x) = (x, x)/2."""
-        return self.bilinear(x, x) / 2
+        return Fraction(self.bilinear(x, x), 2)
 
 
 def _block_reduce(gram, choose) -> list[tuple[tuple[int, ...], list[list[Fraction]]]]:

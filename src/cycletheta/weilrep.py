@@ -27,9 +27,9 @@ is the least multiple of 8 with 2^(w-1) > M.  Every digit then lies in
 H = sum_m (X/2) X^m turns it into the ordinary one, with digits c + X/2 in
 [0, X) that to_bytes reads off; the same bias packs B_k from bytes.  A
 product is n^2 big-int multiplications in C, and each distinct block of
-digits is reduced modulo Phi_N once (cyclotomic._power_table); lowest
-terms, conjugate and scale also work once per distinct entry.  Nothing
-here imports numpy.
+digits is reduced modulo Phi_N once (cyclotomic._reduced, as in Cyc
+products); lowest terms, conjugate and scale (cyclotomic._times) also work
+once per distinct entry.  Nothing here imports numpy.
 
 verify_relations checks the defining relations on rho(S) and rho(T)
 themselves: rho(S) rho(S)^+ = I, rho(T) rho(T)^+ = I,
@@ -52,7 +52,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 
-from .cyclotomic import Cyc, _power_table, root_exponent, root_order_for, sqrt_as_cyclotomic
+from .cyclotomic import (Cyc, _power_table, _reduced, _times, root_exponent, root_order_for,
+                         sqrt_as_cyclotomic)
 from .quadlattice import DiscriminantForm, Lattice, _ReadOnly, discriminant_form
 
 __all__ = [
@@ -75,26 +76,6 @@ class RelationViolated(ArithmeticError):
 
 class InsufficientTruncation(ValueError):
     pass
-
-
-def _reduced(poly, n_root: int) -> tuple[int, ...]:
-    """sum_t poly[t] zeta^t in the power basis of Q(zeta_n_root), for a poly
-    of at least phi(n_root) terms (zeta^t is basis vector t below that)."""
-    table = _power_table(n_root)
-    out = poly[:len(table[0])]
-    for t in range(len(out), len(poly)):
-        if poly[t]:
-            out = [o + poly[t] * z for o, z in zip(out, table[t % n_root])]
-    return tuple(out)
-
-
-def _times(e, c, n_root: int) -> tuple[int, ...]:
-    """The product of two power-basis coefficient sequences, reduced."""
-    prod = [0] * (len(e) + len(c) - 1)
-    for x, ex in enumerate(e):
-        for y, cy in enumerate(c):
-            prod[x + y] += ex * cy
-    return _reduced(prod, n_root)
 
 
 @lru_cache(maxsize=256)
@@ -167,7 +148,7 @@ class WeilRepMatrix(_ReadOnly):
     def entries(self) -> tuple[tuple[Cyc, ...], ...]:
         """The entries as canonical Cyc elements (built on first use)."""
         n, den = self.root_order, self.den
-        cyc = {e: Cyc(n, [Fraction(x, den) for x in e]) for e in self._distinct}
+        cyc = {e: Cyc._exact(n, e, den) for e in self._distinct}
         return tuple(tuple(map(cyc.__getitem__, row)) for row in self.coeffs)
 
     def __matmul__(self, other: "WeilRepMatrix") -> "WeilRepMatrix":
@@ -214,9 +195,7 @@ class WeilRepMatrix(_ReadOnly):
         """c times the matrix, for any c in Q(zeta_N)."""
         if c.n != self.root_order:
             raise ValueError("cyclotomic order mismatch")
-        c_den = math.lcm(*(x.denominator for x in c.c))
-        c_ints = [int(x * c_den) for x in c.c]
-        return self._map(lambda e: _times(e, c_ints, c.n), self.den * c_den)
+        return self._map(lambda e: _times(e, c.num, c.n), self.den * c.den)
 
     @staticmethod
     def identity(df: DiscriminantForm) -> "WeilRepMatrix":
@@ -245,16 +224,13 @@ class WeilRepMatrix(_ReadOnly):
         the cleaner form, else as a plain cyclotomic polynomial in z.  Works on
         the integer numerators; a Cyc is built only to print an entry."""
         n, den, d = self.root_order, self.den, self.df.order
-        sqrt_d = [int(x) for x in sqrt_as_cyclotomic(d, n).c] if d > 1 else None
-
-        def as_cyc(e):
-            return Cyc(n, [Fraction(x, den) for x in e])
+        sqrt_d = sqrt_as_cyclotomic(d, n).num if d > 1 else None
 
         def monomial(e):
-            nz = [(k, Fraction(a, den)) for k, a in enumerate(e) if a]
+            nz = [(k, a) for k, a in enumerate(e) if a]
             if len(nz) != 1:
                 return None
-            k, a = nz[0]
+            k, a = nz[0][0], Fraction(nz[0][1], den)
             if k == 0:
                 return str(a)
             head = "" if a == 1 else ("-" if a == -1 else f"{a}*")
@@ -264,8 +240,8 @@ class WeilRepMatrix(_ReadOnly):
             m = monomial(e)
             if m is None and sqrt_d is not None and any(e):
                 scaled = _times(e, sqrt_d, n)
-                return f"{monomial(scaled) or f'({as_cyc(scaled)!r})'}/sqrt({d})"
-            return m or repr(as_cyc(e))
+                return f"{monomial(scaled) or f'({Cyc._exact(n, scaled, den)!r})'}/sqrt({d})"
+            return m or repr(Cyc._exact(n, e, den))
 
         text = {e: shown(e) for e in self._distinct}
         return [[text[e] for e in row] for row in self.coeffs]
@@ -297,7 +273,7 @@ def rho_S(df: DiscriminantForm) -> WeilRepMatrix:
     phase = root_exponent(Fraction(-df.sig8, 8), n_root)
     exps = [[(phase - sum(map(operator.mul, c, wd)) // e * (n_root // e)) % n_root
              for wd in images] for c in df._coords]
-    sqrt_d = [int(x) for x in sqrt_as_cyclotomic(df.order, n_root).c]
+    sqrt_d = sqrt_as_cyclotomic(df.order, n_root).num
     table = _power_table(n_root)
     entry = {k: _times(table[k], sqrt_d, n_root) for k in set(chain.from_iterable(exps))}
     return WeilRepMatrix._exact(df, exps, df.order, entry)

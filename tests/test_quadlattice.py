@@ -52,6 +52,12 @@ class TestNewLattice:
         with pytest.raises(Degenerate):
             new_lattice([[2, 2], [2, 2]])
 
+    def test_quadratic_is_exact(self):
+        # (x, x)/2 as a float would round 2^59 + 1 to 2^59
+        q = new_lattice([[2 ** 60 + 2]]).quadratic((1,))
+        assert type(q) is F and q == 2 ** 59 + 1
+        assert named_lattice("A1").quadratic((F(1, 2),)) == F(1, 4)
+
 
 class TestDiscriminantForm:
     def test_cache_is_bounded(self):
