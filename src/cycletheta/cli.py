@@ -8,15 +8,21 @@ results (Heegner classes, density reports, theta series) are cached under
 digest of the package's own source files, so an entry written by other code
 never matches; cache writes are atomic (write-temp-then-rename).
 
-Only verify's cup suite (alone or in all) loads numpy: enumeration,
-imported inside the commands and suites that compute with it, imports numpy
-only in its walker, shell and genus-2 histogram functions.  Theta series are
-glued on Python ints, so every other command, theta (hit or miss) and
-weilrep included, runs without it.
+The parser is the standard library's argparse, and this module imports no
+library module at top level: each command imports what it computes with.
+lattice info loads quadlattice; eisenstein loads eisenstein (which imports
+quadlattice); weilrep loads weilrep, cyclotomic, eisenstein and quadlattice;
+verify loads verify, heegner, eisenstein and quadlattice.  The cached
+commands import their compute module only on a miss, so a heegner hit loads
+no library module, and theta and density hits load only quadlattice, which
+canonicalises the Gram for the key.  Only verify's cup suite (alone or in
+all) loads numpy, through enumeration's walker, shell and genus-2 histogram
+functions; theta series are glued on Python ints.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -26,41 +32,56 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-import click
-
-from . import eisenstein
-from .heegner import heegner_cycle
-from .quadlattice import BUILTIN_GRAMS, LatticeError, discriminant_form, named_lattice, new_lattice
-from .verify import SUITES, reports_to_json
-
 __all__ = ["main", "run", "ResultCache"]
 
+LIBRARY_ERRORS = (ValueError, ArithmeticError, RuntimeError)  # LatticeError is a ValueError
 
-def run(argv) -> int:
+
+class UsageError(Exception):
+    """A bad option value found after parsing; exits 2, as argparse's own do."""
+
+
+def run(argv, prog_name: str = "cycletheta") -> int:
     """Programmatic dispatch; returns the exit code (0 ok, 1 computation
-    error, 2 usage error) instead of terminating the process."""
+    error, 2 usage error) instead of terminating the process.
+
+    This is the CLI's one error boundary: a library error or an OSError (an
+    unreadable --lattice, a bad --cache-dir) in any command prints one
+    ``error: <Type>: <message>`` line on stderr and returns 1."""
     try:
-        main.main(args=list(argv), prog_name="cycletheta", standalone_mode=False)
-        return 0
-    except click.UsageError as exc:
-        exc.show()
-        return 2
-    except click.ClickException as exc:
-        exc.show()
-        return 1
-    except SystemExit as exc:
-        code = exc.code
-        return int(code) if code is not None else 0
+        args = _parser(prog_name).parse_args(argv)
+        try:
+            return args.command(args) or 0
+        except UsageError as exc:
+            args.parser.error(str(exc))
+        except (*LIBRARY_ERRORS, OSError) as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
+    except SystemExit as exc:  # argparse: usage errors exit 2, --help exits 0
+        return exc.code
+
+
+def main(args=None, prog_name: str = "cycletheta"):
+    """The console script: run ``args`` (default: the command line) and exit
+    with its code."""
+    sys.exit(run(sys.argv[1:] if args is None else args, prog_name))
+
+
+# click's spelling of the same call, main.main(args=..., prog_name=...), which
+# perfbench/launch.py uses
+main.main = main
 
 
 def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise click.UsageError(f"not an integer or p/q fraction: {text!r}")
+        raise UsageError(f"not an integer or p/q fraction: {text!r}")
 
 
 def _resolve_lattice(spec: str):
+    from .quadlattice import BUILTIN_GRAMS, named_lattice, new_lattice
+
     if spec in BUILTIN_GRAMS:
         return named_lattice(spec)
     path = Path(spec)
@@ -69,9 +90,9 @@ def _resolve_lattice(spec: str):
             data = json.loads(path.read_text())
             gram = data["gram"]
         except (json.JSONDecodeError, TypeError, KeyError) as exc:
-            raise click.UsageError(f"{spec}: expected a JSON object with a 'gram' key ({exc})")
+            raise UsageError(f"{spec}: expected a JSON object with a 'gram' key ({exc})")
         return new_lattice(gram)
-    raise click.UsageError(
+    raise UsageError(
         f"--lattice must be one of {sorted(BUILTIN_GRAMS)} or a JSON file with a 'gram' key"
     )
 
@@ -145,12 +166,12 @@ class ResultCache:
             try:
                 self.put(key, payload)
             except OSError as exc:
-                click.echo(f"warning: result not cached: {type(exc).__name__}: {exc}", err=True)
+                print(f"warning: result not cached: {type(exc).__name__}: {exc}", file=sys.stderr)
         return payload
 
 
-def _cache_from_ctx(ctx) -> ResultCache:
-    cache_dir = ctx.obj.get("cache_dir")
+def _cache(args) -> ResultCache:
+    cache_dir = args.cache_dir
     if cache_dir is None:
         env = os.environ.get("CYCLETHETA_CACHE")
         if env:
@@ -161,60 +182,21 @@ def _cache_from_ctx(ctx) -> ResultCache:
     return ResultCache(cache_dir)
 
 
-LIBRARY_ERRORS = (LatticeError, ValueError, ArithmeticError, RuntimeError)
-
-
-class _Guarded(click.Group):
-    """The CLI's one error boundary: a library error or an OSError (an
-    unreadable --lattice, a bad --cache-dir) in any command prints one
-    ``error: <Type>: <message>`` line on stderr and exits 1."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        # click's Exit (--help) and Abort are RuntimeErrors too
-        except (click.ClickException, click.exceptions.Exit, click.Abort):
-            raise
-        except (*LIBRARY_ERRORS, OSError) as exc:
-            click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-            sys.exit(1)
-
-
 def _show(payload: dict, as_json: bool, lines) -> None:
     """Print ``payload`` as sorted, indented JSON, or else the text ``lines``
     (an iterable, consumed only in text mode)."""
     if as_json:
-        click.echo(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         for line in lines:
-            click.echo(line)
+            print(line)
 
 
-_json_option = click.option("--json", "as_json", is_flag=True)
-
-
-@click.group(cls=_Guarded)
-@click.option("--cache-dir", type=click.Path(path_type=Path), default=None,
-              help="Result cache directory (default: $CYCLETHETA_CACHE or OS cache dir).")
-@click.pass_context
-def main(ctx, cache_dir):
-    """Exact computations with even lattices: theta series, Weil
-    representations, Heegner cycles, Eisenstein coefficients, densities."""
-    ctx.ensure_object(dict)
-    ctx.obj["cache_dir"] = cache_dir
-
-
-@main.group()
-def lattice():
-    """Lattice inspection."""
-
-
-@lattice.command("info")
-@click.option("--lattice", "spec", required=True, help="Built-in name or JSON Gram file.")
-@_json_option
-def lattice_info(spec, as_json):
+def _lattice_info(args):
     """Rank, signature, determinant, and discriminant form data."""
-    lat = _resolve_lattice(spec)
+    from .quadlattice import discriminant_form
+
+    lat = _resolve_lattice(args.lattice)
     df = discriminant_form(lat)
     payload = {
         "gram": [list(r) for r in lat.gram],
@@ -234,30 +216,24 @@ def lattice_info(spec, as_json):
             },
         },
     }
-    _show(payload, as_json, [
+    _show(payload, args.json, [
         f"rank {lat.rank}, signature {lat.signature}, det {lat.det}",
         f"|L'/L| = {df.order}, sig8 = {df.sig8}, level = {df.level}",
         *(f"  Q{df.coset_label(lam)} = {df.q_table[lam]}" for lam in df.cosets),
     ])
 
 
-@main.command("theta")
-@click.option("--lattice", "spec", required=True)
-@click.option("--max", "truncation", required=True, help="Truncation bound (integer or p/q).")
-@_json_option
-@click.pass_context
-def theta_cmd(ctx, spec, truncation, as_json):
+def _theta(args):
     """Coset theta series of a positive definite lattice below --max."""
-    lat = _resolve_lattice(spec)
-    bound = _parse_rational(truncation)
-    cache = _cache_from_ctx(ctx)
+    lat = _resolve_lattice(args.lattice)
+    bound = _parse_rational(args.max)
 
     def compute():
         from .enumeration import theta_qseries
 
         return theta_qseries(lat, bound).to_json_dict()
 
-    payload = cache.fetch_or_compute(
+    payload = _cache(args).fetch_or_compute(
         "theta",
         {"gram": [list(r) for r in lat.gram], "truncation": str(bound)},
         compute,
@@ -266,19 +242,17 @@ def theta_cmd(ctx, spec, truncation, as_json):
     for coset, pairs in sorted(payload["components"].items()):
         terms = [f"{c}*q^({e})" for e, c in pairs if c != "0"]
         lines.append(f"coset={coset}: " + (" + ".join(terms) if terms else "0"))
-    _show(payload, as_json, lines)
+    _show(payload, args.json, lines)
 
 
-@main.command("weilrep")
-@click.option("--lattice", "spec", required=True)
-@click.option("--word", default=None, help="Generator word over S, T (lowercase or ^-1 inverts).")
-@_json_option
-def weilrep_cmd(spec, word, as_json):
+def _weilrep(args):
     """Weil representation generator matrices (exact and floating)."""
+    from .quadlattice import discriminant_form
     from .weilrep import rho_S, rho_T, rho_word, verify_relations
 
-    lat = _resolve_lattice(spec)
+    lat = _resolve_lattice(args.lattice)
     df = discriminant_form(lat)
+    word = args.word
     if word is not None:
         mats = {word: rho_word(df, word)}
     else:
@@ -305,87 +279,154 @@ def weilrep_cmd(spec, word, as_json):
                 yield "    approx [" + ", ".join(f"{z.real:+.6f}{z.imag:+.6f}i" for z in row_c) + "]"
         yield f"relations: {'pass' if relations.all_pass else 'FAIL'}"
 
-    _show(payload, as_json, lines())
+    _show(payload, args.json, lines())
 
 
-@main.command("heegner")
-@click.option("--level", "n", required=True, type=int)
-@click.option("--residue", "r", required=True, type=int)
-@click.option("--disc", "d", required=True, type=int)
-@_json_option
-@click.pass_context
-def heegner_cmd(ctx, n, r, d, as_json):
+def _heegner(args):
     """The weighted 0-cycle at level N, residue r, discriminant -d."""
-    payload = _cache_from_ctx(ctx).fetch_or_compute(
-        "heegner",
-        {"N": n, "r": r, "d": d},
-        lambda: heegner_cycle(n, r, d).to_json_dict(),
-    )
-    _show(payload, as_json, [
+    n, r, d = args.level, args.residue, args.disc
+
+    def compute():
+        from .heegner import heegner_cycle
+
+        return heegner_cycle(n, r, d).to_json_dict()
+
+    # the cycle reads r mod 2N, so r and r + 2N share one entry; N < 1 is
+    # left to heegner_cycle's own error
+    key_r = r % (2 * n) if n >= 1 else r
+    payload = _cache(args).fetch_or_compute("heegner", {"N": n, "r": key_r, "d": d}, compute)
+    _show(payload, args.json, [
         f"degree {payload['degree']}",
         *(f"  point (-({p['b']}) + sqrt(-{p['d']}))/(2*{p['a']})"
           f"  mult {p['mult']}  stab {p['stab']}  form {p['form']}" for p in payload["points"]),
     ])
 
 
-@main.command("eisenstein")
-@click.option("--series", type=click.Choice(["hurwitz", "ek", "cohen"]), required=True)
-@click.option("--max", "truncation", required=True, type=int)
-@click.option("--weight", type=int, default=None,
-              help="Weight k for ek; the parameter s (weight s+1/2) for cohen.")
-@_json_option
-def eisenstein_cmd(series, truncation, weight, as_json):
+def _eisenstein(args):
     """Eisenstein coefficient tables: Hurwitz H(d), E_k, or Cohen H(s, n)."""
+    from . import eisenstein
+
+    series, truncation, weight = args.series, args.max, args.weight
     if series == "hurwitz":
         table = eisenstein.hurwitz_table(truncation)
-        _show(table.to_json_dict(), as_json,
+        _show(table.to_json_dict(), args.json,
               [f"H({dd}) = {v}" for dd, v in sorted(table.values.items())])
         return
     if weight is None:
-        raise click.UsageError(f"--weight is required for --series {series}")
+        raise UsageError(f"--weight is required for --series {series}")
     qs = (
         eisenstein.eisenstein_k(weight, truncation)
         if series == "ek"
         else eisenstein.cohen(weight, truncation)
     )
-    _show(qs.to_json_dict(), as_json, [qs.text()])
+    _show(qs.to_json_dict(), args.json, [qs.text()])
 
 
-@main.command("density")
-@click.option("--lattice", "spec", required=True)
-@click.option("--prime", "p", required=True, type=int)
-@click.option("--m", "m", required=True, type=int)
-@_json_option
-@click.pass_context
-def density_cmd(ctx, spec, p, m, as_json):
+def _density(args):
     """Local representation density report at one prime."""
-    lat = _resolve_lattice(spec)
-    payload = _cache_from_ctx(ctx).fetch_or_compute(
-        "density",
-        {"gram": [list(r) for r in lat.gram], "p": p, "m": m},
-        lambda: eisenstein.local_density(lat, p, m).to_json_dict(),
+    lat = _resolve_lattice(args.lattice)
+    p, m = args.prime, args.m
+
+    def compute():
+        from .eisenstein import local_density
+
+        return local_density(lat, p, m).to_json_dict()
+
+    payload = _cache(args).fetch_or_compute(
+        "density", {"gram": [list(r) for r in lat.gram], "p": p, "m": m}, compute
     )
-    _show(payload, as_json, [
+    _show(payload, args.json, [
         f"alpha_{payload['p']}({payload['m']}): stabilized {payload['stabilized']}"
         f" (threshold k0={payload['threshold']})",
         *(f"  level {k}: {v}" for k, v in payload["approximations"]),
     ])
 
 
-@main.command("verify")
-@click.option("--suite", type=click.Choice(tuple(SUITES)), default="all")
-@_json_option
-def verify_cmd(suite, as_json):
+def _verify(args):
     """Run a reproduction suite; exit code 0 iff every case passes."""
-    reports = SUITES[suite]()
-    if as_json:
-        click.echo(reports_to_json(reports))
+    from .verify import SUITES, reports_to_json
+
+    if args.suite not in SUITES:
+        raise UsageError(f"argument --suite: invalid choice: {args.suite!r} "
+                         f"(choose from {', '.join(map(repr, SUITES))})")
+    reports = SUITES[args.suite]()
+    if args.json:
+        print(reports_to_json(reports))
     else:
         for rep in reports:
             for line in rep.text_lines():
-                click.echo(line)
-    if not all(r.passed for r in reports):
-        sys.exit(1)
+                print(line)
+    return 0 if all(r.passed for r in reports) else 1
+
+
+class _Formatter(argparse.HelpFormatter):
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
+
+
+class _Parser(argparse.ArgumentParser):
+    """click's conventions: a ``Usage: `` prefix, ``--help`` (no ``-h``),
+    and no abbreviated options."""
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_Formatter, allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+
+def _subcommands(parser):
+    return parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+
+def _command(subcommands, name: str, command):
+    """A subcommand ``name`` running ``command``, with its --json flag."""
+    sub = subcommands.add_parser(name, help=command.__doc__, description=command.__doc__)
+    sub.set_defaults(command=command, parser=sub)
+    sub.add_argument("--json", action="store_true", help="Print the result as JSON.")
+    return sub
+
+
+def _parser(prog_name: str) -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog=prog_name,
+        description="Exact computations with even lattices: theta series, Weil "
+                    "representations, Heegner cycles, Eisenstein coefficients, densities.",
+    )
+    parser.add_argument("--cache-dir", type=Path,
+                        help="Result cache directory (default: $CYCLETHETA_CACHE or OS cache dir).")
+    commands = _subcommands(parser)
+
+    lattice = commands.add_parser("lattice", help="Lattice inspection.",
+                                  description="Lattice inspection.")
+    info = _command(_subcommands(lattice), "info", _lattice_info)
+    info.add_argument("--lattice", required=True, help="Built-in name or JSON Gram file.")
+
+    theta = _command(commands, "theta", _theta)
+    theta.add_argument("--lattice", required=True)
+    theta.add_argument("--max", required=True, help="Truncation bound (integer or p/q).")
+
+    weilrep = _command(commands, "weilrep", _weilrep)
+    weilrep.add_argument("--lattice", required=True)
+    weilrep.add_argument("--word", help="Generator word over S, T (lowercase or ^-1 inverts).")
+
+    heegner = _command(commands, "heegner", _heegner)
+    heegner.add_argument("--level", required=True, type=int)
+    heegner.add_argument("--residue", required=True, type=int)
+    heegner.add_argument("--disc", required=True, type=int)
+
+    eisenstein = _command(commands, "eisenstein", _eisenstein)
+    eisenstein.add_argument("--series", required=True, choices=("hurwitz", "ek", "cohen"))
+    eisenstein.add_argument("--max", required=True, type=int)
+    eisenstein.add_argument("--weight", type=int,
+                            help="Weight k for ek; the parameter s (weight s+1/2) for cohen.")
+
+    density = _command(commands, "density", _density)
+    density.add_argument("--lattice", required=True)
+    density.add_argument("--prime", required=True, type=int)
+    density.add_argument("--m", required=True, type=int)
+
+    verify = _command(commands, "verify", _verify)
+    verify.add_argument("--suite", default="all", help="A name in verify.SUITES (default: all).")
+    return parser
 
 
 if __name__ == "__main__":

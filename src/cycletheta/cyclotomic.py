@@ -167,8 +167,9 @@ class Cyc(_ReadOnly):
 
     def __add__(self, other: "Cyc") -> "Cyc":
         self._check(other)
-        a, b = self.den, other.den
-        return Cyc._exact(self.n, tuple(x * b + y * a for x, y in zip(self.num, other.num)), a * b)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return Cyc._exact(self.n, tuple(x * a + y * b for x, y in zip(self.num, other.num)), den)
 
     def __sub__(self, other: "Cyc") -> "Cyc":
         return self + -other

@@ -147,18 +147,12 @@ def test_criterion_7_hurwitz_kronecker():
     assert report(7, ok, "Hurwitz-Kronecker relation exact for n <= 50", elapsed)
 
 
-def test_criterion_8_determinism():
-    from click.testing import CliRunner
-
-    from cycletheta.cli import main
-
+def test_criterion_8_determinism(invoke, monkeypatch):
+    monkeypatch.setenv("CYCLETHETA_CACHE", "")
     t0 = time.time()
-    runner = CliRunner()
     outputs = []
     for _ in range(2):
-        result = runner.invoke(
-            main, ["verify", "--suite", "all", "--json"], env={"CYCLETHETA_CACHE": ""}
-        )
+        result = invoke(["verify", "--suite", "all", "--json"])
         assert result.exit_code == 0
         outputs.append(result.output.encode())
     elapsed = time.time() - t0

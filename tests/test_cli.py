@@ -2,33 +2,21 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from cycletheta import cli
-from cycletheta.cli import ResultCache, main
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, args):
-    return runner.invoke(main, args, catch_exceptions=False)
+from cycletheta.cli import ResultCache
 
 
 class TestHeegnerCommand:
-    def test_degree_printed(self, runner, tmp_path):
+    def test_degree_printed(self, invoke, tmp_path):
         result = invoke(
-            runner,
             ["--cache-dir", str(tmp_path), "heegner", "--level", "1", "--residue", "1", "--disc", "3"],
         )
         assert result.exit_code == 0
         assert "1/3" in result.output
 
-    def test_json_schema(self, runner, tmp_path):
+    def test_json_schema(self, invoke, tmp_path):
         result = invoke(
-            runner,
             ["--cache-dir", str(tmp_path), "heegner", "--level", "1", "--residue", "0",
              "--disc", "4", "--json"],
         )
@@ -37,39 +25,48 @@ class TestHeegnerCommand:
         assert payload["points"][0]["mult"] == "1/2"
         assert payload["points"][0]["stab"] == 4
 
-    def test_cache_transparency(self, runner, tmp_path):
+    def test_cache_transparency(self, invoke, tmp_path):
         args = ["heegner", "--level", "6", "--residue", "1", "--disc", "23", "--json"]
-        cold = invoke(runner, ["--cache-dir", str(tmp_path)] + args)
-        warm = invoke(runner, ["--cache-dir", str(tmp_path)] + args)
-        nocache = invoke(runner, ["--cache-dir", str(tmp_path / "other")] + args)
+        cold = invoke(["--cache-dir", str(tmp_path)] + args)
+        warm = invoke(["--cache-dir", str(tmp_path)] + args)
+        nocache = invoke(["--cache-dir", str(tmp_path / "other")] + args)
         assert cold.output == warm.output == nocache.output
         assert list(tmp_path.glob("*.json"))
 
+    def test_residue_is_keyed_mod_2n(self, invoke, tmp_path):
+        # the cycle reads r mod 2N, so residue 13 at level 6 is residue 1's entry
+        args = ["--cache-dir", str(tmp_path), "heegner", "--level", "6", "--disc", "23", "--json"]
+        miss = invoke(args + ["--residue", "1"])
+        hit = invoke(args + ["--residue", "13"])
+        assert (miss.exit_code, hit.exit_code) == (0, 0)
+        assert hit.stdout == miss.stdout
+        assert len(list(tmp_path.glob("*.json"))) == 1
+
 
 class TestEisensteinCommand:
-    def test_e4_text(self, runner):
-        result = invoke(runner, ["eisenstein", "--series", "ek", "--weight", "4", "--max", "3"])
+    def test_e4_text(self, invoke):
+        result = invoke(["eisenstein", "--series", "ek", "--weight", "4", "--max", "3"])
         assert result.output.strip() == "1 + 240q + 2160q^2"
 
-    def test_hurwitz_table(self, runner):
-        result = invoke(runner, ["eisenstein", "--series", "hurwitz", "--max", "4"])
+    def test_hurwitz_table(self, invoke):
+        result = invoke(["eisenstein", "--series", "hurwitz", "--max", "4"])
         assert "H(0) = -1/12" in result.output
         assert "H(4) = 1/2" in result.output
 
-    def test_cohen_json(self, runner):
+    def test_cohen_json(self, invoke):
         result = invoke(
-            runner, ["eisenstein", "--series", "cohen", "--weight", "2", "--max", "6", "--json"]
+            ["eisenstein", "--series", "cohen", "--weight", "2", "--max", "6", "--json"]
         )
         payload = json.loads(result.output)
         assert [0, "1/120"] in payload["coefficients"]
         assert "convention" in payload["metadata"]
 
-    def test_weight_required(self, runner):
-        result = runner.invoke(main, ["eisenstein", "--series", "ek", "--max", "3"])
+    def test_weight_required(self, invoke):
+        result = invoke(["eisenstein", "--series", "ek", "--max", "3"])
         assert result.exit_code == 2
 
-    def test_negative_hurwitz_max_is_a_named_error(self, runner):
-        result = invoke(runner, ["eisenstein", "--series", "hurwitz", "--max", "-1"])
+    def test_negative_hurwitz_max_is_a_named_error(self, invoke):
+        result = invoke(["eisenstein", "--series", "hurwitz", "--max", "-1"])
         assert result.exit_code == 1
         assert result.stderr.startswith("error: ValueError: ")
         assert "H(" not in result.output
@@ -80,37 +77,35 @@ class TestEisensteinCommand:
          ["--series", "cohen", "--weight", "2", "--max", "-1"]],
         ids=["ek", "cohen"],
     )
-    def test_negative_max_is_a_named_error(self, runner, args):
-        result = invoke(runner, ["eisenstein", *args])
+    def test_negative_max_is_a_named_error(self, invoke, args):
+        result = invoke(["eisenstein", *args])
         assert result.exit_code == 1
         assert result.stderr.startswith("error: ValueError: truncation must be >= 0, got ")
         assert result.stdout == ""
 
-    def test_weight_2_is_a_computation_error(self, runner):
-        result = runner.invoke(main, ["eisenstein", "--series", "ek", "--weight", "2", "--max", "3"])
+    def test_weight_2_is_a_computation_error(self, invoke):
+        result = invoke(["eisenstein", "--series", "ek", "--weight", "2", "--max", "3"])
         assert result.exit_code == 1
         assert "UnsupportedWeight" in result.output
 
 
 class TestThetaCommand:
-    def test_a1(self, runner, tmp_path):
+    def test_a1(self, invoke, tmp_path):
         result = invoke(
-            runner, ["--cache-dir", str(tmp_path), "theta", "--lattice", "A1", "--max", "2"]
+            ["--cache-dir", str(tmp_path), "theta", "--lattice", "A1", "--max", "2"]
         )
         assert "coset=(0): 1*q^(0) + 2*q^(1)" in result.output
         assert "coset=(1/2): 2*q^(1/4)" in result.output
 
-    def test_fractional_max(self, runner, tmp_path):
+    def test_fractional_max(self, invoke, tmp_path):
         result = invoke(
-            runner,
             ["--cache-dir", str(tmp_path), "theta", "--lattice", "A1", "--max", "5/2", "--json"],
         )
         payload = json.loads(result.output)
         assert payload["truncation"] == "5/2"
 
-    def test_negative_max_is_a_named_error(self, runner, tmp_path):
+    def test_negative_max_is_a_named_error(self, invoke, tmp_path):
         result = invoke(
-            runner,
             ["--cache-dir", str(tmp_path), "theta", "--lattice", "A2", "--max", "-1", "--json"],
         )
         assert result.exit_code == 1
@@ -118,23 +113,23 @@ class TestThetaCommand:
         assert result.stdout == ""
         assert not list(tmp_path.iterdir())
 
-    def test_indefinite_is_error(self, runner, tmp_path):
-        result = runner.invoke(
-            main, ["--cache-dir", str(tmp_path), "theta", "--lattice", "U", "--max", "3"]
+    def test_indefinite_is_error(self, invoke, tmp_path):
+        result = invoke(
+            ["--cache-dir", str(tmp_path), "theta", "--lattice", "U", "--max", "3"]
         )
         assert result.exit_code == 1
 
 
 class TestLatticeCommands:
-    def test_info(self, runner):
-        result = invoke(runner, ["lattice", "info", "--lattice", "E8"])
+    def test_info(self, invoke):
+        result = invoke(["lattice", "info", "--lattice", "E8"])
         assert "rank 8" in result.output
         assert "det 1" in result.output
 
-    def test_info_from_file(self, runner, tmp_path):
+    def test_info_from_file(self, invoke, tmp_path):
         gram_file = tmp_path / "gram.json"
         gram_file.write_text(json.dumps({"gram": [[2, -1], [-1, 2]]}))
-        result = invoke(runner, ["lattice", "info", "--lattice", str(gram_file), "--json"])
+        result = invoke(["lattice", "info", "--lattice", str(gram_file), "--json"])
         payload = json.loads(result.output)
         assert payload["det"] == 3
 
@@ -149,58 +144,57 @@ class TestLatticeCommands:
         ],
         ids=["fraction", "string", "scalar", "flat-list", "null"],
     )
-    def test_malformed_gram_is_a_named_error(self, runner, tmp_path, gram, message):
+    def test_malformed_gram_is_a_named_error(self, invoke, tmp_path, gram, message):
         gram_file = tmp_path / "gram.json"
         gram_file.write_text(json.dumps({"gram": gram}))
-        result = invoke(runner, ["lattice", "info", "--lattice", str(gram_file)])
+        result = invoke(["lattice", "info", "--lattice", str(gram_file)])
         assert result.exit_code == 1
         assert result.stderr.startswith(f"error: LatticeError: {message}")
         assert result.stderr.count("\n") == 1
         assert "Traceback" not in result.output
 
-    def test_unknown_name(self, runner):
-        result = runner.invoke(main, ["lattice", "info", "--lattice", "Z9"])
+    def test_unknown_name(self, invoke):
+        result = invoke(["lattice", "info", "--lattice", "Z9"])
         assert result.exit_code == 2
 
-    def test_directory_is_a_named_error(self, runner, tmp_path):
-        result = invoke(runner, ["lattice", "info", "--lattice", str(tmp_path)])
+    def test_directory_is_a_named_error(self, invoke, tmp_path):
+        result = invoke(["lattice", "info", "--lattice", str(tmp_path)])
         assert result.exit_code == 1
         assert result.stderr.startswith("error: IsADirectoryError: ")
         assert "Traceback" not in result.output
 
 
 class TestWeilrepCommand:
-    def test_matrices(self, runner):
-        result = invoke(runner, ["weilrep", "--lattice", "A1"])
+    def test_matrices(self, invoke):
+        result = invoke(["weilrep", "--lattice", "A1"])
         assert "rho(S)" in result.output
         assert "sqrt(2)" in result.output
         assert "relations: pass" in result.output
 
-    def test_word(self, runner):
-        result = invoke(runner, ["weilrep", "--lattice", "A1", "--word", "SS", "--json"])
+    def test_word(self, invoke):
+        result = invoke(["weilrep", "--lattice", "A1", "--word", "SS", "--json"])
         payload = json.loads(result.output)
         assert "SS" in payload["matrices"]
 
 
 class TestDensityCommand:
-    def test_e8(self, runner, tmp_path):
+    def test_e8(self, invoke, tmp_path):
         result = invoke(
-            runner,
             ["--cache-dir", str(tmp_path), "density", "--lattice", "E8", "--prime", "3", "--m", "1"],
         )
         assert "80/81" in result.output
 
 
 class TestVerifyCommand:
-    def test_weilrep_suite_exit_zero(self, runner):
-        result = invoke(runner, ["verify", "--suite", "weilrep"])
+    def test_weilrep_suite_exit_zero(self, invoke):
+        result = invoke(["verify", "--suite", "weilrep"])
         assert result.exit_code == 0
         assert "fail" in result.output  # "0 fail"
         assert " 0 fail" in result.output
 
-    def test_json_deterministic(self, runner):
-        a = invoke(runner, ["verify", "--suite", "siegelweil", "--json"])
-        b = invoke(runner, ["verify", "--suite", "siegelweil", "--json"])
+    def test_json_deterministic(self, invoke):
+        a = invoke(["verify", "--suite", "siegelweil", "--json"])
+        b = invoke(["verify", "--suite", "siegelweil", "--json"])
         assert a.output == b.output
         payload = json.loads(a.output)
         assert payload["passed"] is True
@@ -216,14 +210,14 @@ class TestErrorBoundary:
         ],
         ids=["weilrep", "density", "heegner"],
     )
-    def test_library_error_is_one_named_line(self, runner, tmp_path, args, message):
-        result = invoke(runner, ["--cache-dir", str(tmp_path)] + args)
+    def test_library_error_is_one_named_line(self, invoke, tmp_path, args, message):
+        result = invoke(["--cache-dir", str(tmp_path)] + args)
         assert result.exit_code == 1
         assert result.stderr == f"error: ValueError: {message}\n"
         assert result.stdout == ""
 
-    def test_help_is_not_an_error(self, runner):
-        result = invoke(runner, ["theta", "--help"])
+    def test_help_is_not_an_error(self, invoke):
+        result = invoke(["theta", "--help"])
         assert result.exit_code == 0
         assert result.stdout.startswith("Usage: ")
         assert result.stderr == ""
@@ -288,37 +282,37 @@ class TestResultCache:
         (tmp_path / f"{key}.json").write_text("not json")
         assert cache.get(key) is None
 
-    def test_cache_dir_that_is_a_file_is_a_named_error(self, runner, tmp_path):
+    def test_cache_dir_that_is_a_file_is_a_named_error(self, invoke, tmp_path):
         path = tmp_path / "not-a-directory"
         path.write_text("")
-        result = invoke(runner, ["--cache-dir", str(path), "heegner", "--level", "1",
-                                 "--residue", "1", "--disc", "23"])
+        result = invoke(["--cache-dir", str(path), "heegner", "--level", "1",
+                         "--residue", "1", "--disc", "23"])
         assert result.exit_code == 1
         assert result.stderr.startswith("error: FileExistsError: ")
         assert result.stdout == ""
 
-    def test_failed_store_warns_and_prints_the_result(self, runner, tmp_path, monkeypatch):
+    def test_failed_store_warns_and_prints_the_result(self, invoke, tmp_path, monkeypatch):
         args = ["heegner", "--level", "1", "--residue", "1", "--disc", "23", "--json"]
-        fresh = invoke(runner, args)
+        fresh = invoke(args)
 
         def full_disk(src, dst):
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(cli.os, "replace", full_disk)
-        result = invoke(runner, ["--cache-dir", str(tmp_path)] + args)
+        result = invoke(["--cache-dir", str(tmp_path)] + args)
         assert result.exit_code == 0
         assert result.stdout == fresh.stdout
         assert result.stderr.startswith("warning: result not cached: OSError: ")
         assert list(tmp_path.iterdir()) == []  # the temporary file is gone too
 
     @pytest.mark.parametrize("case", sorted(UNUSABLE_ENTRIES))
-    def test_unusable_entry_is_a_miss(self, runner, tmp_path, case):
+    def test_unusable_entry_is_a_miss(self, invoke, tmp_path, case):
         args = ["heegner", "--level", "1", "--residue", "1", "--disc", "23", "--json"]
-        fresh = invoke(runner, ["--cache-dir", str(tmp_path / "fresh")] + args)
+        fresh = invoke(["--cache-dir", str(tmp_path / "fresh")] + args)
         key = ResultCache.make_key("heegner", {"N": 1, "r": 1, "d": 23})
         (tmp_path / f"{key}.json").write_bytes(UNUSABLE_ENTRIES[case](key))
         assert ResultCache(tmp_path).get(key) is None
-        stale = invoke(runner, ["--cache-dir", str(tmp_path)] + args)
+        stale = invoke(["--cache-dir", str(tmp_path)] + args)
         assert stale.exit_code == 0
         assert stale.output == fresh.output
         assert ResultCache(tmp_path).get(key) == json.loads(fresh.output)
@@ -326,6 +320,9 @@ class TestResultCache:
 
 NUMPY_LAYERS = ("numpy", "cycletheta.enumeration")
 LAZY_LAYERS = NUMPY_LAYERS + ("cycletheta.weilrep", "cycletheta.cyclotomic")
+# click and the library modules a process has loaded, printed as a list
+LOADED = ("[m for m in sorted(sys.modules) if m == 'click'"
+          " or m.startswith('cycletheta.') and m != 'cycletheta.cli']")
 
 
 class TestImportGraph:
@@ -341,6 +338,33 @@ class TestImportGraph:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_loads_no_library_module(self, fresh_python):
+        proc = fresh_python("-c", f"import sys, cycletheta.cli\nprint({LOADED})")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("args, loaded", [
+        (["heegner", "--level", "6", "--residue", "1", "--disc", "23", "--json"], []),
+        (["theta", "--lattice", "A2", "--max", "4", "--json"], ["cycletheta.quadlattice"]),
+        (["density", "--lattice", "E8", "--prime", "3", "--m", "2", "--json"],
+         ["cycletheta.quadlattice"]),
+    ], ids=["heegner", "theta", "density"])
+    def test_cache_hit_loads_only_the_key_module(self, fresh_python, tmp_path, args, loaded):
+        check = (
+            "import sys\n"
+            "from cycletheta.cli import run\n"
+            "assert run(sys.argv[1:]) == 0\n"
+            f"print({LOADED})"
+        )
+        miss = fresh_python("-c", check, "--cache-dir", str(tmp_path), *args)
+        hit = fresh_python("-c", check, "--cache-dir", str(tmp_path), *args)
+        assert (miss.returncode, hit.returncode) == (0, 0), miss.stderr + hit.stderr
+        assert len(list(tmp_path.glob("*.json"))) == 1
+        miss_payload, _ = miss.stdout.rstrip().rsplit("\n", 1)
+        hit_payload, hit_loaded = hit.stdout.rstrip().rsplit("\n", 1)
+        assert hit_payload == miss_payload
+        assert hit_loaded == repr(loaded)
 
     def test_weilrep_import_leaves_enumeration_out(self, fresh_python):
         proc = fresh_python("-c", "import sys, cycletheta.weilrep\n"

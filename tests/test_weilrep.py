@@ -69,7 +69,7 @@ def oracle_matmul(a, b):
         for j in range(size):
             acc = zero
             for k in range(size):
-                if not a[i][k].is_zero:
+                if not (a[i][k].is_zero or b[k][j].is_zero):
                     acc = acc + a[i][k] * b[k][j]
             row.append(acc)
         rows.append(tuple(row))
